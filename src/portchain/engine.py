@@ -249,12 +249,16 @@ class ExecResult:
 
 
 class BlockExecutor:
-    """Shared deterministic block validation with a global memo.
+    """Deterministic block validation, memoized by block digest.
 
     Validation re-derives the whole block from its declared inputs and
-    compares headers; since the computation is a pure function of the
-    block (its digest covers the pre-state chain), results can be safely
-    shared by every simulated node.
+    compares headers.  The computation is a pure function of the block
+    (its digest covers the pre-state chain), so one executor's results
+    are shared by every simulated node.  A creator seeds the memo with
+    its own assembly through `record`, which runs the same header checks
+    as validation, so no node assembles that block a second time.  The
+    replay audit (`analysis.replay_chain`) uses an executor of its own
+    and re-derives every committed block.
     """
 
     def __init__(self, cfg: EngineConfig):
@@ -277,29 +281,50 @@ class BlockExecutor:
         self._memo[d] = result
         return result
 
-    def _validate(self, candidate, prev_block, pre_trie, schedule, clear_members) -> ExecResult:
-        hdr = candidate.header
+    def record(self, built: BlockResult, prev_block: Block, schedule) -> ExecResult:
+        """Memoize a creator's own assembly as its block's validation.
+
+        The creator's assembly is the computation `validate` would repeat
+        on the same inputs, so after the same header checks its post-state
+        is the validation result.  Only for blocks broadcast unaltered.
+        """
+        reason = self._header_fault(built.block.header, prev_block, schedule)
+        if reason:
+            result = ExecResult(False, reason, None)
+        else:
+            result = ExecResult(True, "", built.post_trie, built.issued, built.confiscated)
+        return self._memo.setdefault(block_digest(built.block.header), result)
+
+    def _header_fault(self, hdr: BlockHeader, prev_block: Block, schedule) -> str:
+        """Why the header's creator slot, backward link or certificate is
+        invalid, or "" if they hold."""
         cfg = self.cfg
         if hdr.creator_index >= cfg.creator_redundancy:
-            return ExecResult(False, "creator index out of range", None)
+            return "creator index out of range"
         if schedule.creators[hdr.creator_index] != hdr.creator:
-            return ExecResult(False, "creator not assigned to slot", None)
-        prev_digest = block_digest(prev_block.header)
-        if hdr.prev_hash != prev_digest:
-            return ExecResult(False, "backward link mismatch", None)
+            return "creator not assigned to slot"
+        if hdr.prev_hash != block_digest(prev_block.header):
+            return "backward link mismatch"
         cert = hdr.prev_certificate
         if cert.target_hash != hdr.prev_hash:
-            return ExecResult(False, "certificate targets wrong block", None)
+            return "certificate targets wrong block"
         if not commit_rule(cert, schedule.voters, cfg.public_keys):
-            return ExecResult(False, "previous-block certificate fails 2/3 rule", None)
+            return "previous-block certificate fails 2/3 rule"
+        return ""
+
+    def _validate(self, candidate, prev_block, pre_trie, schedule, clear_members) -> ExecResult:
+        hdr = candidate.header
+        reason = self._header_fault(hdr, prev_block, schedule)
+        if reason:
+            return ExecResult(False, reason, None)
         current_maintainers = [(a, i) for i, a in enumerate(schedule.members())]
         try:
             built = assemble_block(
-                cfg,
+                self.cfg,
                 hdr.height,
                 prev_block,
-                prev_digest,
-                cert,
+                hdr.prev_hash,
+                hdr.prev_certificate,
                 hdr.creator,
                 hdr.creator_index,
                 hdr.timestamp,
@@ -391,11 +416,17 @@ class Node:
         # one periodic sync timer: the first wake at or after this tick runs
         # the sync check and re-arms it; other wakes never arm a second one
         self._next_sync = 0
-        # pending wake ticks; deduped so a timer asked for on every pass
-        # until it is due is delivered once
+        # pending wake ticks of every kind; deduped so a timer asked for on
+        # every pass until it is due is delivered once
         self._wakes: set[int] = set()
+        # ticks of this node's consensus timers (vote patience, proposal
+        # delay), apart from the periodic sync wake; one at or before the
+        # current wake's tick is due, also if it fell due while the node
+        # was down and its own wake was lost
+        self._timers: set[int] = set()
         # progress passes run only when something that can unblock a
-        # consensus step arrived (new candidate, quorum crossing, sync)
+        # consensus step arrived (new candidate, quorum crossing, sync) or
+        # a timer fell due; any other wake skips the pass
         self._dirty = True
 
     # -- event entry point ------------------------------------------------
@@ -440,10 +471,12 @@ class Node:
                     actions.append(("send", peer, ("sync_req", (self.index, self.head))))
                 self._next_sync = tick + self.cfg.sync_interval
                 self._schedule_wake(self._next_sync, actions)
-        # every timed condition (vote patience, proposal delay) schedules
-        # one exact wake, so progress only needs to run on new evidence or
-        # on a wake tick; only the periodic sync wake re-arms itself
-        if self._dirty or kind == "wake":
+            # every timed condition (vote patience, proposal delay) arms a
+            # timer, so a wake with no timer due finds nothing to do
+            if any(t <= tick for t in self._timers):
+                self._timers = {t for t in self._timers if t > tick}
+                self._dirty = True
+        if self._dirty:
             self._dirty = False
             self._progress(tick, actions)
         return actions
@@ -452,6 +485,10 @@ class Node:
         if at not in self._wakes:
             self._wakes.add(at)
             actions.append(("wake", at))
+
+    def _schedule_timer(self, at: int, actions: list) -> None:
+        self._timers.add(at)
+        self._schedule_wake(at, actions)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -608,7 +645,7 @@ class Node:
             if len(self.level_creators.get(k, ())) < self.cfg.creator_redundancy:
                 due = self.first_seen.get(k, tick) + self.cfg.vote_patience
                 if tick < due:
-                    self._schedule_wake(due, actions)
+                    self._schedule_timer(due, actions)
                     continue
             for d in sorted(level):
                 if d in self.voted:
@@ -777,7 +814,7 @@ class Node:
             first = self.quorum_tick.setdefault(k, tick)
             due = first + self.cfg.proposal_delay
             if tick < due:
-                self._schedule_wake(due, actions)
+                self._schedule_timer(due, actions)
                 continue
             self._propose(k, ci, block, sched, tick, actions)
 
@@ -867,8 +904,10 @@ class Node:
             )
             blocks.append(twin.block)
         elif self.behavior == FORGE_ASSIGNMENT:
-            blocks = [self._forge(built.block)]
+            blocks = [self._forge(built.block, pre_trie)]
         for blk in blocks:
+            if blk is built.block:
+                self.executor.record(built, resolved, sched)
             self._add_candidate(blk, tick)
             actions.append(("broadcast", ("block", blk)))
             actions.append(("log", "propose", f"{k}:{block_digest(blk.header).hex()[:16]}"))
@@ -913,14 +952,13 @@ class Node:
             )
         return tuple(reports)
 
-    def _forge(self, blk: Block) -> Block:
+    def _forge(self, blk: Block, pre_trie: StateTrie) -> Block:
         """Replace the last assigned voter with a crony; the header keeps
         the forged assignment digest so the forgery is internally
         consistent but fails independent re-selection."""
         members = set(blk.assignment.members())
         crony = None
-        trie = self._post_state_of_parent(blk)
-        for addr, _state in trie.accounts() if trie else ():
+        for addr, _state in pre_trie.accounts():
             if addr not in members and addr != self.addr:
                 crony = addr
                 break
@@ -934,10 +972,3 @@ class Node:
         header = replace(blk.header, assignment_digest=core.assignment_digest(forged))
         return Block(header=header, transactions=blk.transactions,
                      assignment=forged, fraud_reports=blk.fraud_reports)
-
-    def _post_state_of_parent(self, blk: Block) -> StateTrie | None:
-        parent_h = blk.header.height - 1
-        if parent_h <= self.head:
-            return self.tries.get(parent_h)
-        parent = self.candidates.get(parent_h, {}).get(blk.header.prev_hash)
-        return self._post_state_of(parent) if parent else None

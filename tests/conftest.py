@@ -10,6 +10,7 @@ from portchain.crypto import digest, keypair_from_seed
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
 from portchain.ledger import AccountState
+from portchain.netsim import AdversarySpec, SimConfig
 from portchain.trie import StateTrie
 
 
@@ -43,3 +44,9 @@ def addr_of(label) -> bytes:
 @pytest.fixture
 def rnd():
     return random.Random(0xC0FFEE)
+
+
+def adversary_config(kind):
+    """A 60-height run with node 2 playing the given creator adversary."""
+    return SimConfig(seed=1, node_count=24, voter_count=4, run_height=60,
+                     adversaries=(AdversarySpec(kind=kind, node=2),))

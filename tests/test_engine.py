@@ -1,8 +1,10 @@
 """Quorum arithmetic, redundant-creator resolution, and block validation."""
 import dataclasses
+import inspect
 
 import pytest
 
+from portchain import engine
 from portchain.core import (
     Vote,
     VoteCertificate,
@@ -21,10 +23,10 @@ from portchain.engine import (
     rehash_value,
     resolve_redundant,
 )
-from portchain.netsim import SimConfig, build_context
+from portchain.netsim import SimConfig, build_context, run
 from portchain.selection import NoCandidatesError
 
-from conftest import make_keys
+from conftest import adversary_config, make_keys
 
 
 def test_quorum_threshold_values():
@@ -277,14 +279,19 @@ def _sync_requests(actions):
     return [a for a in actions if a[0] == "send" and a[2][0] == "sync_req"]
 
 
-def test_node_keeps_one_periodic_sync_wake():
-    ctx = _context()
+def _bystander(ctx):
+    """A node serving neither height 1 nor 2: it asks for no consensus
+    timers."""
     busy = set(ctx.genesis_assignments[1].members())
     busy |= set(ctx.genesis_assignments[2].members())
-    # a bystander at heights 1 and 2 asks for no consensus timers
     i = next(i for i, a in enumerate(ctx.addresses) if a not in busy)
-    node = Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
+    return Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
                 ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+
+
+def test_node_keeps_one_periodic_sync_wake():
+    ctx = _context()
+    node = _bystander(ctx)
     si = ctx.engine_cfg.sync_interval
     assert _wake_ticks(node.handle("wake", None, 0)) == [si]
     # a timer wake between periodic ticks must not arm a second periodic wake
@@ -299,3 +306,183 @@ def test_node_keeps_one_periodic_sync_wake():
     actions = node.handle("wake", None, late + 3)
     assert _wake_ticks(actions) == [] and _sync_requests(actions) == []
     assert _wake_ticks(node.handle("wake", None, late + si)) == [late + 2 * si]
+
+
+def _spy_passes(monkeypatch, node):
+    """Ticks of the node's progress passes, from now on."""
+    ticks = []
+    real = node._progress
+
+    def spy(tick, actions):
+        ticks.append(tick)
+        real(tick, actions)
+
+    monkeypatch.setattr(node, "_progress", spy)
+    return ticks
+
+
+def test_idle_periodic_wake_skips_the_progress_pass(monkeypatch):
+    ctx = _context()
+    node = _bystander(ctx)
+    passes = _spy_passes(monkeypatch, node)
+    si = ctx.engine_cfg.sync_interval
+    node.handle("wake", None, 0)  # a fresh node runs its first pass
+    assert passes == [0]
+    # nothing arrived and no timer is due: only the periodic wake re-arms
+    assert node.handle("wake", None, si) == [("wake", 2 * si)]
+    assert passes == [0]
+
+
+def _voter_at_height_one(ctx):
+    # candidates at height 1 are judged by the voters recorded in genesis
+    addr = ctx.genesis_block.assignment.voters[0]
+    i = ctx.addresses.index(addr)
+    return Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
+                ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+
+
+def _votes(actions):
+    return [a[2][1] for a in actions if a[0] == "multicast" and a[2][0] == "vote"]
+
+
+def test_timer_missed_while_down_runs_the_pass_on_the_next_wake(monkeypatch):
+    ctx = _context()
+    node = _voter_at_height_one(ctx)
+    passes = _spy_passes(monkeypatch, node)
+    si = ctx.engine_cfg.sync_interval
+    node.handle("wake", None, 0)
+    # one of two redundant candidates arrives: the voter waits out its
+    # vote patience before judging
+    blk = _block_one(ctx).block
+    actions = node.handle("block", blk, 2)
+    due = 2 + ctx.engine_cfg.vote_patience
+    assert due < si and _wake_ticks(actions) == [due] and _votes(actions) == []
+    # the wake at `due` is lost (the node was down); the periodic wake
+    # finds the timer overdue, runs the pass and casts the vote
+    passes.clear()
+    actions = node.handle("wake", None, si)
+    assert passes == [si]
+    [vote] = _votes(actions)
+    assert vote.target_hash == block_digest(blk.header) and vote.approve
+    # the overdue timer is spent: the next idle wake skips the pass
+    node.handle("wake", None, 2 * si)
+    assert passes == [si]
+
+
+# --- build once ----------------------------------------------------------------
+
+
+def _spy_assemble(monkeypatch):
+    """Heights of all assemble_block calls, from now on."""
+    heights = []
+    real = engine.assemble_block
+
+    def spy(*args, **kwargs):
+        heights.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "assemble_block", spy)
+    return heights
+
+
+def _creator_at_height_one(ctx, behavior="honest"):
+    """A height-1 creator fed the genesis quorum and woken past its
+    proposal delay; returns the node and the actions of its proposal."""
+    a1 = ctx.genesis_assignments[1]
+    i = ctx.addresses.index(a1.creators[0])
+    node = Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
+                ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments,
+                behavior=behavior)
+    gdigest = block_digest(ctx.genesis_block.header)
+    key_of = dict(zip(ctx.addresses, ctx.keys))
+    for v in a1.voters:
+        node.handle("vote", Vote(v, gdigest, True, sign(key_of[v], vote_signing_bytes(gdigest, True))), 1)
+    return node, node.handle("wake", None, 1 + ctx.engine_cfg.proposal_delay)
+
+
+def _broadcast_blocks(actions):
+    return [a[1][1] for a in actions if a[0] == "broadcast" and a[1][0] == "block"]
+
+
+def test_forged_assignment_is_validated_independently(monkeypatch):
+    ctx = _context()
+    node, actions = _creator_at_height_one(ctx, behavior="forge_assignment")
+    [forged] = _broadcast_blocks(actions)
+    honest = _block_one(ctx, timestamp=forged.header.timestamp).block
+    assert forged.assignment != honest.assignment
+    calls = _spy_assemble(monkeypatch)
+    result = node.executor.validate(forged, ctx.genesis_block, ctx.genesis_trie,
+                                    ctx.genesis_assignments[1], ())
+    # the creator's honest assembly was not recorded for the forgery: the
+    # executor re-derives the block, and the header's assignment digest
+    # (which commits to the forged assignment) no longer matches
+    assert calls == [1]
+    assert not result.valid and result.reason == "recomputed header mismatch"
+
+
+def test_record_runs_the_validation_header_checks():
+    ctx = _context()
+    built = _block_one(ctx)
+    a1, a2 = ctx.genesis_assignments[1], ctx.genesis_assignments[2]
+    wrong_parent = dataclasses.replace(
+        ctx.genesis_block, header=dataclasses.replace(ctx.genesis_block.header, timestamp=1)
+    )
+    for prev_block, schedule, reason in [
+        (ctx.genesis_block, a2, "creator not assigned to slot"),
+        (wrong_parent, a1, "backward link mismatch"),
+    ]:
+        recorded = BlockExecutor(ctx.engine_cfg).record(built, prev_block, schedule)
+        fresh = BlockExecutor(ctx.engine_cfg).validate(
+            built.block, prev_block, ctx.genesis_trie, schedule, ()
+        )
+        assert (recorded.valid, recorded.reason) == (fresh.valid, fresh.reason) == (False, reason)
+    ex = BlockExecutor(ctx.engine_cfg)
+    assert ex.record(built, ctx.genesis_block, a1).valid
+    # the memo now answers for the block
+    assert ex.validate(built.block, ctx.genesis_block, ctx.genesis_trie, a1, ()).post_trie is built.post_trie
+
+
+def test_creator_block_is_assembled_once(monkeypatch):
+    calls = _spy_assemble(monkeypatch)
+    t = run(SimConfig(seed=3, node_count=16, run_height=12, tx_interval=3))
+    proposals = [e for e in t.events if e[2] == "propose"]
+    assert len(proposals) > 12 and len(calls) == len(proposals)
+
+
+def test_recorded_assembly_equals_fresh_validation(monkeypatch):
+    # equivocation puts fraud reports on the chain
+    cfg = adversary_config("equivocate_creator")
+    inputs = {}
+    real_assemble = engine.assemble_block
+    signature = inspect.signature(real_assemble)
+
+    def assemble(*args, **kwargs):
+        built = real_assemble(*args, **kwargs)
+        inputs[id(built)] = signature.bind(*args, **kwargs).arguments
+        return built
+
+    recorded = []
+    real_record = BlockExecutor.record
+
+    def record(self, built, prev_block, schedule):
+        result = real_record(self, built, prev_block, schedule)
+        args = inputs[id(built)]
+        recorded.append((built.block, prev_block, args["pre_trie"], schedule,
+                         args["clear_members"], result))
+        return result
+
+    monkeypatch.setattr(engine, "assemble_block", assemble)
+    monkeypatch.setattr(BlockExecutor, "record", record)
+    run(cfg)
+    monkeypatch.undo()
+    ctx = build_context(cfg)
+    assert recorded
+    for blk, prev_block, pre_trie, schedule, clear_members, result in recorded:
+        fresh = BlockExecutor(ctx.engine_cfg).validate(blk, prev_block, pre_trie, schedule, clear_members)
+        assert fresh.valid and result.valid
+        assert result.post_trie.root_commitment() == fresh.post_trie.root_commitment()
+        assert (result.issued, result.confiscated) == (fresh.issued, fresh.confiscated)
+    # refunds and the reporter's reward are issued; nothing is confiscated
+    # unless the ledger is configured to strip an accused creator
+    assert any(r[-1].issued for r in recorded)
+    assert any(r[0].fraud_reports for r in recorded)

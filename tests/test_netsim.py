@@ -3,6 +3,7 @@ import dataclasses
 
 import pytest
 
+from portchain.analysis import assert_single_chain, conservation_audit
 from portchain.core import block_digest
 from portchain.netsim import (
     AdversarySpec,
@@ -13,6 +14,8 @@ from portchain.netsim import (
     replay_check,
     run,
 )
+
+from conftest import adversary_config
 
 
 def _commit_heights(transcript):
@@ -85,6 +88,31 @@ def test_crash_recovery_resumes():
     # the recovered nodes caught back up
     for i in (3, 7):
         assert max(h for h, _ in t.commits[i]) >= cfg.run_height - 2
+
+
+def _adversary_run(kind):
+    cfg = adversary_config(kind)
+    t = run(cfg)
+    ctx = build_context(cfg)
+    assert not t.stalled
+    assert assert_single_chain(t) == (True, None)
+    assert conservation_audit(t, ctx)["drift"] == 0
+    proposed = {info.split(":")[1] for _, node, kind_, info in t.events
+                if node == 2 and kind_ == "propose"}
+    assert proposed, "the adversary never got to create"
+    return t, ctx.addresses[2], proposed
+
+
+def test_equivocating_creator_is_reported_on_chain():
+    t, adversary, _ = _adversary_run("equivocate_creator")
+    reports = [r for blk in t.chain for r in blk.fraud_reports]
+    assert reports and all(r.accused == adversary for r in reports)
+
+
+def test_forged_assignment_never_commits():
+    t, _, proposed = _adversary_run("forge_assignment")
+    committed = {block_digest(blk.header).hex()[:16] for blk in t.chain}
+    assert not proposed & committed
 
 
 def test_replay_check_round_trip():
