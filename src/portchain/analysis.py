@@ -126,21 +126,39 @@ def fairness_from_draws(draw_records) -> FairnessReport:
     absent), and the address selected.  Expected counts accumulate the
     per-draw probabilities, so changing eligibility between draws is
     handled exactly.
+
+    Weights are summed as integers per (draw total, address), and one
+    Fraction is built per distinct total: the same exact rationals as
+    adding w/total draw by draw.  Addresses keep the order in which they
+    first carry weight, so the float chi-square sums its terms in that
+    order too.
     """
     expected: dict[Address, Fraction] = {}
+    sums_by_total: dict[int, dict[Address, int]] = {}
     observed: dict[Address, int] = {}
     draws = 0
     for weights, chosen in draw_records:
         total = sum(weights.values())
         if total <= 0:
             raise AnalysisError("draw with no eligible weight")
+        sums = sums_by_total.get(total)
+        if sums is None:
+            sums = sums_by_total[total] = {}
         for addr, w in weights.items():
             if w:
-                expected[addr] = expected.get(addr, Fraction(0)) + Fraction(w, total)
+                s = sums.get(addr)
+                if s is None:
+                    sums[addr] = w
+                    expected.setdefault(addr, Fraction(0))
+                else:
+                    sums[addr] = s + w
         observed[chosen] = observed.get(chosen, 0) + 1
         draws += 1
     if draws == 0:
         raise AnalysisError("no draws in window")
+    for total, sums in sums_by_total.items():
+        for addr, s in sums.items():
+            expected[addr] += Fraction(s, total)
     chi = 0.0
     for addr, exp in expected.items():
         obs = observed.get(addr, 0)
@@ -231,6 +249,14 @@ def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engi
     return steps
 
 
+def replay_run(transcript, context):
+    """replay_chain over a simulation's committed chain, from the genesis
+    state of the run's context."""
+    return replay_chain(
+        transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
+    )
+
+
 def selection_fairness(transcript, window, context) -> FairnessReport:
     """Fairness of the maintainer draws recorded in a committed chain.
 
@@ -238,10 +264,12 @@ def selection_fairness(transcript, window, context) -> FairnessReport:
     whose embedded assignments are tallied; context supplies the genesis
     state needed to replay the chain and recover per-draw weights.
     """
+    return steps_fairness(replay_run(transcript, context), window)
+
+
+def steps_fairness(steps, window) -> FairnessReport:
+    """selection_fairness over the ReplaySteps of an already replayed chain."""
     lo, hi = window
-    steps = replay_chain(
-        transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
-    )
     records = []
     for i, step in enumerate(steps):
         h = step.block.header.height
@@ -346,10 +374,12 @@ def conservation_audit(transcript, context) -> dict:
     refund) minus confiscations.  Returns the totals and the drift,
     which is zero iff the books balance.
     """
-    steps = replay_chain(
-        transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
-    )
-    start = _money_total(context.genesis_trie)
+    return steps_conservation(replay_run(transcript, context), context.genesis_trie)
+
+
+def steps_conservation(steps, genesis_trie: StateTrie) -> dict:
+    """conservation_audit over the ReplaySteps of an already replayed chain."""
+    start = _money_total(genesis_trie)
     issued = sum(s.issued for s in steps)
     confiscated = sum(s.confiscated for s in steps)
     end = _money_total(steps[-1].post_trie) if steps else start

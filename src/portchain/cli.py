@@ -179,21 +179,30 @@ def run_scenario(doc: dict, seed_override: int | None = None, checks=None, expor
         ok = not violations
         results["schedule"] = ok
         record("check_schedule", "pass" if ok else f"fail:{violations[0]}")
+    # one independent replay serves conservation, fairness and Gini
+    try:
+        steps = analysis.replay_run(transcript, context)
+        replay_error = None
+    except analysis.ChainInvalid as exc:
+        steps, replay_error = [], exc
+
     if "conservation" in enabled:
-        try:
-            audit = analysis.conservation_audit(transcript, context)
+        if replay_error is None:
+            audit = analysis.steps_conservation(steps, context.genesis_trie)
             ok = audit["drift"] == 0
             record("check_conservation", "pass" if ok else f"fail:drift={audit['drift']}")
             record("issued", audit["issued"])
             record("confiscated", audit["confiscated"])
-        except analysis.ChainInvalid as exc:
+        else:
             ok = False
-            record("check_conservation", f"fail:{exc}")
+            record("check_conservation", f"fail:{replay_error}")
         results["conservation"] = ok
     if "fairness" in enabled:
         window = tuple(doc.get("fairness_window", (1, max(head - 2, 1))))
         try:
-            fr = analysis.selection_fairness(transcript, window, context)
+            if replay_error is not None:
+                raise replay_error
+            fr = analysis.steps_fairness(steps, window)
             critical = chi_square_critical(fr.degrees_of_freedom)
             ok = fr.chi_square < critical
             record("fairness_chi_square", f"{fr.chi_square:.6f}")
@@ -209,12 +218,6 @@ def run_scenario(doc: dict, seed_override: int | None = None, checks=None, expor
         results["liveness"] = ok
         record("check_liveness", "pass" if ok else f"fail:head={head}")
 
-    try:
-        steps = analysis.replay_chain(
-            transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
-        )
-    except analysis.ChainInvalid:
-        steps = []
     if steps:
         final_balances = [s.balance for _, s in steps[-1].post_trie.accounts()]
         record("gini_genesis", f"{analysis.gini([s.balance for _, s in context.genesis_trie.accounts()]):.6f}")

@@ -336,10 +336,13 @@ class BlockExecutor:
             )
         except (BlockInvalid, NoCandidatesError) as exc:
             return ExecResult(False, str(exc), None)
-        if built.block.header != hdr:
-            return ExecResult(False, "recomputed header mismatch", None)
+        # the header commits to the assignment's digest, so a forged
+        # schedule would also fail the header comparison; check it first
+        # to name the fault
         if built.block.assignment != candidate.assignment:
             return ExecResult(False, "assignment mismatch", None)
+        if built.block.header != hdr:
+            return ExecResult(False, "recomputed header mismatch", None)
         return ExecResult(True, "", built.post_trie, built.issued, built.confiscated)
 
 

@@ -136,6 +136,13 @@ class SimConfig:
             raise SimConfigError("drop_probability out of range")
         if self.run_height < 1:
             raise SimConfigError("run_height must be positive")
+        # the seed is hashed as 8 unsigned big-endian bytes
+        if not 0 <= self.seed < 2**64:
+            raise SimConfigError("seed outside [0, 2**64)")
+        if self.tx_interval < 1:
+            raise SimConfigError("tx_interval must be positive")
+        if self.tax_rate_denominator < 1:
+            raise SimConfigError("tax_rate_denominator must be positive")
         for adv in self.adversaries:
             if adv.kind == "crash":
                 if adv.node is None:

@@ -1,5 +1,6 @@
 """Statistical and audit tooling against enumeration oracles."""
 import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from portchain.analysis import (
     AnalysisError,
     ChainInvalid,
+    _assignment_draws,
     assert_single_chain,
     byzantine_tail,
     conservation_audit,
@@ -18,7 +20,10 @@ from portchain.analysis import (
     selection_fairness,
 )
 from portchain.core import block_digest
+from portchain.ledger import AccountState
 from portchain.netsim import SimConfig, build_context, run
+from portchain.selection import eligible_total_weight, weighted_descend
+from portchain.trie import StateTrie
 
 from conftest import addr_of
 
@@ -202,3 +207,92 @@ def test_selection_fairness_over_chain(sim):
     assert rep.draws > 0
     assert sum(rep.expected_share.values()) == pytest.approx(1.0)
     assert rep.chi_square < 10 * max(rep.degrees_of_freedom, 1)
+
+
+# --- integer chi-square against the per-draw Fraction loop -------------------
+
+
+def _reference_fairness(draw_records):
+    """The per-draw exact-Fraction accumulation that fairness_from_draws
+    replaced; kept here as the bit-identity oracle."""
+    expected = {}
+    observed = {}
+    draws = 0
+    for weights, chosen in draw_records:
+        total = sum(weights.values())
+        if total <= 0:
+            raise AnalysisError("draw with no eligible weight")
+        for addr, w in weights.items():
+            if w:
+                expected[addr] = expected.get(addr, Fraction(0)) + Fraction(w, total)
+        observed[chosen] = observed.get(chosen, 0) + 1
+        draws += 1
+    if draws == 0:
+        raise AnalysisError("no draws in window")
+    chi = 0.0
+    for addr, exp in expected.items():
+        obs = observed.get(addr, 0)
+        chi += (obs - exp) ** 2 / exp
+    share = {addr: exp / draws for addr, exp in expected.items()}
+    return share, observed, float(chi), len(expected) - 1, draws
+
+
+def _assert_same_as_reference(records):
+    share, observed, chi, dof, draws = _reference_fairness(records)
+    rep = fairness_from_draws(records)
+    assert rep.chi_square == chi
+    assert list(rep.expected_share.items()) == list(share.items())
+    assert list(rep.observed_count.items()) == list(observed.items())
+    assert (rep.degrees_of_freedom, rep.draws) == (dof, draws)
+    return rep
+
+
+def test_fairness_matches_reference_on_fixed_weights():
+    # criterion-7 style: 50 accounts, one weight table, descent draws
+    rng = random.Random(707)
+    trie = StateTrie()
+    addrs = [addr_of(f"fair{i}") for i in range(50)]
+    for addr in addrs:
+        trie = trie.upsert_account(addr, AccountState(balance=1, tax=rng.randint(0, 200)))
+    weights = {a: trie.get_account(a).tax + 1 for a in addrs}
+    total = eligible_total_weight(trie, set(), 0)
+    records = [(weights, weighted_descend(trie, rng.randrange(total), set(), 0))
+               for _ in range(2000)]
+    assert _assert_same_as_reference(records).degrees_of_freedom == 49
+
+
+def test_fairness_matches_reference_on_chain_draws(sim):
+    # eligibility and taxes change from block to block
+    cfg, ctx, t = sim
+    steps = replay_chain(t.chain, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+    records = []
+    for i in range(1, len(steps)):
+        records.extend(_assignment_draws(steps[i], steps[i - 1]))
+    assert len({sum(w.values()) for w, _ in records}) > 1
+    _assert_same_as_reference(records)
+
+
+def test_fairness_matches_reference_with_zero_weights():
+    a, b, c, d = (addr_of(x) for x in "abcd")
+    # b first carries weight in the second draw and c in the third, whose
+    # total equals the first draw's; d never carries weight
+    records = [
+        ({a: 4, b: 0, c: 0, d: 0}, a),
+        ({b: 3, a: 0, d: 0}, b),
+        ({a: 2, c: 2}, c),
+        ({c: 1, b: 5, a: 4, d: 0}, a),
+        ({a: 1, b: 1, c: 1, d: 0}, d),
+    ]
+    rep = _assert_same_as_reference(records)
+    assert list(rep.expected_share) == [a, b, c]
+    assert d in rep.observed_count and d not in rep.expected_share
+
+
+def test_fairness_errors_match_reference():
+    a, b = addr_of("a"), addr_of("b")
+    for records in ([], [({a: 1}, a), ({a: 0, b: 0}, b)]):
+        with pytest.raises(AnalysisError) as ref:
+            _reference_fairness(records)
+        with pytest.raises(AnalysisError) as new:
+            fairness_from_draws(records)
+        assert str(new.value) == str(ref.value)

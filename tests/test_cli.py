@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from portchain.cli import DEFAULT_CHECKS, chi_square_critical, main
+from portchain import analysis
+from portchain.cli import DEFAULT_CHECKS, chi_square_critical, main, run_scenario
 from portchain.core import decode_chain, encode_chain
 
 
@@ -156,3 +157,60 @@ def test_chi_square_critical_reference_points():
     assert chi_square_critical(49) == pytest.approx(74.919, rel=2e-3)
     assert chi_square_critical(10) == pytest.approx(23.209, rel=2e-3)
     assert chi_square_critical(1) == pytest.approx(6.635, rel=2e-2)
+
+
+ALL_CHECKS = ["single_chain", "schedule", "conservation", "fairness", "liveness"]
+
+
+def test_run_replays_the_chain_once(tmp_path, monkeypatch):
+    calls = []
+    real = analysis.replay_chain
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "replay_chain", counting)
+    doc = json.loads(_scenario(tmp_path).read_text())
+    report, code = run_scenario(doc, checks=ALL_CHECKS)
+    assert code == 0
+    assert "check_conservation=pass" in report and "check_fairness=pass" in report
+    assert "gini_final=" in report
+    assert len(calls) == 1
+
+
+def test_invalid_replay_fails_conservation_and_fairness(tmp_path, monkeypatch):
+    def invalid(*args, **kwargs):
+        raise analysis.ChainInvalid(5, "forged for the test")
+
+    monkeypatch.setattr(analysis, "replay_chain", invalid)
+    doc = json.loads(_scenario(tmp_path).read_text())
+    report, code = run_scenario(doc, checks=ALL_CHECKS)
+    assert code == 1
+    lines = report.splitlines()
+    start = lines.index("check_schedule=pass") + 1
+    # recorded with three separate replays, before the single replay
+    assert lines[start:start + 4] == [
+        "check_conservation=fail:height 5: forged for the test",
+        "fairness_error=height 5: forged for the test",
+        "check_fairness=fail",
+        "check_liveness=pass",
+    ]
+    assert lines[start + 4] == "stall_allowed=0"
+    assert "gini" not in report
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", -1),
+    ("seed", 2**64),
+    ("tax_rate_denominator", 0),
+    ("tx_interval", 0),
+])
+def test_out_of_range_config_exits_2(tmp_path, capsys, field, value):
+    # each of these used to raise (OverflowError, ZeroDivisionError) or,
+    # for tx_interval 0, never reach run_height
+    path = _scenario(tmp_path, config={field: value})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err

@@ -245,7 +245,7 @@ def test_executor_rejects_tampering():
     fake_asg = dataclasses.replace(
         good.assignment, voters=tuple(reversed(good.assignment.voters))
     )
-    check(dataclasses.replace(good, assignment=fake_asg))
+    check(dataclasses.replace(good, assignment=fake_asg), "assignment mismatch")
     # insufficient certificate
     thin = VoteCertificate(
         target_hash=good.header.prev_certificate.target_hash,
@@ -414,10 +414,9 @@ def test_forged_assignment_is_validated_independently(monkeypatch):
     result = node.executor.validate(forged, ctx.genesis_block, ctx.genesis_trie,
                                     ctx.genesis_assignments[1], ())
     # the creator's honest assembly was not recorded for the forgery: the
-    # executor re-derives the block, and the header's assignment digest
-    # (which commits to the forged assignment) no longer matches
+    # executor re-derives the block and names the forged schedule
     assert calls == [1]
-    assert not result.valid and result.reason == "recomputed header mismatch"
+    assert not result.valid and result.reason == "assignment mismatch"
 
 
 def test_record_runs_the_validation_header_checks():

@@ -1,12 +1,17 @@
-"""Pinned transcript digests.
+"""Pinned transcript and report digests.
 
-Each digest was recorded before the build-once and idle-wake changes to
-the engine; a change that alters any simulated event, counter or block
-shows up here.  A change that alters a digest on purpose says why in
-CHANGES.md and re-records it.
+Each transcript digest was recorded before the build-once and idle-wake
+changes to the engine, and the README scenario's report digest before the
+single-replay and integer chi-square changes to the audits; a change that
+alters any simulated event, counter, block or report line shows up here.
+A change that alters a digest on purpose says why in CHANGES.md and
+re-records it.
 """
+import hashlib
+
 import pytest
 
+from portchain.cli import run_scenario
 from portchain.netsim import AdversarySpec, SimConfig, run
 
 from conftest import adversary_config
@@ -55,3 +60,27 @@ GOLDEN = [
 )
 def test_transcript_digest_pinned(cfg, expected):
     assert run(cfg).digest_hex() == expected
+
+
+# the scenario file shown in README.md, with all five checks
+README_SCENARIO = {
+    "config": {
+        "seed": 6, "node_count": 21, "voter_count": 5, "creator_redundancy": 2,
+        "run_height": 200, "latency_min": 1, "latency_max": 3, "drop_probability": 0.05,
+        "adversaries": [
+            {"kind": "crash", "node": 3, "start_tick": 100, "recover_tick": 400},
+            {"kind": "vote_withhold", "voter_slot": 1},
+        ],
+    },
+    "checks": ["single_chain", "schedule", "conservation", "fairness", "liveness"],
+    "allow_stall": False,
+}
+
+
+def test_readme_scenario_report_pinned():
+    report, code = run_scenario(README_SCENARIO)
+    assert code == 0
+    assert "committed_head=200\n" in report
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "b2755980642cca55ba7e1ca122324e6e4f966684fb83425a842ec976b31c9bcb"
+    )
