@@ -14,6 +14,7 @@ invalid configuration).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -23,20 +24,19 @@ import jsonschema
 
 from . import analysis
 from .core import block_digest, decode_chain, encode_chain
-from .netsim import AdversarySpec, SimConfig, SimConfigError, build_context, run
+from .netsim import (
+    NODE_BEHAVIOR_KINDS,
+    AdversarySpec,
+    SimConfig,
+    SimConfigError,
+    build_context,
+    run,
+)
 
 ADVERSARY_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {
-            "enum": [
-                "crash",
-                "vote_withhold",
-                "vote_disapprove_all",
-                "equivocate_creator",
-                "forge_assignment",
-            ]
-        },
+        "kind": {"enum": ["crash", *NODE_BEHAVIOR_KINDS]},
         "node": {"type": ["integer", "null"]},
         "voter_slot": {"type": ["integer", "null"]},
         "start_tick": {"type": "integer", "minimum": 0},
@@ -46,32 +46,8 @@ ADVERSARY_SCHEMA = {
     "additionalProperties": False,
 }
 
-_INT_FIELDS = [
-    "seed",
-    "node_count",
-    "voter_count",
-    "creator_redundancy",
-    "latency_min",
-    "latency_max",
-    "run_height",
-    "max_ticks",
-    "tx_interval",
-    "txs_per_interval",
-    "tx_value_min",
-    "tx_value_max",
-    "genesis_balance",
-    "genesis_tax_min",
-    "genesis_tax_max",
-    "tax_rate_numerator",
-    "tax_rate_denominator",
-    "creator_reward",
-    "voter_reward",
-    "reporter_reward",
-    "blacklist_duration",
-    "max_txs",
-    "sync_interval",
-    "stall_patience",
-]
+# value ranges are SimConfig.validate's; the schema checks only types
+_INT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
 
 SCENARIO_SCHEMA = {
     "type": "object",

@@ -176,6 +176,13 @@ def assemble_block(
                 break
             attempts_left -= 1
             tx = mempool[key]
+            # a node drops a transaction from its mempool only when the
+            # block holding it commits, so the next creators still see it;
+            # its nonce is then used up and apply_transaction would say so
+            sender = trie.get_account(tx.sender)
+            if sender is not None and tx.nonce <= sender.nonce:
+                rejected.append((tx, "bad nonce"))
+                continue
             try:
                 trie = apply_transaction(trie, tx, cfg.ledger, height, cfg.public_keys)
             except TxRejected as exc:
@@ -259,11 +266,18 @@ class BlockExecutor:
     as validation, so no node assembles that block a second time.  The
     replay audit (`analysis.replay_chain`) uses an executor of its own
     and re-derives every committed block.
+
+    The 2/3 check of the certificate a header carries is memoized the
+    same way, per (header digest, voter tuple) in `certificate_holds`:
+    the digest fixes the certificate, and the voters it is judged against
+    are the only other input, so validation and every node's commit and
+    vote passes share one check per certificate and committee.
     """
 
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
         self._memo: dict[Hash, ExecResult] = {}
+        self._certs: dict[tuple, bool] = {}
 
     def validate(
         self,
@@ -295,6 +309,15 @@ class BlockExecutor:
             result = ExecResult(True, "", built.post_trie, built.issued, built.confiscated)
         return self._memo.setdefault(block_digest(built.block.header), result)
 
+    def certificate_holds(self, d: Hash, cert: VoteCertificate, voters: tuple) -> bool:
+        """`commit_rule` of cert, the certificate in the header whose
+        digest is d, against the voters, memoized per (d, voters)."""
+        key = (d, voters)
+        ok = self._certs.get(key)
+        if ok is None:
+            ok = self._certs[key] = commit_rule(cert, voters, self.cfg.public_keys)
+        return ok
+
     def _header_fault(self, hdr: BlockHeader, prev_block: Block, schedule) -> str:
         """Why the header's creator slot, backward link or certificate is
         invalid, or "" if they hold."""
@@ -308,7 +331,7 @@ class BlockExecutor:
         cert = hdr.prev_certificate
         if cert.target_hash != hdr.prev_hash:
             return "certificate targets wrong block"
-        if not commit_rule(cert, schedule.voters, cfg.public_keys):
+        if not self.certificate_holds(block_digest(hdr), cert, schedule.voters):
             return "previous-block certificate fails 2/3 rule"
         return ""
 
@@ -398,7 +421,9 @@ class Node:
         self.approvals: dict[Hash, dict[Address, Vote]] = {}
         self.disapprovals: dict[Hash, set] = {}
         self.voted: set[Hash] = set()
-        # candidates per height still awaiting this node's vote decision
+        # candidates per height still awaiting this node's vote decision;
+        # the vote pass skips a height whose count is zero (every
+        # candidate there was voted on or found to need no vote)
         self._unvoted: dict[int, int] = {}
         self.locked_parent: dict[int, Hash] = {}
         self.proposed: set[int] = set()
@@ -407,7 +432,12 @@ class Node:
         self.fraud_seen: dict[tuple, list[Hash]] = {}
         self.first_seen: dict[int, int] = {}
         self.level_creators: dict[int, set] = {}
-        self._cert_ok: dict[Hash, bool] = {}
+        # heights at which this node is a creator on some branch: set from
+        # the assignment of each candidate two heights below, and fixed by
+        # the committed block's assignment once that height commits
+        self._creator_heights: set[int] = {
+            k for k, a in genesis_assignments.items() if self.addr in a.creators
+        }
         self.reported: set[tuple] = set()
         self.last_head_change = 0
         self.counters = {"rejected_txs": 0, "bad_messages": 0, "frauds_detected": 0}
@@ -500,14 +530,18 @@ class Node:
         if h <= self.head or h < 1:
             return False
         d = block_digest(blk.header)
-        level = self.candidates.setdefault(h, {})
-        if d in level:
+        level = self.candidates.get(h)
+        if level is None:
+            level = self.candidates[h] = {}
+        elif d in level:
             return False
         level[d] = blk
         self.cand_height[d] = h
         self._unvoted[h] = self._unvoted.get(h, 0) + 1
         self.first_seen.setdefault(h, tick)
         self.level_creators.setdefault(h, set()).add(blk.header.creator)
+        if blk.assignment.block_height == h + 2 and self.addr in blk.assignment.creators:
+            self._creator_heights.add(h + 2)
         self._dirty = True
         key = (h, blk.header.creator)
         seen = self.fraud_seen.setdefault(key, [])
@@ -573,7 +607,7 @@ class Node:
             if cert.target_hash != bk.header.prev_hash:
                 continue
             # voters of height k are recorded in block k-2 on this branch
-            if not commit_rule(cert, x.assignment.voters, self.cfg.public_keys):
+            if not self.executor.certificate_holds(d, cert, x.assignment.voters):
                 continue
             self._commit(x, tick, actions)
             return True
@@ -596,6 +630,11 @@ class Node:
         self.committed_digest[j] = d
         self.tries[j] = result.post_trie
         self.schedules[j + 2] = blk.assignment
+        if self.addr in blk.assignment.creators:
+            self._creator_heights.add(j + 2)
+        else:
+            self._creator_heights.discard(j + 2)
+        self._creator_heights.discard(j)
         self.head = j
         self.last_head_change = tick
         for tx in blk.transactions:
@@ -610,6 +649,7 @@ class Node:
                 self.disapprovals.pop(sd, None)
                 self.voted.discard(sd)
         self.locked_parent.pop(j, None)
+        self._unvoted.pop(j, None)
         self.quorum_tick.pop(j, None)
         self.first_seen.pop(j, None)
         self.level_creators.pop(j, None)
@@ -640,7 +680,7 @@ class Node:
             self._maybe_vote_genesis(actions)
         for k in (self.head + 1, self.head + 2):
             level = self.candidates.get(k)
-            if not level:
+            if not level or not self._unvoted.get(k):
                 continue
             # wait for the full sibling set (or a patience timeout) so the
             # first approval, which locks this node's parent choice, is
@@ -678,26 +718,13 @@ class Node:
         return self.slot_behaviors.get(slot, HONEST)
 
     def _consider_vote(self, k: int, d: Hash, blk: Block, actions: list) -> None:
-        # parent resolution context
-        if k == self.head + 1:
+        at_head = k == self.head + 1
+        if at_head:
             parent = self.committed[self.head]
-            parent_ok = blk.header.prev_hash == self.committed_digest[self.head]
-            parent_trie = self.tries[self.head]
-            parent_valid = True
         else:
             parent = self.candidates.get(k - 1, {}).get(blk.header.prev_hash)
             if parent is None:
                 return  # defer until the parent candidate arrives
-            presult = self.executor.validate(
-                parent,
-                self.committed[self.head],
-                self.tries[self.head],
-                self.schedules[k - 1],
-                self._clear_members(k - 1),
-            )
-            parent_trie = presult.post_trie
-            parent_valid = presult.valid
-            parent_ok = True
         # the voters for height k+1 (who judge candidates at k) are the
         # assignment recorded in the parent block
         voter_schedule = parent.assignment
@@ -708,6 +735,22 @@ class Node:
         if behavior == VOTE_WITHHOLD:
             self._mark_voted(d)
             return
+        # parent resolution context
+        if at_head:
+            parent_ok = blk.header.prev_hash == self.committed_digest[self.head]
+            parent_trie = self.tries[self.head]
+            parent_valid = True
+        else:
+            presult = self.executor.validate(
+                parent,
+                self.committed[self.head],
+                self.tries[self.head],
+                self.schedules[k - 1],
+                self._clear_members(k - 1),
+            )
+            parent_trie = presult.post_trie
+            parent_valid = presult.valid
+            parent_ok = True
 
         approve = parent_ok and parent_valid
         if approve and len(self.fraud_seen.get((k, blk.header.creator), ())) > 1:
@@ -748,18 +791,13 @@ class Node:
 
     def _cert_proven(self, k: int, blk: Block) -> bool:
         """Does blk carry a valid 2/3 certificate for its named parent?"""
-        d = block_digest(blk.header)
-        ok = self._cert_ok.get(d)
-        if ok is None:
-            sched = self.schedules.get(k)
-            cert = blk.header.prev_certificate
-            ok = (
-                sched is not None
-                and cert.target_hash == blk.header.prev_hash
-                and commit_rule(cert, sched.voters, self.cfg.public_keys)
-            )
-            self._cert_ok[d] = ok
-        return ok
+        sched = self.schedules.get(k)
+        cert = blk.header.prev_certificate
+        return (
+            sched is not None
+            and cert.target_hash == blk.header.prev_hash
+            and self.executor.certificate_holds(block_digest(blk.header), cert, sched.voters)
+        )
 
     def _resolution_matches(self, k: int, blk: Block) -> bool:
         """Backward link must name the largest-rehash parent among those
@@ -805,7 +843,8 @@ class Node:
         # commits trail candidates by two heights, so duty can reach head+3
         # (its schedule then lives in a candidate at head+1, per branch)
         for k in (self.head + 1, self.head + 2, self.head + 3):
-            if k in self.proposed or not self._maybe_creator(k):
+            # could this node be a creator at k on any branch?
+            if k in self.proposed or k not in self._creator_heights:
                 continue
             resolved = self._resolve_parent(k)
             if resolved is None:
@@ -820,16 +859,6 @@ class Node:
                 self._schedule_timer(due, actions)
                 continue
             self._propose(k, ci, block, sched, tick, actions)
-
-    def _maybe_creator(self, k: int) -> bool:
-        """Cheap pre-check: could this node be a creator at k on any branch?"""
-        if k - 2 <= self.head:
-            sched = self.schedules.get(k)
-            return sched is not None and self.addr in sched.creators
-        return any(
-            gp.assignment.block_height == k and self.addr in gp.assignment.creators
-            for gp in self.candidates.get(k - 2, {}).values()
-        )
 
     def _branch_schedule(self, k: int, parent: Block):
         """Assignment governing height k on parent's branch, i.e. the one

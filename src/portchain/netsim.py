@@ -1,9 +1,14 @@
 """Deterministic discrete-event network simulation.
 
 Every source of nondeterminism is derived from a counter-based PRNG
-keyed off the config seed, and the event queue orders ties by insertion
-sequence, so a run is a pure function of its config.  Transcripts render
-to text so two runs can be compared byte for byte.
+keyed off the config seed, and events at one tick run in the order they
+were scheduled, so a run is a pure function of its config.  Transcripts
+render to text so two runs can be compared byte for byte.
+
+The event queue keeps tick buckets, after Brown's calendar queue: one
+FIFO list per tick and a heap that holds only the distinct ticks.
+Nothing is ever scheduled before the current tick, so appending to a
+bucket gives the order of one heap keyed by (tick, insertion sequence).
 """
 from __future__ import annotations
 
@@ -79,6 +84,28 @@ NODE_BEHAVIOR_KINDS = {
 }
 
 
+# inclusive bounds of single integer fields (None: no upper bound)
+_INT_BOUNDS = {
+    "run_height": (1, None),
+    # the seed is hashed as 8 unsigned big-endian bytes
+    "seed": (0, 2**64 - 1),
+    "tx_interval": (1, None),
+    # the periodic sync wake re-arms sync_interval ticks ahead
+    "sync_interval": (1, None),
+    "tax_rate_numerator": (0, None),
+    "tax_rate_denominator": (1, None),
+    # transfer values are signed as 8 unsigned bytes
+    "tx_value_min": (0, None),
+    "tx_value_max": (0, 2**64 - 1),
+    "genesis_balance": (0, None),
+    "genesis_tax_min": (0, None),
+    "creator_reward": (0, 2**32),
+    "voter_reward": (0, 2**32),
+    "reporter_reward": (0, 2**32),
+    "blacklist_duration": (0, 2**32),
+}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 0
@@ -134,19 +161,35 @@ class SimConfig:
             raise SimConfigError("bad latency window")
         if not 0.0 <= self.drop_probability < 1.0:
             raise SimConfigError("drop_probability out of range")
-        if self.run_height < 1:
-            raise SimConfigError("run_height must be positive")
-        # the seed is hashed as 8 unsigned big-endian bytes
-        if not 0 <= self.seed < 2**64:
-            raise SimConfigError("seed outside [0, 2**64)")
-        if self.tx_interval < 1:
-            raise SimConfigError("tx_interval must be positive")
-        if self.tax_rate_denominator < 1:
-            raise SimConfigError("tax_rate_denominator must be positive")
+        for name, (lo, hi) in _INT_BOUNDS.items():
+            value = getattr(self, name)
+            if value < lo or (hi is not None and value > hi):
+                raise SimConfigError(f"{name} {value} outside [{lo}, {hi or 'inf'}]")
+        if self.tx_value_max < self.tx_value_min:
+            raise SimConfigError("tx_value_max below tx_value_min")
+        if self.genesis_tax_max < self.genesis_tax_min:
+            raise SimConfigError("genesis_tax_max below genesis_tax_min")
+        if self.tax_rate_numerator > self.tax_rate_denominator:
+            # the receiver's tax is withheld from the amount transferred
+            raise SimConfigError("tax_rate_numerator above tax_rate_denominator")
+        # balances, taxes and the selection weight total (tax + 1 per
+        # account) are encoded as 8 unsigned bytes; none exceeds the money
+        # supply plus node_count, and a genesis supply below 2**63 leaves
+        # the other half for rewards, each at most 2**32 per payment
+        supply = self.node_count * (self.genesis_balance + self.genesis_tax_max + 1)
+        if supply >= 2**63:
+            raise SimConfigError(
+                "genesis_balance/genesis_tax_max: genesis money supply "
+                f"node_count * (genesis_balance + genesis_tax_max + 1) = {supply} >= 2**63"
+            )
         for adv in self.adversaries:
             if adv.kind == "crash":
                 if adv.node is None:
                     raise SimConfigError("crash adversary needs a node")
+                # recovering first would leave the node down for good while
+                # the run still waits for it to reach run_height
+                if adv.recover_tick is not None and adv.recover_tick < adv.start_tick:
+                    raise SimConfigError("crash adversary recover_tick before start_tick")
             elif adv.kind in NODE_BEHAVIOR_KINDS:
                 if adv.node is None and adv.voter_slot is None:
                     raise SimConfigError(f"{adv.kind} needs a node or voter slot")
@@ -157,6 +200,15 @@ class SimConfig:
                     raise SimConfigError(f"{adv.kind} cannot be slot-scoped")
             else:
                 raise SimConfigError(f"unknown adversary kind {adv.kind!r}")
+            if adv.node is not None and not 0 <= adv.node < self.node_count:
+                raise SimConfigError(
+                    f"{adv.kind} adversary node {adv.node} outside [0, {self.node_count})"
+                )
+            if adv.voter_slot is not None and not 0 <= adv.voter_slot < self.voter_count:
+                raise SimConfigError(
+                    f"{adv.kind} adversary voter_slot {adv.voter_slot} "
+                    f"outside [0, {self.voter_count})"
+                )
 
     def digest_hex(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True).encode()
@@ -267,6 +319,17 @@ class SimTranscript:
         return hashlib.sha256(self.text().encode() + encode_chain(self.chain)).hexdigest()
 
 
+def below(getrandbits, n: int, bits: int) -> int:
+    """Uniform integer in [0, n) from `bits` = n.bit_length() random bits,
+    redrawn while out of range.  These are the generator bits that
+    `random.Random.randint(lo, lo + n - 1) - lo` consumes in CPython 3.11,
+    so a run replays the latency stream of a `randint` draw exactly."""
+    r = getrandbits(bits)
+    while r >= n:
+        r = getrandbits(bits)
+    return r
+
+
 def run(config: SimConfig) -> SimTranscript:
     ctx = build_context(config)
     cfg = ctx.config
@@ -287,6 +350,7 @@ def run(config: SimConfig) -> SimTranscript:
             node_behavior[adv.node] = NODE_BEHAVIOR_KINDS[adv.kind]
 
     executor = BlockExecutor(ctx.engine_cfg)
+    n = cfg.node_count
     nodes = [
         Node(
             i,
@@ -299,187 +363,187 @@ def run(config: SimConfig) -> SimTranscript:
             behavior=node_behavior[i],
             slot_behaviors=slot_behaviors,
         )
-        for i in range(cfg.node_count)
+        for i in range(n)
     ]
 
-    crashed = [False] * cfg.node_count
-    crashed_forever = [False] * cfg.node_count
-    queue: list = []
-    seq = 0
+    crashed = [False] * n
+    crashed_forever = [False] * n
+    # events are (target node or -1, kind, payload), one FIFO list per tick
+    buckets: dict[int, list] = {}
+    ticks: list[int] = []  # heap of the ticks that hold a bucket
 
-    def push(tick, kind, data):
-        nonlocal seq
-        heapq.heappush(queue, (tick, seq, kind, data))
-        seq += 1
+    def push(tick, target, kind, payload):
+        bucket = buckets.get(tick)
+        if bucket is None:
+            buckets[tick] = [(target, kind, payload)]
+            heapq.heappush(ticks, tick)
+        else:
+            bucket.append((target, kind, payload))
 
-    counters = {
-        "msgs_sent": 0,
-        "msgs_dropped": 0,
-        "msgs_delivered": 0,
-        "wakes_delivered": 0,
-        "txs_injected": 0,
-    }
-    events: list = []
-    commits: list = [[] for _ in range(cfg.node_count)]
-    msg_counter = 0
-    last_commit_tick = 0
-    pending_recoveries = 0
-
+    msgs_sent = msgs_dropped = msgs_delivered = wakes_delivered = txs_injected = 0
     drop_p = cfg.drop_probability
     net_random = net_rng.random
-    net_randint = net_rng.randint
+    getrandbits = net_rng.getrandbits
+    lat_min = cfg.latency_min
+    lat_span = cfg.latency_max - lat_min + 1
+    lat_bits = lat_span.bit_length()
 
-    def route(tick, sender, message):
-        nonlocal msg_counter
-        msg_counter += 1
-        for j in range(cfg.node_count):
-            if j == sender:
-                continue
-            counters["msgs_sent"] += 1
+    def send(tick, targets, message):
+        """Deliver message to each target after a drop and a latency draw."""
+        nonlocal msgs_sent, msgs_dropped
+        kind, payload = message
+        msgs_sent += len(targets)
+        for j in targets:
             if drop_p and net_random() < drop_p:
-                counters["msgs_dropped"] += 1
+                msgs_dropped += 1
                 continue
-            lat = net_randint(cfg.latency_min, cfg.latency_max)
-            push(tick + lat, "deliver", (j, message))
+            push(tick + lat_min + below(getrandbits, lat_span, lat_bits), j, kind, payload)
 
-    def send_one(tick, sender, target, message):
-        nonlocal msg_counter
-        msg_counter += 1
-        counters["msgs_sent"] += 1
-        if drop_p and net_random() < drop_p:
-            counters["msgs_dropped"] += 1
-            return
-        lat = net_randint(cfg.latency_min, cfg.latency_max)
-        push(tick + lat, "deliver", (target, message))
-
-    commit_events = 0
-
+    # recipient lists: a broadcast reaches every other node (the workload,
+    # sender -1, reaches all), gossip the next few nodes on the ring, and a
+    # multicast the listed addresses that are nodes, in list order
+    everyone = tuple(range(n))
+    others = [tuple(j for j in everyone if j != i) for i in everyone]
+    gossip_fanout = min(4, n - 1)
+    ring = [tuple((i + step) % n for step in range(1, gossip_fanout + 1)) for i in everyone]
     addr_index = {a: i for i, a in enumerate(ctx.addresses)}
-    gossip_fanout = min(4, cfg.node_count - 1)
+    multicast_targets: dict[tuple, tuple] = {}
 
-    def dispatch(tick, i, kind, payload):
-        nonlocal last_commit_tick, commit_events
-        actions = nodes[i].handle(kind, payload, tick)
-        for act in actions:
-            if act[0] == "broadcast":
-                route(tick, i, act[1])
-            elif act[0] == "multicast":
-                for addr in act[1]:
-                    j = addr_index.get(addr)
-                    if j is not None and j != i:
-                        send_one(tick, i, j, act[2])
-            elif act[0] == "gossip":
-                for step in range(1, gossip_fanout + 1):
-                    send_one(tick, i, (i + step) % cfg.node_count, act[1])
-            elif act[0] == "send":
-                send_one(tick, i, act[1], act[2])
-            elif act[0] == "wake":
-                push(act[1], "wake", i)
-            elif act[0] == "log":
-                _, lkind, info = act
-                if lkind == "commit":
-                    h, d = info.split(":")
-                    commits[i].append((int(h), d))
-                    last_commit_tick = tick
-                    commit_events += 1
-                events.append((tick, i, lkind, info))
+    events: list = []
+    commits: list = [[] for _ in range(n)]
+    last_commit_tick = 0
+    commit_events = 0
+    pending_recoveries = 0
 
     # bootstrap: initial wakes, workload, fault schedule
-    for i in range(cfg.node_count):
-        push(0, "wake", i)
+    for i in everyone:
+        push(0, i, "wake", None)
     if cfg.txs_per_interval > 0:
-        push(cfg.tx_interval, "workload", 0)
+        push(cfg.tx_interval, -1, "workload", 0)
     for adv in crash_events:
-        push(adv.start_tick, "crash", adv.node)
+        push(adv.start_tick, -1, "crash", adv.node)
         if adv.recover_tick is not None:
-            push(adv.recover_tick, "recover", adv.node)
+            push(adv.recover_tick, -1, "recover", adv.node)
             pending_recoveries += 1
         else:
             crashed_forever[adv.node] = True
 
-    required = [
-        i
-        for i in range(cfg.node_count)
-        if node_behavior[i] == HONEST and not crashed_forever[i]
-    ]
-    nonces = [0] * cfg.node_count
+    required = [i for i in everyone if node_behavior[i] == HONEST and not crashed_forever[i]]
+    nonces = [0] * n
     stalled = False
     final_tick = 0
-
     commits_seen = 0
+    max_ticks = cfg.max_ticks
+    stall_patience = cfg.stall_patience
 
-    while queue:
-        tick, _, kind, data = heapq.heappop(queue)
+    while ticks:
+        tick = heapq.heappop(ticks)
         final_tick = tick
-        if tick > cfg.max_ticks:
+        if tick > max_ticks:
             stalled = True
             break
-        if commit_events != commits_seen:
-            commits_seen = commit_events
-            if all(nodes[i].head >= cfg.run_height for i in required):
+        # pushes during the tick land at it or later (latency >= 0, timers
+        # ahead, the recovery wake now), so appending to this bucket keeps
+        # the order of one heap keyed by (tick, insertion sequence)
+        for i, kind, payload in buckets[tick]:
+            if commit_events != commits_seen:
+                commits_seen = commit_events
+                if all(nodes[r].head >= cfg.run_height for r in required):
+                    break
+            if tick - last_commit_tick > stall_patience and pending_recoveries == 0:
+                stalled = True
                 break
-        if tick - last_commit_tick > cfg.stall_patience and pending_recoveries == 0:
-            stalled = True
-            break
-
-        if kind == "deliver":
-            target, message = data
-            if crashed[target]:
-                continue
-            counters["msgs_delivered"] += 1
-            dispatch(tick, target, message[0], message[1])
-        elif kind == "wake":
-            if crashed[data]:
-                continue
-            counters["wakes_delivered"] += 1
-            dispatch(tick, data, "wake", None)
-        elif kind == "crash":
-            crashed[data] = True
-        elif kind == "recover":
-            crashed[data] = False
-            pending_recoveries -= 1
-            push(tick, "wake", data)
-            route(tick, data, ("sync_req", (data, nodes[data].head)))
-        elif kind == "workload":
-            counter = data
-            for j in range(cfg.txs_per_interval):
-                key = f"tx/{counter}/{j}"
-                s = rng.randint(0, cfg.node_count - 1, key + "/s")
-                r = rng.randint(0, cfg.node_count - 2, key + "/r")
-                if r >= s:
-                    r += 1
-                value = rng.randint(cfg.tx_value_min, cfg.tx_value_max, key + "/v")
-                nonces[s] += 1
-                tx_body = Transaction(
-                    sender=ctx.addresses[s],
-                    receiver=ctx.addresses[r],
-                    value=value,
-                    nonce=nonces[s],
-                    signature=b"",
-                )
-                tx = dataclasses.replace(
-                    tx_body, signature=sign(ctx.keys[s], tx_body.signing_bytes())
-                )
-                counters["txs_injected"] += 1
-                route(tick, -1, ("tx", tx))
-            push(tick + cfg.tx_interval, "workload", counter + 1)
+            if i >= 0:
+                if crashed[i]:
+                    continue
+                if kind == "wake":
+                    wakes_delivered += 1
+                else:
+                    msgs_delivered += 1
+                for act in nodes[i].handle(kind, payload, tick):
+                    op = act[0]
+                    if op == "multicast":
+                        key = (act[1], i)
+                        targets = multicast_targets.get(key)
+                        if targets is None:
+                            targets = multicast_targets[key] = tuple(
+                                j for j in map(addr_index.get, act[1]) if j is not None and j != i
+                            )
+                        send(tick, targets, act[2])
+                    elif op == "wake":
+                        push(act[1], i, "wake", None)
+                    elif op == "broadcast":
+                        send(tick, others[i], act[1])
+                    elif op == "gossip":
+                        send(tick, ring[i], act[1])
+                    elif op == "send":
+                        send(tick, (act[1],), act[2])
+                    elif op == "log":
+                        _, lkind, info = act
+                        if lkind == "commit":
+                            h, d = info.split(":")
+                            commits[i].append((int(h), d))
+                            last_commit_tick = tick
+                            commit_events += 1
+                        events.append((tick, i, lkind, info))
+            elif kind == "crash":
+                crashed[payload] = True
+            elif kind == "recover":
+                crashed[payload] = False
+                pending_recoveries -= 1
+                push(tick, payload, "wake", None)
+                send(tick, others[payload], ("sync_req", (payload, nodes[payload].head)))
+            elif kind == "workload":
+                counter = payload
+                for j in range(cfg.txs_per_interval):
+                    key = f"tx/{counter}/{j}"
+                    s = rng.randint(0, n - 1, key + "/s")
+                    r = rng.randint(0, n - 2, key + "/r")
+                    if r >= s:
+                        r += 1
+                    value = rng.randint(cfg.tx_value_min, cfg.tx_value_max, key + "/v")
+                    nonces[s] += 1
+                    tx_body = Transaction(
+                        sender=ctx.addresses[s],
+                        receiver=ctx.addresses[r],
+                        value=value,
+                        nonce=nonces[s],
+                        signature=b"",
+                    )
+                    tx = dataclasses.replace(
+                        tx_body, signature=sign(ctx.keys[s], tx_body.signing_bytes())
+                    )
+                    txs_injected += 1
+                    send(tick, everyone, ("tx", tx))
+                push(tick + cfg.tx_interval, -1, "workload", counter + 1)
+        else:
+            del buckets[tick]
+            continue
+        break
     else:
         stalled = True
 
     if stalled:
         events.append((final_tick, -1, "stall", f"last_commit={last_commit_tick}"))
 
+    counters = {
+        "msgs_sent": msgs_sent,
+        "msgs_dropped": msgs_dropped,
+        "msgs_delivered": msgs_delivered,
+        "wakes_delivered": wakes_delivered,
+        "txs_injected": txs_injected,
+    }
     for node in nodes:
         for k, v in node.counters.items():
             counters[k] = counters.get(k, 0) + v
 
-    best = max(range(cfg.node_count), key=lambda i: (nodes[i].head, -i))
+    best = max(range(n), key=lambda i: (nodes[i].head, -i))
     chain = tuple(nodes[best].committed[h] for h in range(nodes[best].head + 1))
     return SimTranscript(
         config_digest=cfg.digest_hex(),
         ticks=final_tick,
         stalled=stalled,
-        heads=tuple(n.head for n in nodes),
+        heads=tuple(node.head for node in nodes),
         commits=tuple(tuple(c) for c in commits),
         events=tuple(events),
         counters=counters,

@@ -82,10 +82,14 @@ def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _
         if isinstance(node, _Leaf):
             return node.addr
         depth += len(node.prefix)
+        # split the pending exclusions by their nibble at this level once
+        by_nib: dict[int, list] = {}
+        for path, w in pending:
+            by_nib.setdefault(path[depth], []).append((path, w))
         for nib in sorted(node.children):
             child = node.children[nib]
-            sub_excl = [(path, w) for path, w in pending if path[depth] == nib]
-            w = child.weight - sum(w for _, w in sub_excl)
+            sub_excl = by_nib.get(nib, ())
+            w = child.weight - sum(w for _, w in sub_excl) if sub_excl else child.weight
             if h < w:
                 node = child
                 pending = sub_excl

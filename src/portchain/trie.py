@@ -93,10 +93,11 @@ class _Leaf:
 class _Branch:
     __slots__ = ("prefix", "children", "weight", "_hash")
 
-    def __init__(self, prefix: tuple[int, ...], children: dict):
+    def __init__(self, prefix: tuple[int, ...], children: dict, weight: int | None = None):
         self.prefix = prefix  # shared nibble run above the fan-out
         self.children = children  # nibble -> node
-        self.weight = sum(c.weight for c in children.values())
+        # subtree weight; callers that replace one child pass it adjusted
+        self.weight = sum(c.weight for c in children.values()) if weight is None else weight
         self._hash = None
 
     def node_hash(self) -> Hash:
@@ -137,8 +138,10 @@ def _upsert(node, path: tuple[int, ...], addr: Address, state: AccountState):
         return _Branch(path[:cp], {node.prefix[cp]: lower, path[cp]: new})
     nib = path[len(node.prefix)]
     children = dict(node.children)
-    children[nib] = _upsert(children.get(nib), path[len(node.prefix) + 1 :], addr, state)
-    return _Branch(node.prefix, children)
+    old = children.get(nib)
+    new = children[nib] = _upsert(old, path[len(node.prefix) + 1 :], addr, state)
+    weight = node.weight - (old.weight if old is not None else 0) + new.weight
+    return _Branch(node.prefix, children, weight)
 
 
 def _get(node, path: tuple[int, ...]):

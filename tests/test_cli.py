@@ -205,12 +205,32 @@ def test_invalid_replay_fails_conservation_and_fairness(tmp_path, monkeypatch):
     ("seed", 2**64),
     ("tax_rate_denominator", 0),
     ("tx_interval", 0),
+    ("sync_interval", 0),
+    ("tx_value_min", -5),
+    ("genesis_balance", 2**65),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, field, value):
     # each of these used to raise (OverflowError, ZeroDivisionError) or,
-    # for tx_interval 0, never reach run_height
+    # for tx_interval 0 and sync_interval 0, never reach run_height
     path = _scenario(tmp_path, config={field: value})
     assert main(["run", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config,named", [
+    # overflowed the 8-byte selection weight total
+    ({"genesis_tax_min": 2**62, "genesis_tax_max": 2**62}, "genesis_tax_max"),
+    # raised IndexError
+    ({"adversaries": [{"kind": "crash", "node": 99, "start_tick": 5}]}, "node 99"),
+    # silently accepted
+    ({"adversaries": [{"kind": "vote_withhold", "voter_slot": 99}]}, "voter_slot 99"),
+    ({"adversaries": [{"kind": "vote_withhold", "node": 99}]}, "node 99"),
+], ids=["genesis-tax-2**62", "crash-node-99", "voter-slot-99", "withhold-node-99"])
+def test_hostile_config_exits_2(tmp_path, capsys, config, named):
+    path = _scenario(tmp_path, config=config)
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
     assert "Traceback" not in err

@@ -6,6 +6,7 @@ import pytest
 
 from portchain import engine
 from portchain.core import (
+    Transaction,
     Vote,
     VoteCertificate,
     block_digest,
@@ -172,6 +173,56 @@ def _block_one(ctx, timestamp=5):
         ctx.genesis_trie,
         txs=(),
     )
+
+
+def test_stale_mempool_entries_are_rejected_before_apply(monkeypatch):
+    ctx = _context()
+    key_of = dict(zip(ctx.addresses, ctx.keys))
+    a1 = ctx.genesis_assignments[1]
+    sender, receiver = ctx.addresses[0], ctx.addresses[1]
+    # the pre-state has already applied the sender's first five transfers
+    state = ctx.genesis_trie.get_account(sender)
+    pre_trie = ctx.genesis_trie.upsert_account(sender, dataclasses.replace(state, nonce=5))
+
+    def tx(nonce):
+        body = Transaction(sender=sender, receiver=receiver, value=7, nonce=nonce, signature=b"")
+        return dataclasses.replace(body, signature=sign(key_of[sender], body.signing_bytes()))
+
+    mempool = {(sender, n): tx(n) for n in (4, 5, 6, 8)}
+    applied = []
+    real_apply = engine.apply_transaction
+
+    def apply(trie, t, *args):
+        applied.append(t.nonce)
+        return real_apply(trie, t, *args)
+
+    monkeypatch.setattr(engine, "apply_transaction", apply)
+    gdigest = block_digest(ctx.genesis_block.header)
+    votes = [
+        Vote(v, gdigest, True, sign(key_of[v], vote_signing_bytes(gdigest, True)))
+        for v in a1.voters
+    ]
+
+    def assemble(cfg):
+        return assemble_block(
+            cfg, 1, ctx.genesis_block, gdigest, build_certificate(votes), a1.creators[0], 0, 5,
+            [(a, i) for i, a in enumerate(a1.members())], (), pre_trie, mempool=mempool,
+        )
+
+    built = assemble(ctx.engine_cfg)
+    assert [t.nonce for t in built.block.transactions] == [6]
+    assert [(t.nonce, reason) for t, reason in built.rejected] == [
+        (4, "bad nonce"), (5, "bad nonce"), (8, "bad nonce")
+    ]
+    # stale entries never reach apply_transaction; the out-of-order one does
+    assert applied == [6, 8]
+    # stale entries still spend the attempt budget: 4 attempts for max_txs 1
+    applied.clear()
+    mempool.update({(sender, n): tx(n) for n in (1, 2, 3)})
+    built = assemble(dataclasses.replace(ctx.engine_cfg, max_txs=1))
+    assert built.block.transactions == ()
+    assert [t.nonce for t, _ in built.rejected] == [1, 2, 3, 4]
+    assert applied == []
 
 
 def test_assemble_block_links_and_assignment():

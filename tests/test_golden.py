@@ -1,7 +1,7 @@
 """Pinned transcript and report digests.
 
 Each transcript digest was recorded before the build-once and idle-wake
-changes to the engine, and the README scenario's report digest before the
+changes to the engine (the last four before the tick-bucket event queue), and the README scenario's report digest before the
 single-replay and integer chi-square changes to the audits; a change that
 alters any simulated event, counter, block or report line shows up here.
 A change that alters a digest on purpose says why in CHANGES.md and
@@ -51,12 +51,29 @@ GOLDEN = [
                    AdversarySpec(kind="crash", node=7, start_tick=40, recover_tick=200),
                )),
      "21f6c1e0a347ab7e5ff0395870b2c07b53bbbe019acf23a85501b44189cdcea5"),
+    # zero minimum latency: deliveries land on the tick they were sent
+    (SimConfig(seed=11, node_count=16, run_height=30, latency_min=0, latency_max=1,
+               drop_probability=0.02),
+     "6c44c1204cf64b5abf1aac99d43607a507d79b9846ac040fd5d29090b08b5a60"),
+    # two of three voter slots disapprove everything: stall by patience
+    (SimConfig(seed=12, run_height=30, stall_patience=200,
+               adversaries=(AdversarySpec(kind="vote_disapprove_all", voter_slot=0),
+                            AdversarySpec(kind="vote_disapprove_all", voter_slot=1))),
+     "a00810a0f20c43537a6ab6f4df668067e412e6b479fb1def41893b2d6cec2837"),
+    # the run stops at max_ticks before reaching run_height
+    (SimConfig(seed=13, run_height=400, max_ticks=600),
+     "00b5ade41f12705fb349036373ae25a08811149bb8751f2e59a975a6fbc1b21b"),
+    # more transactions than blocks take: stale mempool entries are rejected
+    (SimConfig(seed=14, tx_interval=3, txs_per_interval=4, latency_max=2, run_height=30),
+     "744efb6ffc3b399476fe1f88dbf905c1eef712fead813ccef3ee975a742d457c"),
 ]
 
 
 @pytest.mark.parametrize(
     "cfg,expected", GOLDEN,
-    ids=[f"c9-{s}" for s in range(10)] + ["equivocate", "forge", "crash-drops"],
+    ids=[f"c9-{s}" for s in range(10)]
+    + ["equivocate", "forge", "crash-drops", "same-tick", "stall-patience", "max-ticks",
+       "stale-mempool"],
 )
 def test_transcript_digest_pinned(cfg, expected):
     assert run(cfg).digest_hex() == expected

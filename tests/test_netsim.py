@@ -1,5 +1,6 @@
 """Simulated-network runs: liveness, fault tolerance, replayability."""
 import dataclasses
+import random
 
 import pytest
 
@@ -10,6 +11,7 @@ from portchain.netsim import (
     CounterRng,
     SimConfig,
     SimConfigError,
+    below,
     build_context,
     replay_check,
     run,
@@ -144,6 +146,21 @@ def test_config_validation_errors():
         SimConfig(run_height=0).validate()
     with pytest.raises(SimConfigError):
         SimConfig(adversaries=(AdversarySpec(kind="crash"),)).validate()
+    # each of these raised (LedgerError, OverflowError, ZeroDivisionError)
+    # during a run, drew genesis taxes outside the configured window, or
+    # (the crash) kept a required node down for good
+    for bad in (
+        dict(creator_reward=-1),
+        dict(creator_reward=2**64),
+        dict(blacklist_duration=-500),
+        dict(tax_rate_numerator=2, tax_rate_denominator=1),
+        dict(tx_value_min=5, tx_value_max=4),
+        dict(genesis_tax_min=5, genesis_tax_max=2),
+        # node 3 stayed down for good and the run went on to max_ticks
+        dict(adversaries=(AdversarySpec(kind="crash", node=3, start_tick=100, recover_tick=50),)),
+    ):
+        with pytest.raises(SimConfigError):
+            SimConfig(**bad).validate()
 
 
 def test_counter_rng_is_keyed_and_stable():
@@ -162,3 +179,16 @@ def test_genesis_context_is_deterministic():
     assert block_digest(c1.genesis_block.header) == block_digest(c2.genesis_block.header)
     assert c1.genesis_trie.root_commitment() == c2.genesis_trie.root_commitment()
     assert c1.genesis_assignments == c2.genesis_assignments
+
+
+@pytest.mark.parametrize("lo,span", [(0, 1), (1, 1), (1, 2), (0, 3), (1, 3), (1, 4)])
+def test_latency_draw_replays_randint(lo, span):
+    # the network draws latencies with `below` in place of randint; a Python
+    # whose randint consumes other generator bits must fail here, not shift
+    # every transcript digest
+    ref, fast = random.Random(f"lat/{lo}/{span}"), random.Random(f"lat/{lo}/{span}")
+    bits = span.bit_length()
+    for i in range(10_000):
+        if i % 3:
+            assert ref.random() == fast.random()  # a drop draw
+        assert ref.randint(lo, lo + span - 1) == lo + below(fast.getrandbits, span, bits)
