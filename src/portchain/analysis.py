@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import mpmath
-
 from .core import Block, VoteCertificate, block_digest
 from .crypto import Address
 from .engine import BlockExecutor, EngineConfig, quorum_threshold
@@ -56,6 +54,10 @@ class TailResult:
 
 def render_fraction(x: Fraction, digits: int = 30) -> str:
     """Decimal string of an exact rational to `digits` significant digits."""
+    # imported here: tail is its only caller, and run and import then
+    # start without it
+    import mpmath
+
     if x == 0:
         return "0"
     # work at a precision comfortably beyond the requested digits so the

@@ -5,11 +5,19 @@ Subcommands:
   import  load an exported chain file and independently re-verify it
   tail    print exact quorum-failure tail probabilities
 
+A scenario file is a JSON object with a required "config" and optional
+"checks", "fairness_window" and "allow_stall".  The config's keys and
+JSON types are the fields of SimConfig, and each adversary's those of
+AdversarySpec (check_scenario); value ranges are SimConfig.validate's.
+
 Reports are a pure function of (scenario file, seed): line-oriented
 key=value pairs followed by a JSON summary block.  Exit codes: 0 all
 enabled checks pass, 1 a check failed or the run stalled when stalling
 is not allowed, 2 unusable input (missing file, bad JSON, bad schema,
 invalid configuration).
+
+Start-up stays light: `run` and `import` load neither a schema library
+nor mpmath, which only `tail` needs.
 """
 from __future__ import annotations
 
@@ -19,8 +27,6 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-import jsonschema
 
 from . import analysis
 from .core import block_digest, decode_chain, encode_chain
@@ -33,52 +39,8 @@ from .netsim import (
     run,
 )
 
-ADVERSARY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["crash", *NODE_BEHAVIOR_KINDS]},
-        "node": {"type": ["integer", "null"]},
-        "voter_slot": {"type": ["integer", "null"]},
-        "start_tick": {"type": "integer", "minimum": 0},
-        "recover_tick": {"type": ["integer", "null"]},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-# value ranges are SimConfig.validate's; the schema checks only types
-_INT_FIELDS = [f.name for f in dataclasses.fields(SimConfig) if f.type == "int"]
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "config": {
-            "type": "object",
-            "properties": {
-                **{name: {"type": "integer"} for name in _INT_FIELDS},
-                "drop_probability": {"type": "number", "minimum": 0, "exclusiveMaximum": 1},
-                "proposal_delay": {"type": ["integer", "null"]},
-                "adversaries": {"type": "array", "items": ADVERSARY_SCHEMA},
-            },
-            "additionalProperties": False,
-        },
-        "checks": {
-            "type": "array",
-            "items": {"enum": ["single_chain", "schedule", "conservation", "fairness", "liveness"]},
-        },
-        "fairness_window": {
-            "type": "array",
-            "items": {"type": "integer"},
-            "minItems": 2,
-            "maxItems": 2,
-        },
-        "allow_stall": {"type": "boolean"},
-    },
-    "required": ["config"],
-    "additionalProperties": False,
-}
-
 DEFAULT_CHECKS = ["single_chain", "schedule", "conservation", "liveness"]
+KNOWN_CHECKS = [*DEFAULT_CHECKS, "fairness"]
 
 # 0.01 upper-tail chi-square quantile by the Wilson-Hilferty cube
 # approximation; at 49 degrees of freedom this gives 74.9
@@ -96,6 +58,70 @@ class ScenarioError(ValueError):
     pass
 
 
+# JSON types by field annotation; an "X | None" field also takes null.
+# bool is a subclass of int, so true and false pass only where bool is named
+_JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
+               "dict": dict, "list": list, "tuple": list}
+_SCENARIO_FIELDS = {"config": "dict", "checks": "list", "fairness_window": "list",
+                    "allow_stall": "bool"}
+_CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(SimConfig)}
+_ADVERSARY_FIELDS = {f.name: f.type for f in dataclasses.fields(AdversarySpec)}
+_ADVERSARY_REQUIRED = [f.name for f in dataclasses.fields(AdversarySpec)
+                       if f.default is dataclasses.MISSING]
+
+
+def _violation(message: str) -> ScenarioError:
+    return ScenarioError(f"scenario schema violation: {message}")
+
+
+def _is_json_type(value, annotation: str) -> bool:
+    if value is None:
+        return annotation.endswith(" | None")
+    kind = _JSON_TYPES[annotation.removesuffix(" | None")]
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def _check_object(obj, fields: dict, required, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise _violation(f"{where} is not an object")
+    for key, value in obj.items():
+        if key not in fields:
+            raise _violation(f"{where} has unknown key {key!r}")
+        if not _is_json_type(value, fields[key]):
+            raise _violation(f"{where}.{key} {value!r} is not of type {fields[key]}")
+    for key in required:
+        if key not in obj:
+            raise _violation(f"{where} lacks {key!r}")
+
+
+def check_scenario(doc) -> None:
+    """Raise ScenarioError unless doc has the shape of a scenario file.
+
+    An int field takes a JSON integer only, never 16.0 or true.  The only
+    ranges checked here are the two the file format fixes:
+    0 <= drop_probability < 1 and start_tick >= 0.
+    """
+    _check_object(doc, _SCENARIO_FIELDS, ["config"], "scenario")
+    config = doc["config"]
+    _check_object(config, _CONFIG_FIELDS, [], "config")
+    # written so that NaN fails too
+    if not 0 <= config.get("drop_probability", 0) < 1:
+        raise _violation(f"config.drop_probability {config['drop_probability']!r} outside [0, 1)")
+    for i, adv in enumerate(config.get("adversaries", [])):
+        where = f"config.adversaries[{i}]"
+        _check_object(adv, _ADVERSARY_FIELDS, _ADVERSARY_REQUIRED, where)
+        if adv["kind"] != "crash" and adv["kind"] not in NODE_BEHAVIOR_KINDS:
+            raise _violation(f"{where}.kind {adv['kind']!r} is not an adversary kind")
+        if adv.get("start_tick", 0) < 0:
+            raise _violation(f"{where}.start_tick {adv['start_tick']} is negative")
+    for check in doc.get("checks", []):
+        if check not in KNOWN_CHECKS:
+            raise _violation(f"checks: {check!r} is not a check")
+    window = doc.get("fairness_window", [0, 0])
+    if len(window) != 2 or not all(_is_json_type(x, "int") for x in window):
+        raise _violation(f"fairness_window {window!r} is not two integers")
+
+
 def load_scenario(path: str) -> dict:
     try:
         raw = Path(path).read_text()
@@ -105,10 +131,7 @@ def load_scenario(path: str) -> dict:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}")
-    try:
-        jsonschema.validate(doc, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ScenarioError(f"scenario schema violation: {exc.message}")
+    check_scenario(doc)
     return doc
 
 
@@ -277,7 +300,7 @@ def main(argv=None) -> int:
             doc = load_scenario(args.config)
             checks = args.check.split(",") if args.check else None
             if checks is not None:
-                bad = [c for c in checks if c not in DEFAULT_CHECKS + ["fairness"]]
+                bad = [c for c in checks if c not in KNOWN_CHECKS]
                 if bad:
                     raise ScenarioError(f"unknown checks: {','.join(bad)}")
             report, code = run_scenario(

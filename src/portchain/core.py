@@ -7,6 +7,8 @@ authorizes the creators and voters of a future block.
 
 The encoding is length-prefixed and field-ordered so digests are
 bit-exact and language-neutral; ``decode_*`` inverts ``encode_*``.
+Decoding is strict: every nested blob is consumed exactly and a vote's
+approve byte is 0 or 1, so anything decoded re-encodes to the same bytes.
 """
 from __future__ import annotations
 
@@ -197,6 +199,16 @@ class _Reader:
         return self.pos == len(self.data)
 
 
+def _exact(data: bytes, read, what: str):
+    """Decode data with read, which must consume every byte of it: a
+    decoded value then re-encodes to exactly data."""
+    r = _Reader(data)
+    out = read(r)
+    if not r.done():
+        raise ValueError(f"trailing bytes in {what} encoding")
+    return out
+
+
 def encode_transaction(tx: Transaction) -> bytes:
     return tx.sender + tx.receiver + _u64(tx.value) + _u64(tx.nonce) + _blob(tx.signature)
 
@@ -216,12 +228,12 @@ def encode_vote(v: Vote) -> bytes:
 
 
 def _read_vote(r: _Reader) -> Vote:
-    return Vote(
-        voter=r.take(ADDRESS_SIZE),
-        target_hash=r.take(HASH_SIZE),
-        approve=bool(r.u8()),
-        signature=r.blob(),
-    )
+    voter = r.take(ADDRESS_SIZE)
+    target_hash = r.take(HASH_SIZE)
+    approve = r.u8()
+    if approve > 1:
+        raise ValueError(f"vote approve byte {approve} is neither 0 nor 1")
+    return Vote(voter=voter, target_hash=target_hash, approve=approve == 1, signature=r.blob())
 
 
 def encode_certificate(cert: VoteCertificate) -> bytes:
@@ -288,7 +300,7 @@ def _read_header(r: _Reader) -> BlockHeader:
         creator_index=r.u8(),
         state_root=r.take(HASH_SIZE),
         tx_root=r.take(HASH_SIZE),
-        prev_certificate=_read_certificate(_Reader(r.blob())),
+        prev_certificate=_exact(r.blob(), _read_certificate, "certificate"),
         timestamp=r.u64(),
         assignment_digest=r.take(HASH_SIZE),
     )
@@ -303,39 +315,28 @@ def encode_block(b: Block) -> bytes:
     return b"".join(out)
 
 
-def decode_block(data: bytes) -> Block:
-    r = _Reader(data)
-    header = _read_header(_Reader(r.blob()))
-    txs = tuple(_read_transaction(_Reader(r.blob())) for _ in range(r.u32()))
-    assignment = _read_assignment(_Reader(r.blob()))
+def _read_block(r: _Reader) -> Block:
+    header = _exact(r.blob(), _read_header, "header")
+    txs = tuple(_exact(r.blob(), _read_transaction, "transaction") for _ in range(r.u32()))
+    assignment = _exact(r.blob(), _read_assignment, "assignment")
     frauds = tuple(_read_fraud_report(r) for _ in range(r.u32()))
-    if not r.done():
-        raise ValueError("trailing bytes in block encoding")
     return Block(header=header, transactions=txs, assignment=assignment, fraud_reports=frauds)
 
 
+def decode_block(data: bytes) -> Block:
+    return _exact(data, _read_block, "block")
+
+
 def decode_transaction(data: bytes) -> Transaction:
-    r = _Reader(data)
-    tx = _read_transaction(r)
-    if not r.done():
-        raise ValueError("trailing bytes in transaction encoding")
-    return tx
+    return _exact(data, _read_transaction, "transaction")
 
 
 def decode_vote(data: bytes) -> Vote:
-    r = _Reader(data)
-    v = _read_vote(r)
-    if not r.done():
-        raise ValueError("trailing bytes in vote encoding")
-    return v
+    return _exact(data, _read_vote, "vote")
 
 
 def decode_assignment(data: bytes) -> MaintainerAssignment:
-    r = _Reader(data)
-    a = _read_assignment(r)
-    if not r.done():
-        raise ValueError("trailing bytes in assignment encoding")
-    return a
+    return _exact(data, _read_assignment, "assignment")
 
 
 # ---------------------------------------------------------------------------

@@ -50,3 +50,21 @@ def adversary_config(kind):
     """A 60-height run with node 2 playing the given creator adversary."""
     return SimConfig(seed=1, node_count=24, voter_count=4, run_height=60,
                      adversaries=(AdversarySpec(kind=kind, node=2),))
+
+
+def pad_nested_blob(data: bytes, nested) -> bytes:
+    """`data` with one zero byte appended to a nested length-prefixed blob.
+
+    `nested` lists blob bodies from the outermost to the innermost, each
+    inside the one before it; the padding goes at the end of the last one
+    and every listed length prefix grows by one, so all outer framing
+    stays consistent.
+    """
+    out = bytearray(data)
+    end = 0
+    for body in nested:
+        at = data.index(len(body).to_bytes(4, "big") + body)
+        out[at:at + 4] = (len(body) + 1).to_bytes(4, "big")
+        end = at + 4 + len(body)
+    out[end:end] = b"\x00"
+    return bytes(out)

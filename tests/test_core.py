@@ -1,6 +1,8 @@
 """Canonical encoding round trips and digest stability."""
 import dataclasses
+import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,9 +26,15 @@ from portchain.core import (
     encode_block,
     encode_chain,
     encode_transaction,
+    encode_certificate,
+    encode_header,
     encode_vote,
     tx_merkle_root,
 )
+from portchain.crypto import ADDRESS_SIZE, HASH_SIZE
+from portchain.netsim import SimConfig, run
+
+from conftest import pad_nested_blob
 
 addr_st = st.binary(min_size=20, max_size=20)
 hash_st = st.binary(min_size=32, max_size=32)
@@ -162,3 +170,64 @@ def test_tx_merkle_root_order_sensitive():
     assert tx_merkle_root((t1, t2)) != tx_merkle_root((t2, t1))
     assert tx_merkle_root(()) == tx_merkle_root(())
     assert tx_merkle_root((t1,)) != tx_merkle_root(())
+
+
+@functools.cache
+def _exported_chain() -> tuple:
+    chain = run(SimConfig(seed=3, node_count=15, run_height=4, tx_interval=2)).chain
+    return tuple(chain), encode_chain(chain)
+
+
+def _vote_offsets(chain, data):
+    """Offset in data of the approve byte of every certificate vote."""
+    return [data.index(encode_vote(v)) + ADDRESS_SIZE + HASH_SIZE
+            for b in chain for v in b.header.prev_certificate.votes]
+
+
+_PARTS = ("header", "certificate", "transaction", "assignment")
+
+
+def _nested(b, part):
+    """The bodies that enclose `part` of block b, from the block inward,
+    as pad_nested_blob takes them."""
+    header = encode_header(b.header)
+    return (encode_block(b), *{
+        "header": (header,),
+        "certificate": (header, encode_certificate(b.header.prev_certificate)),
+        "transaction": (encode_transaction(b.transactions[0]),) if b.transactions else (),
+        "assignment": (encode_assignment(b.assignment),),
+    }[part])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_accepted_chain_bytes_re_encode_exactly(data):
+    chain, encoded = _exported_chain()
+    op = data.draw(st.sampled_from(["set", "insert", "delete", "approve", "pad"]))
+    if op == "approve":
+        at = data.draw(st.sampled_from(_vote_offsets(chain, encoded)))
+        mutated = encoded[:at] + bytes([data.draw(st.integers(0, 255))]) + encoded[at + 1:]
+    elif op == "pad":
+        b = data.draw(st.sampled_from(chain))
+        mutated = pad_nested_blob(encoded, _nested(b, data.draw(st.sampled_from(_PARTS))))
+    else:
+        at = data.draw(st.integers(0, len(encoded) - 1))
+        byte = bytes([data.draw(st.integers(0, 255))])
+        mutated = {
+            "set": encoded[:at] + byte + encoded[at + 1:],
+            "insert": encoded[:at] + byte + encoded[at:],
+            "delete": encoded[:at] + encoded[at + 1:],
+        }[op]
+    try:
+        decoded = decode_chain(mutated)
+    except ValueError:
+        return
+    assert encode_chain(decoded) == mutated
+
+
+@pytest.mark.parametrize("part", _PARTS)
+def test_padded_nested_blob_is_rejected(part):
+    chain, encoded = _exported_chain()
+    b = next(b for b in chain if b.transactions and b.header.prev_certificate.votes)
+    with pytest.raises(ValueError, match=f"trailing bytes in {part} encoding"):
+        decode_chain(pad_nested_blob(encoded, _nested(b, part)))

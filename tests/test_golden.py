@@ -101,3 +101,11 @@ def test_readme_scenario_report_pinned():
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "b2755980642cca55ba7e1ca122324e6e4f966684fb83425a842ec976b31c9bcb"
     )
+
+
+@pytest.mark.xfail(strict=True, reason="lock-split deadlock: the voters' locked parents "
+                   "split between two siblings and no lock is ever released (ROADMAP item 1)")
+@pytest.mark.parametrize("seed", [146968, 313267])
+def test_readme_scenario_is_live_on_lock_split_seeds(seed):
+    report, _ = run_scenario(README_SCENARIO, seed_override=seed)
+    assert "check_liveness=pass" in report
