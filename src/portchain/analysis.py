@@ -196,6 +196,14 @@ class ReplayStep:
     schedule: object  # MaintainerAssignment serving this height
 
 
+def schedule_for(chain, genesis_assignments: dict, h: int):
+    """The assignment serving height h: the one recorded in block h-2 of
+    the chain, or for heights below 2 the genesis assignment, if any."""
+    if 2 <= h <= len(chain) + 1:
+        return chain[h - 2].assignment
+    return genesis_assignments.get(h)
+
+
 def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engine_cfg: EngineConfig):
     """Re-execute a committed chain from genesis, verifying every block.
 
@@ -226,13 +234,10 @@ def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engi
         blk = chain[h]
         if blk.header.height != h:
             raise ChainInvalid(blk.header.height, f"expected height {h}")
-        if h >= 2:
-            schedule = chain[h - 2].assignment
-        else:
-            schedule = genesis_assignments.get(1)
+        schedule = schedule_for(chain, genesis_assignments, h)
         if schedule is None or schedule.block_height != h:
             raise ChainInvalid(h, "no schedule recorded for this height")
-        prev_sched = chain[h - 3].assignment if h >= 3 else genesis_assignments.get(h - 1)
+        prev_sched = schedule_for(chain, genesis_assignments, h - 1)
         clear_members = prev_sched.members() if prev_sched is not None else ()
         result = executor.validate(blk, chain[h - 1], trie, schedule, clear_members)
         if not result.valid:
@@ -259,18 +264,14 @@ def replay_run(transcript, context):
     )
 
 
-def selection_fairness(transcript, window, context) -> FairnessReport:
-    """Fairness of the maintainer draws recorded in a committed chain.
-
-    window is an inclusive (first, last) height range of the blocks
-    whose embedded assignments are tallied; context supplies the genesis
-    state needed to replay the chain and recover per-draw weights.
-    """
-    return steps_fairness(replay_run(transcript, context), window)
-
-
 def steps_fairness(steps, window) -> FairnessReport:
-    """selection_fairness over the ReplaySteps of an already replayed chain."""
+    """Fairness of the maintainer draws recorded in a replayed chain.
+
+    steps are the ReplaySteps of `replay_chain`, which carry the post-block
+    states the per-draw weights come from; window is an inclusive (first,
+    last) height range of the blocks whose embedded assignments are
+    tallied.
+    """
     lo, hi = window
     records = []
     for i, step in enumerate(steps):
@@ -303,7 +304,7 @@ def _assignment_draws(step: ReplayStep, prev_step: ReplayStep):
         for addr, state in trie.accounts():
             if addr in excluded:
                 continue
-            weights[addr] = state.tax + 1
+            weights[addr] = state.weight
         records.append((weights, chosen))
         excluded.add(chosen)
     return records
@@ -333,15 +334,9 @@ def schedule_audit(chain, genesis_assignments: dict):
     earlier, and no address serves two consecutive heights.  Returns a
     list of (height, description) violations."""
     violations = []
-
-    def schedule_for(h):
-        if h >= 2 and h < len(chain):
-            return chain[h - 2].assignment
-        return genesis_assignments.get(h)
-
     for h in range(1, len(chain)):
         blk = chain[h]
-        sched = schedule_for(h)
+        sched = schedule_for(chain, genesis_assignments, h)
         if sched is None:
             violations.append((h, "no schedule recorded two heights earlier"))
             continue
@@ -358,8 +353,11 @@ def schedule_audit(chain, genesis_assignments: dict):
             violations.append((h, "certificate signed by a non-scheduled voter"))
         if len(set(cert_voters)) < quorum_threshold(len(sched.voters)):
             violations.append((h, "certificate below the 2/3 quorum"))
-    for h in range(1, len(chain)):
-        a, b = schedule_for(h), schedule_for(h + 1)
+    # block h-2 records the assignment of height h, so the chain fixes
+    # heights 1 to len(chain) + 1
+    for h in range(1, len(chain) + 1):
+        a = schedule_for(chain, genesis_assignments, h)
+        b = schedule_for(chain, genesis_assignments, h + 1)
         if a is None or b is None:
             continue
         overlap = set(a.members()) & set(b.members())

@@ -6,7 +6,8 @@ it), the forward link is the recorded maintainer assignment that alone
 authorizes the creators and voters of a future block.
 
 The encoding is length-prefixed and field-ordered so digests are
-bit-exact and language-neutral; ``decode_*`` inverts ``encode_*``.
+bit-exact and language-neutral; ``decode_block`` and ``decode_chain``
+invert ``encode_block`` and ``encode_chain``.
 Decoding is strict: every nested blob is consumed exactly and a vote's
 approve byte is 0 or 1, so anything decoded re-encodes to the same bytes.
 """
@@ -325,18 +326,6 @@ def _read_block(r: _Reader) -> Block:
 
 def decode_block(data: bytes) -> Block:
     return _exact(data, _read_block, "block")
-
-
-def decode_transaction(data: bytes) -> Transaction:
-    return _exact(data, _read_transaction, "transaction")
-
-
-def decode_vote(data: bytes) -> Vote:
-    return _exact(data, _read_vote, "vote")
-
-
-def decode_assignment(data: bytes) -> MaintainerAssignment:
-    return _exact(data, _read_assignment, "assignment")
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .core import (
     build_certificate,
     verify_certificate,
 )
-from .crypto import Address, Hash, KeyPair, digest, sign, verify
+from .crypto import Address, Hash, KeyPair, address_from_public, digest, sign, verify
 from .ledger import (
     LedgerConfig,
     TxRejected,
@@ -59,38 +59,29 @@ def quorum_threshold(n: int) -> int:
     return -(-2 * n // 3)
 
 
-def commit_rule(cert: VoteCertificate, voters, public_keys, n: int | None = None) -> bool:
+def commit_rule(cert: VoteCertificate, voters, public_keys) -> bool:
     """True iff cert verifies and carries approvals from at least 2/3 of
     the assigned voters."""
-    if n is None:
-        n = len(voters)
-    if len(cert.votes) < quorum_threshold(n):
+    if len(cert.votes) < quorum_threshold(len(voters)):
         return False
     return verify_certificate(cert, voters, public_keys)
 
 
-_rehash_memo: dict = {}
-
-
 def rehash_value(block_hash: Hash) -> int:
     """Re-hash of a block digest, compared as a big-endian integer."""
-    v = _rehash_memo.get(block_hash)
-    if v is None:
-        v = int.from_bytes(digest(b"rehash" + block_hash), "big")
-        _rehash_memo[block_hash] = v
-    return v
+    return int.from_bytes(digest(b"rehash" + block_hash), "big")
+
+
+def sibling_order(block_hash: Hash) -> tuple:
+    """Rank of a block digest among redundant siblings: the largest
+    re-hash wins, and a tie goes to the smaller digest."""
+    return rehash_value(block_hash), bytes(255 - b for b in block_hash)
 
 
 def resolve_redundant(candidates) -> Block:
-    """Pick among qualified sibling blocks: largest re-hash of the block
-    digest wins; ties go to the smaller digest."""
-    best = None
-    best_key = None
-    for blk in candidates:
-        d = block_digest(blk.header)
-        key = (rehash_value(d), bytes(255 - b for b in d))
-        if best is None or key > best_key:
-            best, best_key = blk, key
+    """Pick the qualified sibling block whose digest ranks first by
+    `sibling_order`."""
+    best = max(candidates, key=lambda blk: sibling_order(block_digest(blk.header)), default=None)
     if best is None:
         raise NoCandidatesError("no qualified candidate to resolve")
     return best
@@ -267,11 +258,12 @@ class BlockExecutor:
     replay audit (`analysis.replay_chain`) uses an executor of its own
     and re-derives every committed block.
 
-    The 2/3 check of the certificate a header carries is memoized the
-    same way, per (header digest, voter tuple) in `certificate_holds`:
-    the digest fixes the certificate, and the voters it is judged against
-    are the only other input, so validation and every node's commit and
-    vote passes share one check per certificate and committee.
+    The backward-link proof a header carries is memoized the same way,
+    per (header digest, voter tuple) in `certifies_parent`: the digest
+    fixes the certificate and the parent it must name, and the voters it
+    is judged against are the only other input, so validation and every
+    node's commit and vote passes share one check per header and
+    committee.
     """
 
     def __init__(self, cfg: EngineConfig):
@@ -309,13 +301,16 @@ class BlockExecutor:
             result = ExecResult(True, "", built.post_trie, built.issued, built.confiscated)
         return self._memo.setdefault(block_digest(built.block.header), result)
 
-    def certificate_holds(self, d: Hash, cert: VoteCertificate, voters: tuple) -> bool:
-        """`commit_rule` of cert, the certificate in the header whose
-        digest is d, against the voters, memoized per (d, voters)."""
-        key = (d, voters)
+    def certifies_parent(self, hdr: BlockHeader, voters: tuple) -> bool:
+        """Does the header's certificate target its named parent and pass
+        `commit_rule` against the voters?  Memoized per (digest, voters)."""
+        key = (block_digest(hdr), voters)
         ok = self._certs.get(key)
         if ok is None:
-            ok = self._certs[key] = commit_rule(cert, voters, self.cfg.public_keys)
+            cert = hdr.prev_certificate
+            ok = self._certs[key] = cert.target_hash == hdr.prev_hash and commit_rule(
+                cert, voters, self.cfg.public_keys
+            )
         return ok
 
     def _header_fault(self, hdr: BlockHeader, prev_block: Block, schedule) -> str:
@@ -328,10 +323,9 @@ class BlockExecutor:
             return "creator not assigned to slot"
         if hdr.prev_hash != block_digest(prev_block.header):
             return "backward link mismatch"
-        cert = hdr.prev_certificate
-        if cert.target_hash != hdr.prev_hash:
-            return "certificate targets wrong block"
-        if not self.certificate_holds(block_digest(hdr), cert, schedule.voters):
+        if not self.certifies_parent(hdr, schedule.voters):
+            if hdr.prev_certificate.target_hash != hdr.prev_hash:
+                return "certificate targets wrong block"
             return "previous-block certificate fails 2/3 rule"
         return ""
 
@@ -404,7 +398,7 @@ class Node:
     ):
         self.index = index
         self.keys = keys
-        self.addr = core.digest(keys.public)[:20]
+        self.addr = address_from_public(keys.public)
         self.cfg = cfg
         self.executor = executor
         self.behavior = behavior
@@ -603,11 +597,8 @@ class Node:
             if x.header.prev_hash != self.committed_digest[self.head]:
                 actions.append(("log", "violation", f"fork-ancestry@{k - 2}"))
                 continue
-            cert = bk.header.prev_certificate
-            if cert.target_hash != bk.header.prev_hash:
-                continue
             # voters of height k are recorded in block k-2 on this branch
-            if not self.executor.certificate_holds(d, cert, x.assignment.voters):
+            if not self.executor.certifies_parent(bk.header, x.assignment.voters):
                 continue
             self._commit(x, tick, actions)
             return True
@@ -718,8 +709,7 @@ class Node:
         return self.slot_behaviors.get(slot, HONEST)
 
     def _consider_vote(self, k: int, d: Hash, blk: Block, actions: list) -> None:
-        at_head = k == self.head + 1
-        if at_head:
+        if k == self.head + 1:
             parent = self.committed[self.head]
         else:
             parent = self.candidates.get(k - 1, {}).get(blk.header.prev_hash)
@@ -735,24 +725,8 @@ class Node:
         if behavior == VOTE_WITHHOLD:
             self._mark_voted(d)
             return
-        # parent resolution context
-        if at_head:
-            parent_ok = blk.header.prev_hash == self.committed_digest[self.head]
-            parent_trie = self.tries[self.head]
-            parent_valid = True
-        else:
-            presult = self.executor.validate(
-                parent,
-                self.committed[self.head],
-                self.tries[self.head],
-                self.schedules[k - 1],
-                self._clear_members(k - 1),
-            )
-            parent_trie = presult.post_trie
-            parent_valid = presult.valid
-            parent_ok = True
-
-        approve = parent_ok and parent_valid
+        parent_trie = self._post_state_of(parent)
+        approve = parent_trie is not None
         if approve and len(self.fraud_seen.get((k, blk.header.creator), ())) > 1:
             approve = False  # equivocating creator
         if approve and not self._resolution_matches(k, blk):
@@ -789,16 +763,6 @@ class Node:
             return True
         return False
 
-    def _cert_proven(self, k: int, blk: Block) -> bool:
-        """Does blk carry a valid 2/3 certificate for its named parent?"""
-        sched = self.schedules.get(k)
-        cert = blk.header.prev_certificate
-        return (
-            sched is not None
-            and cert.target_hash == blk.header.prev_hash
-            and self.executor.certificate_holds(block_digest(blk.header), cert, sched.voters)
-        )
-
     def _resolution_matches(self, k: int, blk: Block) -> bool:
         """Backward link must name the largest-rehash parent among those
         proven qualified by sibling certificates this node has seen.
@@ -807,11 +771,12 @@ class Node:
         if k == self.head + 1:
             return blk.header.prev_hash == self.committed_digest[self.head]
         parents = {blk.header.prev_hash}  # proven by blk's own certificate
-        for sib in self.candidates.get(k, {}).values():
-            if sib is not blk and self._cert_proven(k, sib):
-                parents.add(sib.header.prev_hash)
-        winner = max(parents, key=lambda pd: (rehash_value(pd), bytes(255 - b for b in pd)))
-        return winner == blk.header.prev_hash
+        sched = self.schedules.get(k)
+        if sched is not None:
+            for sib in self.candidates.get(k, {}).values():
+                if sib is not blk and self.executor.certifies_parent(sib.header, sched.voters):
+                    parents.add(sib.header.prev_hash)
+        return max(parents, key=sibling_order) == blk.header.prev_hash
 
     def _reports_substantiated(self, blk: Block) -> bool:
         for report in blk.fraud_reports:

@@ -1,20 +1,22 @@
 """State-transition rules: dual-sided transaction tax, reward refunds,
-lottery weights, and fraud verdicts.
+and fraud verdicts.
 
 Both parties of a transfer pay ``floor(value * rate)`` into their own
 refundable-tax pools; the receiver's share is withheld from the amount
 transferred so a transaction is always self-funding.  Refunds clamp the
 tax at zero - the clamped remainder plus reporter rewards are the only
 money-creation paths, and both are returned explicitly so callers can
-keep an exact conservation ledger.
+keep an exact conservation ledger.  The tax pool an account builds up
+here sets its lottery weight (`AccountState.weight`); a fraud verdict's
+blacklist term zeroes that weight for selection.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import FraudReport, Transaction
 from .crypto import Address, verify
-from .trie import AccountState, EMPTY_ACCOUNT, StateTrie
+from .trie import EMPTY_ACCOUNT, StateTrie
 
 
 class TxRejected(ValueError):
@@ -41,14 +43,6 @@ class LedgerConfig:
 
     def tax_amount(self, value: int) -> int:
         return value * self.tax_rate_numerator // self.tax_rate_denominator
-
-
-def effective_weight(state: AccountState, current_height: int) -> int:
-    """Lottery weight: virtual tax of one unit on top of the accumulated
-    refundable tax, zero while blacklisted."""
-    if state.blacklist_until > current_height:
-        return 0
-    return state.tax + 1
 
 
 def apply_transaction(
@@ -80,35 +74,13 @@ def apply_transaction(
         raise TxRejected("insufficient balance")
     if tx.sender == tx.receiver:
         # self-transfer: both tax sides land on the same account
-        merged = AccountState(
-            balance=sender.balance - 2 * tax,
-            nonce=sender.nonce + 1,
-            tax=sender.tax + 2 * tax,
-            maintainer_bits=sender.maintainer_bits,
-            blacklist_until=sender.blacklist_until,
-        )
+        merged = replace(sender, balance=sender.balance - 2 * tax,
+                         nonce=sender.nonce + 1, tax=sender.tax + 2 * tax)
         return trie.upsert_account(tx.sender, merged)
-    trie = trie.upsert_account(
-        tx.sender,
-        AccountState(
-            balance=sender.balance - tx.value - tax,
-            nonce=sender.nonce + 1,
-            tax=sender.tax + tax,
-            maintainer_bits=sender.maintainer_bits,
-            blacklist_until=sender.blacklist_until,
-        ),
-    )
-    trie = trie.upsert_account(
-        tx.receiver,
-        AccountState(
-            balance=receiver.balance + tx.value - tax,
-            nonce=receiver.nonce,
-            tax=receiver.tax + tax,
-            maintainer_bits=receiver.maintainer_bits,
-            blacklist_until=receiver.blacklist_until,
-        ),
-    )
-    return trie
+    paid = replace(sender, balance=sender.balance - tx.value - tax,
+                   nonce=sender.nonce + 1, tax=sender.tax + tax)
+    received = replace(receiver, balance=receiver.balance + tx.value - tax, tax=receiver.tax + tax)
+    return trie.upsert_account(tx.sender, paid).upsert_account(tx.receiver, received)
 
 
 def refund_reward(trie: StateTrie, addr: Address, reward: int) -> tuple[StateTrie, int]:
@@ -124,14 +96,7 @@ def refund_reward(trie: StateTrie, addr: Address, reward: int) -> tuple[StateTri
         return trie, 0
     issued = max(0, reward - state.tax)
     trie = trie.upsert_account(
-        addr,
-        AccountState(
-            balance=state.balance + reward,
-            nonce=state.nonce,
-            tax=max(0, state.tax - reward),
-            maintainer_bits=state.maintainer_bits,
-            blacklist_until=state.blacklist_until,
-        ),
+        addr, replace(state, balance=state.balance + reward, tax=max(0, state.tax - reward))
     )
     return trie, issued
 
@@ -158,23 +123,10 @@ def apply_fraud_verdict(
         balance = 0
     trie = trie.upsert_account(
         report.accused,
-        AccountState(
-            balance=balance,
-            nonce=accused.nonce,
-            tax=accused.tax,
-            maintainer_bits=accused.maintainer_bits,
-            blacklist_until=current_height + cfg.blacklist_duration,
-        ),
+        replace(accused, balance=balance, blacklist_until=current_height + cfg.blacklist_duration),
     )
     reporter = trie.get_account(report.reporter) or EMPTY_ACCOUNT
     trie = trie.upsert_account(
-        report.reporter,
-        AccountState(
-            balance=reporter.balance + cfg.reporter_reward,
-            nonce=reporter.nonce,
-            tax=reporter.tax,
-            maintainer_bits=reporter.maintainer_bits,
-            blacklist_until=reporter.blacklist_until,
-        ),
+        report.reporter, replace(reporter, balance=reporter.balance + cfg.reporter_reward)
     )
     return trie, cfg.reporter_reward, confiscated

@@ -52,12 +52,6 @@ class CounterRng:
         span = hi - lo + 1
         return lo + self._raw(key) % span
 
-    def chance(self, p: float, key: str) -> bool:
-        return self._raw(key) < int(p * 2**256)
-
-    def chance_thr(self, threshold: int, key: str) -> bool:
-        return self._raw(key) < threshold
-
 
 @dataclass(frozen=True)
 class AdversarySpec:
@@ -103,6 +97,14 @@ _INT_BOUNDS = {
     "voter_reward": (0, 2**32),
     "reporter_reward": (0, 2**32),
     "blacklist_duration": (0, 2**32),
+    # zero transactions per block or per interval is a run without them
+    "max_txs": (0, None),
+    "txs_per_interval": (0, None),
+    # null picks the default delay derived from latency_max
+    "proposal_delay": (0, None),
+    # zero would stop every run before its first commit
+    "max_ticks": (1, None),
+    "stall_patience": (1, None),
 }
 
 
@@ -163,7 +165,7 @@ class SimConfig:
             raise SimConfigError("drop_probability out of range")
         for name, (lo, hi) in _INT_BOUNDS.items():
             value = getattr(self, name)
-            if value < lo or (hi is not None and value > hi):
+            if value is not None and (value < lo or (hi is not None and value > hi)):
                 raise SimConfigError(f"{name} {value} outside [{lo}, {hi or 'inf'}]")
         if self.tx_value_max < self.tx_value_min:
             raise SimConfigError("tx_value_max below tx_value_min")
@@ -172,8 +174,8 @@ class SimConfig:
         if self.tax_rate_numerator > self.tax_rate_denominator:
             # the receiver's tax is withheld from the amount transferred
             raise SimConfigError("tax_rate_numerator above tax_rate_denominator")
-        # balances, taxes and the selection weight total (tax + 1 per
-        # account) are encoded as 8 unsigned bytes; none exceeds the money
+        # balances, taxes and the selection weight total (AccountState.weight
+        # per account) are encoded as 8 unsigned bytes; none exceeds the money
         # supply plus node_count, and a genesis supply below 2**63 leaves
         # the other half for rewards, each at most 2**32 per payment
         supply = self.node_count * (self.genesis_balance + self.genesis_tax_max + 1)

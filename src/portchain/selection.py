@@ -6,7 +6,9 @@ current total weight), then descends the state trie top-down by
 left-sibling cumulative weights until a leaf is reached.  Exclusions are
 handled by zeroing the excluded accounts' weights against a reduced
 total, so proportionality among the remaining candidates is exact and
-anyone can re-run the selection to verify it.
+anyone can re-run the selection to verify it.  An account weighs
+`AccountState.weight`, and `eligible_total_weight` is the total left once
+exclusions and active blacklist entries weigh zero.
 """
 from __future__ import annotations
 
@@ -45,19 +47,23 @@ def _exclusion_weights(trie: StateTrie, exclusions, current_height: int) -> dict
     for addr in exclusions:
         state = trie.get_account(addr)
         if state is not None and addr not in widths:
-            widths[addr] = state.tax + 1
+            widths[addr] = state.weight
     for addr in trie.active_blacklist(current_height):
         if addr not in widths:
-            widths[addr] = trie.get_account(addr).tax + 1
+            widths[addr] = trie.get_account(addr).weight
     return widths
 
 
-def eligible_total_weight(trie: StateTrie, exclusions, current_height: int) -> int:
+def _reduced_total(trie: StateTrie, widths: dict[Address, int]) -> int:
+    """Trie weight left once the accounts in widths weigh zero."""
     root = trie.root_node
-    if root is None:
-        return 0
-    excluded = _exclusion_weights(trie, exclusions, current_height)
-    return root.weight - sum(excluded.values())
+    return (0 if root is None else root.weight) - sum(widths.values())
+
+
+def eligible_total_weight(trie: StateTrie, exclusions, current_height: int) -> int:
+    """Total lottery weight of the accounts neither excluded nor
+    blacklisted at current_height."""
+    return _reduced_total(trie, _exclusion_weights(trie, exclusions, current_height))
 
 
 def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _widths=None) -> Address:
@@ -69,7 +75,7 @@ def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _
         raise NoCandidatesError("empty trie")
     # weight adjustments (exclusions and active blacklist) all go through
     # `excluded`; the cached totals stay height independent
-    reduced = root.weight - sum(excluded.values())
+    reduced = _reduced_total(trie, excluded)
     if reduced < 1:
         raise NoCandidatesError("all candidates excluded")
     if not 0 <= h < reduced:
@@ -128,11 +134,9 @@ def select_assignment(
     # weight carried by each excluded account, maintained incrementally so
     # the per-slot totals do not re-walk the trie for every exclusion
     widths = _exclusion_weights(trie_after_block, excluded, current_height)
-    root = trie_after_block.root_node
-    base = root.weight if root is not None else 0
     for k in range(slots):
         addr_k, seq_k = current_maintainers[k]
-        total = base - sum(widths.values())
+        total = _reduced_total(trie_after_block, widths)
         if total < 1:
             raise NoCandidatesError(f"no eligible weight left for slot {k}")
         h = selection_number(block_hash, addr_k, seq_k, total)
@@ -143,28 +147,9 @@ def select_assignment(
             voters.append(chosen)
         excluded.add(chosen)
         if chosen not in widths:
-            widths[chosen] = trie_after_block.get_account(chosen).tax + 1
+            widths[chosen] = trie_after_block.get_account(chosen).weight
     return MaintainerAssignment(
         block_height=current_height + 2,
         creators=tuple(creators),
         voters=tuple(voters),
     )
-
-
-def verify_assignment(
-    trie_after_block: StateTrie,
-    block_hash: Hash,
-    current_maintainers,
-    claimed: MaintainerAssignment,
-    cfg: SelectionConfig,
-    current_height: int,
-    extra_exclusions=(),
-) -> bool:
-    """True iff claimed equals an independent rerun of the selection."""
-    try:
-        expected = select_assignment(
-            trie_after_block, block_hash, current_maintainers, cfg, current_height, extra_exclusions
-        )
-    except NoCandidatesError:
-        return False
-    return expected == claimed

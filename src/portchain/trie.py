@@ -1,19 +1,20 @@
 """Persistent hex-radix Patricia trie of account states.
 
-Every internal node caches the total lottery weight (tax + 1 per account)
-of its subtree, so the weighted selection descent runs in O(depth).
-Updates copy only the touched path: earlier snapshots stay valid and
-readable, which is what voters need to re-verify selection against the
-exact post-block state.
+Every internal node caches the total lottery weight (`AccountState.weight`
+per account) of its subtree, so the weighted selection descent runs in
+O(depth).  Updates copy only the touched path: earlier snapshots stay
+valid and readable, which is what voters need to re-verify selection
+against the exact post-block state.
 
 Blacklist expiry is lazy: leaves cache the unconditional weight and the
 trie keeps a small side map of blacklisted addresses, subtracted at read
-time against the supplied current height.  This keeps the caches height
-independent while blacklisted accounts still weigh zero.
+time against the supplied current height (`selection.eligible_total_weight`).
+This keeps the caches height independent while blacklisted accounts still
+weigh zero.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .crypto import ZERO_HASH, Address, Hash, digest
@@ -53,6 +54,13 @@ class AccountState:
     maintainer_bits: int = 0
     blacklist_until: int = 0  # block height; 0 = not blacklisted
 
+    @property
+    def weight(self) -> int:
+        """Lottery weight: a virtual tax of one unit on top of the
+        refundable tax.  Selection counts it as zero while the account is
+        blacklisted."""
+        return self.tax + 1
+
     def encode(self) -> bytes:
         return b"".join(
             x.to_bytes(8, "big")
@@ -79,7 +87,7 @@ class _Leaf:
         self.path = path  # nibble suffix below the parent branch
         self.addr = addr
         self.state = state
-        self.weight = state.tax + 1
+        self.weight = state.weight
         self._hash = None
 
     def node_hash(self) -> Hash:
@@ -189,16 +197,6 @@ class StateTrie:
     def get_account(self, addr: Address) -> AccountState | None:
         return _get(self._root, _nibbles(addr))
 
-    def total_effective_weight(self, current_height: int = 0) -> int:
-        if self._root is None:
-            return 0
-        total = self._root.weight
-        for addr, until in self._blacklist.items():
-            if until > current_height:
-                state = self.get_account(addr)
-                total -= state.tax + 1
-        return total
-
     def active_blacklist(self, current_height: int) -> list[Address]:
         return [a for a, until in self._blacklist.items() if until > current_height]
 
@@ -211,9 +209,6 @@ class StateTrie:
         """All (address, state) pairs in canonical (lexicographic) order."""
         for leaf in _leaves(self._root):
             yield leaf.addr, leaf.state
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.accounts())
 
     # internal hooks for the selection descent
     @property

@@ -9,9 +9,8 @@ from portchain.crypto import digest, keypair_from_seed
 # shared hosts show large wall-clock variance; per-example deadlines misfire
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
-from portchain.ledger import AccountState
 from portchain.netsim import AdversarySpec, SimConfig
-from portchain.trie import StateTrie
+from portchain.trie import AccountState, StateTrie
 
 
 def make_keys(n, tag=b"t"):

@@ -16,14 +16,14 @@ from portchain.analysis import (
     gini,
     render_fraction,
     replay_chain,
+    replay_run,
     schedule_audit,
-    selection_fairness,
+    steps_fairness,
 )
 from portchain.core import block_digest
-from portchain.ledger import AccountState
 from portchain.netsim import SimConfig, build_context, run
 from portchain.selection import eligible_total_weight, weighted_descend
-from portchain.trie import StateTrie
+from portchain.trie import AccountState, StateTrie
 
 from conftest import addr_of
 
@@ -192,6 +192,21 @@ def test_schedule_audit_clean_and_dirty(sim):
     assert any(v[0] == h for v in found)
 
 
+def test_schedule_audit_checks_the_last_recorded_pair(sim):
+    # block len-2 records the assignment of height len(chain), which no
+    # block uses yet; repeating height len-1's maintainers there still
+    # makes them serve two heights in a row
+    cfg, ctx, t = sim
+    n = len(t.chain)
+    bad = list(t.chain)
+    repeat = dataclasses.replace(bad[-3].assignment, block_height=n)
+    bad[-2] = dataclasses.replace(bad[-2], assignment=repeat)
+    members = len(repeat.members())
+    assert schedule_audit(bad, ctx.genesis_assignments) == [
+        (n - 1, f"{members} address(es) serve heights {n - 1} and {n}")
+    ]
+
+
 def test_conservation_audit_balances(sim):
     cfg, ctx, t = sim
     audit = conservation_audit(t, ctx)
@@ -203,7 +218,7 @@ def test_conservation_audit_balances(sim):
 def test_selection_fairness_over_chain(sim):
     cfg, ctx, t = sim
     top = t.chain[-1].header.height
-    rep = selection_fairness(t, (1, top), ctx)
+    rep = steps_fairness(replay_run(t, ctx), (1, top))
     assert rep.draws > 0
     assert sum(rep.expected_share.values()) == pytest.approx(1.0)
     assert rep.chi_square < 10 * max(rep.degrees_of_freedom, 1)

@@ -292,8 +292,17 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, field, value):
     ({"run_height": 3.0}, "run_height"),
     # refused by SimConfig.validate before, by check_scenario now
     ({"drop_probability": math.nan}, "drop_probability"),
+    # a run whose own replay refused it, exit 1
+    ({"max_txs": -1}, "max_txs"),
+    # silently ran, exit 0
+    ({"txs_per_interval": -2}, "txs_per_interval"),
+    ({"proposal_delay": -5}, "proposal_delay"),
+    # reported as stalls, exit 1
+    ({"max_ticks": -1}, "max_ticks"),
+    ({"stall_patience": -1}, "stall_patience"),
 ], ids=["genesis-tax-2**62", "crash-node-99", "voter-slot-99", "withhold-node-99",
-        "node-count-16.0", "run-height-3.0", "drop-probability-nan"])
+        "node-count-16.0", "run-height-3.0", "drop-probability-nan", "max-txs--1",
+        "txs-per-interval--2", "proposal-delay--5", "max-ticks--1", "stall-patience--1"])
 def test_hostile_config_exits_2(tmp_path, capsys, config, named):
     path = _scenario(tmp_path, config=config)
     assert main(["run", "--config", str(path)]) == 2

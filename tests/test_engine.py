@@ -149,15 +149,17 @@ def _context():
     return build_context(SimConfig(seed=11, node_count=18, voter_count=3, creator_redundancy=2))
 
 
+def _certificate(ctx, target, voters):
+    key_of = dict(zip(ctx.addresses, ctx.keys))
+    return build_certificate(
+        Vote(v, target, True, sign(key_of[v], vote_signing_bytes(target, True))) for v in voters
+    )
+
+
 def _block_one(ctx, timestamp=5):
     a1 = ctx.genesis_assignments[1]
-    key_of = dict(zip(ctx.addresses, ctx.keys))
     gdigest = block_digest(ctx.genesis_block.header)
-    votes = [
-        Vote(v, gdigest, True, sign(key_of[v], vote_signing_bytes(gdigest, True)))
-        for v in a1.voters
-    ]
-    cert = build_certificate(votes)
+    cert = _certificate(ctx, gdigest, a1.voters)
     current = [(a, i) for i, a in enumerate(a1.members())]
     return assemble_block(
         ctx.engine_cfg,
@@ -198,14 +200,11 @@ def test_stale_mempool_entries_are_rejected_before_apply(monkeypatch):
 
     monkeypatch.setattr(engine, "apply_transaction", apply)
     gdigest = block_digest(ctx.genesis_block.header)
-    votes = [
-        Vote(v, gdigest, True, sign(key_of[v], vote_signing_bytes(gdigest, True)))
-        for v in a1.voters
-    ]
+    cert = _certificate(ctx, gdigest, a1.voters)
 
     def assemble(cfg):
         return assemble_block(
-            cfg, 1, ctx.genesis_block, gdigest, build_certificate(votes), a1.creators[0], 0, 5,
+            cfg, 1, ctx.genesis_block, gdigest, cert, a1.creators[0], 0, 5,
             [(a, i) for i, a in enumerate(a1.members())], (), pre_trie, mempool=mempool,
         )
 
@@ -255,12 +254,13 @@ def test_executor_accepts_honest_block():
 def test_executor_rejects_tampering():
     ctx = _context()
     built = _block_one(ctx)
-    ex = BlockExecutor(ctx.engine_cfg)
     sched = ctx.genesis_assignments[1]
     good = built.block
 
     def check(blk, expect_reason=None):
-        r = ex.validate(blk, ctx.genesis_block, ctx.genesis_trie, sched, ())
+        # a fresh executor each time: the memo is keyed by the header
+        # digest, which a body-only change leaves as it is
+        r = BlockExecutor(ctx.engine_cfg).validate(blk, ctx.genesis_block, ctx.genesis_trie, sched, ())
         assert not r.valid
         if expect_reason:
             assert expect_reason in r.reason
@@ -297,6 +297,14 @@ def test_executor_rejects_tampering():
         good.assignment, voters=tuple(reversed(good.assignment.voters))
     )
     check(dataclasses.replace(good, assignment=fake_asg), "assignment mismatch")
+    # creators and voters trade roles
+    asg = good.assignment
+    swapped = dataclasses.replace(asg, creators=asg.voters[:2], voters=asg.creators + asg.voters[2:])
+    check(dataclasses.replace(good, assignment=swapped), "assignment mismatch")
+    # one voter substituted by an account the selection did not draw
+    intruder = next(a for a in ctx.addresses if a not in asg.members())
+    substituted = dataclasses.replace(asg, voters=(intruder,) + asg.voters[1:])
+    check(dataclasses.replace(good, assignment=substituted), "assignment mismatch")
     # insufficient certificate
     thin = VoteCertificate(
         target_hash=good.header.prev_certificate.target_hash,
@@ -394,6 +402,33 @@ def _voter_at_height_one(ctx):
 
 def _votes(actions):
     return [a[2][1] for a in actions if a[0] == "multicast" and a[2][0] == "vote"]
+
+
+def test_voter_disapproves_a_child_of_an_invalid_parent():
+    ctx = _context()
+    built = _block_one(ctx)
+    a1, a2 = ctx.genesis_assignments[1], ctx.genesis_assignments[2]
+    # the same height-1 block with a wrong state root fails validation
+    bad_parent = dataclasses.replace(
+        built.block, header=dataclasses.replace(built.block.header, state_root=digest(b"no"))
+    )
+    for parent, approve in [(built.block, True), (bad_parent, False)]:
+        pd = block_digest(parent.header)
+        # a height-2 child assembled on the parent's claimed post-state
+        child = assemble_block(
+            ctx.engine_cfg, 2, parent, pd, _certificate(ctx, pd, a2.voters), a2.creators[0], 0, 6,
+            [(a, i) for i, a in enumerate(a2.members())], a1.members(), built.post_trie, txs=(),
+        ).block
+        # candidates at height 2 are judged by the voters the parent records
+        i = ctx.addresses.index(parent.assignment.voters[0])
+        node = Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
+                    ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+        node.handle("block", parent, 1)
+        node.handle("block", child, 2)
+        # one creator of two arrived: the vote waits out the patience timer
+        actions = node.handle("wake", None, 2 + ctx.engine_cfg.vote_patience)
+        [vote] = [v for v in _votes(actions) if v.target_hash == block_digest(child.header)]
+        assert vote.approve == approve
 
 
 def test_timer_missed_while_down_runs_the_pass_on_the_next_wake(monkeypatch):

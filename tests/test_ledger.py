@@ -11,9 +11,9 @@ from portchain.ledger import (
     TxRejected,
     apply_fraud_verdict,
     apply_transaction,
-    effective_weight,
     refund_reward,
 )
+from portchain.selection import eligible_total_weight
 from portchain.trie import AccountState, StateTrie
 
 from conftest import addr_of, make_keys
@@ -150,10 +150,21 @@ def test_refund_clamps_at_zero():
 
 
 def test_effective_weight():
-    assert effective_weight(AccountState(tax=5), 0) == 6
-    assert effective_weight(AccountState(tax=0), 0) == 1
-    assert effective_weight(AccountState(tax=5, blacklist_until=10), 9) == 0
-    assert effective_weight(AccountState(tax=5, blacklist_until=10), 10) == 6
+    # lottery weight is the refundable tax plus one; a fraud verdict's
+    # blacklist term makes selection count it as zero until the term ends
+    assert AccountState(tax=5).weight == 6
+    assert AccountState(tax=0).weight == 1
+    accused, reporter = addr_of("bad"), addr_of("cop")
+    trie = StateTrie().upsert_account(accused, AccountState(tax=5))
+    trie = trie.upsert_account(reporter, AccountState())
+    report = FraudReport(reporter=reporter, accused=accused,
+                         evidence_hash=digest(b"e"), height_of_offense=4)
+    assert eligible_total_weight(trie, (), 10) == 6 + 1
+    out, _, _ = apply_fraud_verdict(trie, report, True, 10, CFG)
+    end = 10 + CFG.blacklist_duration
+    assert eligible_total_weight(out, (), 10) == 1
+    assert eligible_total_weight(out, (), end - 1) == 1
+    assert eligible_total_weight(out, (), end) == 6 + 1
 
 
 def test_fraud_verdict():

@@ -9,7 +9,6 @@ from portchain.selection import (
     eligible_total_weight,
     select_assignment,
     selection_number,
-    verify_assignment,
     weighted_descend,
 )
 from portchain.trie import AccountState, StateTrie
@@ -141,24 +140,6 @@ def test_select_assignment_errors():
     all_addrs = [a for a, _ in trie.accounts()]
     with pytest.raises(NoCandidatesError):
         select_assignment(trie, b"\x07" * 32, current, cfg, 10, extra_exclusions=all_addrs)
-
-
-def test_verify_assignment_round_trip():
-    trie, cfg, current = _assignment_setup()
-    a = select_assignment(trie, b"\x07" * 32, current, cfg, 10)
-    assert verify_assignment(trie, b"\x07" * 32, current, a, cfg, 10)
-    # role swap must fail verification
-    import dataclasses
-
-    swapped = dataclasses.replace(a, creators=a.voters[:2], voters=a.creators + a.voters[2:])
-    assert not verify_assignment(trie, b"\x07" * 32, current, swapped, cfg, 10)
-    # substituting one member must fail
-    fake = dataclasses.replace(a, voters=(addr_of("intruder"),) + a.voters[1:])
-    assert not verify_assignment(trie, b"\x07" * 32, current, fake, cfg, 10)
-    # different seed hashes disagree
-    other = select_assignment(trie, b"\x08" * 32, current, cfg, 10)
-    if other != a:
-        assert not verify_assignment(trie, b"\x07" * 32, current, other, cfg, 10)
 
 
 def test_incremental_widths_match_full_recompute(rnd):

@@ -4,7 +4,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portchain.ledger import effective_weight
+from portchain.selection import eligible_total_weight
 from portchain.trie import AccountState, StateTrie, empty_trie
 
 from conftest import addr_of, make_trie
@@ -12,7 +12,7 @@ from conftest import addr_of, make_trie
 
 def test_weight_simple_sum():
     t = make_trie({addr_of("a"): 5, addr_of("b"): 7})
-    assert t.total_effective_weight() == (5 + 1) + (7 + 1)
+    assert eligible_total_weight(t, (), 0) == (5 + 1) + (7 + 1)
 
 
 def test_weight_excludes_blacklisted():
@@ -21,15 +21,15 @@ def test_weight_excludes_blacklisted():
     t = t.upsert_account(
         addr_of("b"), AccountState(balance=1, tax=20, blacklist_until=100)
     )
-    assert t.total_effective_weight(current_height=50) == 11
+    assert eligible_total_weight(t, (), 50) == 11
     # once the term expires the account counts again
-    assert t.total_effective_weight(current_height=100) == 11 + 21
+    assert eligible_total_weight(t, (), 100) == 11 + 21
 
 
 def test_empty_trie():
     t = empty_trie()
-    assert len(t) == 0
-    assert t.total_effective_weight() == 0
+    assert list(t.accounts()) == []
+    assert eligible_total_weight(t, (), 0) == 0
     assert t.get_account(addr_of("a")) is None
     assert isinstance(t.root_commitment(), bytes)
     assert len(t.root_commitment()) == 32
@@ -86,8 +86,8 @@ def test_weight_matches_flat_oracle(entries, height):
     t = StateTrie()
     for addr, state in entries.items():
         t = t.upsert_account(addr, state)
-    oracle = sum(effective_weight(s, height) for s in entries.values())
-    assert t.total_effective_weight(current_height=height) == oracle
+    oracle = sum(s.tax + 1 for s in entries.values() if s.blacklist_until <= height)
+    assert eligible_total_weight(t, (), height) == oracle
     # stored accounts read back exactly and blacklist recall matches
     for addr, state in entries.items():
         assert t.get_account(addr) == state
@@ -101,4 +101,4 @@ def test_accounts_iterates_all():
     seen = dict(t.accounts())
     assert set(seen) == set(entries)
     assert all(seen[a].tax == v for a, v in entries.items())
-    assert len(t) == 25
+    assert len(list(t.accounts())) == 25
