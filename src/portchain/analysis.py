@@ -298,13 +298,10 @@ def _assignment_draws(step: ReplayStep, prev_step: ReplayStep):
     excluded = set(step.schedule.members())
     excluded.update(prev_step.block.assignment.members())
     excluded.update(trie.active_blacklist(h))
+    accounts = [(addr, state.weight) for addr, state in trie.accounts()]
     records = []
     for chosen in step.block.assignment.members():
-        weights = {}
-        for addr, state in trie.accounts():
-            if addr in excluded:
-                continue
-            weights[addr] = state.weight
+        weights = {addr: w for addr, w in accounts if addr not in excluded}
         records.append((weights, chosen))
         excluded.add(chosen)
     return records

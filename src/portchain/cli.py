@@ -157,14 +157,14 @@ def run_scenario(doc: dict, seed_override: int | None = None, checks=None, expor
 
     lines = []
     results = {}
-    metrics = {}
 
     def record(key, value):
-        metrics[key] = value
         lines.append(f"{key}={value}")
 
-    record("config_digest", config.digest_hex())
-    record("transcript_digest", transcript.digest_hex())
+    config_digest = config.digest_hex()
+    transcript_digest = transcript.digest_hex()
+    record("config_digest", config_digest)
+    record("transcript_digest", transcript_digest)
     record("committed_head", head)
     record("ticks", transcript.ticks)
     record("stalled", int(transcript.stalled))
@@ -229,10 +229,10 @@ def run_scenario(doc: dict, seed_override: int | None = None, checks=None, expor
     summary = {
         "checks": {k: bool(v) for k, v in results.items()},
         "committed_head": head,
-        "config_digest": config.digest_hex(),
+        "config_digest": config_digest,
         "exit_code": 0 if all_pass else 1,
         "stalled": transcript.stalled,
-        "transcript_digest": transcript.digest_hex(),
+        "transcript_digest": transcript_digest,
     }
     report = "\n".join(lines) + "\n" + json.dumps(summary, sort_keys=True, indent=2) + "\n"
 

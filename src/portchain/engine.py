@@ -45,7 +45,7 @@ from .ledger import (
     refund_reward,
 )
 from .selection import NoCandidatesError, SelectionConfig, select_assignment
-from .trie import AccountState, StateTrie, maintainer_bits
+from .trie import StateTrie, WriteSet, maintainer_bits
 
 
 class BlockInvalid(ValueError):
@@ -75,7 +75,7 @@ def rehash_value(block_hash: Hash) -> int:
 def sibling_order(block_hash: Hash) -> tuple:
     """Rank of a block digest among redundant siblings: the largest
     re-hash wins, and a tie goes to the smaller digest."""
-    return rehash_value(block_hash), bytes(255 - b for b in block_hash)
+    return rehash_value(block_hash), -int.from_bytes(block_hash, "big")
 
 
 def resolve_redundant(candidates) -> Block:
@@ -143,7 +143,9 @@ def assemble_block(
     candidate's exact transaction list; any rejection raises BlockInvalid
     so a voter rejects the block rather than silently repairing it.
     """
-    trie = pre_trie
+    # every account write of the block collects in one write set and lands
+    # in the trie as one batch before the selection
+    writes = WriteSet(pre_trie)
     issued = 0
     confiscated = 0
     rejected: list = []
@@ -151,10 +153,10 @@ def assemble_block(
     # refunds for the previous height's maintainers who completed duty:
     # the linked creator plus every voter whose approval is in the cert
     if prev_block.header.height >= 1:
-        trie, extra = refund_reward(trie, prev_block.header.creator, cfg.ledger.creator_reward)
+        writes, extra = refund_reward(writes, prev_block.header.creator, cfg.ledger.creator_reward)
         issued += extra
         for voter in prev_block.header.prev_certificate.voters():
-            trie, extra = refund_reward(trie, voter, cfg.ledger.voter_reward)
+            writes, extra = refund_reward(writes, voter, cfg.ledger.voter_reward)
             issued += extra
 
     if txs is None:
@@ -170,12 +172,13 @@ def assemble_block(
             # a node drops a transaction from its mempool only when the
             # block holding it commits, so the next creators still see it;
             # its nonce is then used up and apply_transaction would say so
-            sender = trie.get_account(tx.sender)
+            sender = writes.get_account(tx.sender)
             if sender is not None and tx.nonce <= sender.nonce:
                 rejected.append((tx, "bad nonce"))
                 continue
+            # a rejection is raised before any write, so it leaves none
             try:
-                trie = apply_transaction(trie, tx, cfg.ledger, height, cfg.public_keys)
+                writes = apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
             except TxRejected as exc:
                 rejected.append((tx, exc.reason))
                 continue
@@ -186,7 +189,7 @@ def assemble_block(
             raise BlockInvalid("transaction cap exceeded")
         for tx in txs:
             try:
-                trie = apply_transaction(trie, tx, cfg.ledger, height, cfg.public_keys)
+                writes = apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
             except TxRejected as exc:
                 raise BlockInvalid(f"invalid transaction: {exc.reason}")
 
@@ -194,7 +197,7 @@ def assemble_block(
         if report.reporter == report.accused:
             raise BlockInvalid("self-accusation")
         try:
-            trie, extra, taken = apply_fraud_verdict(trie, report, True, height, cfg.ledger)
+            writes, extra, taken = apply_fraud_verdict(writes, report, True, height, cfg.ledger)
         except ValueError as exc:
             raise BlockInvalid(f"bad fraud report: {exc}")
         issued += extra
@@ -202,9 +205,10 @@ def assemble_block(
 
     # duty of height-1 maintainers is complete: clear their selection bits
     for addr in sorted(set(clear_members)):
-        state = trie.get_account(addr)
-        if state is not None and state.maintainer_bits:
-            trie = trie.upsert_account(addr, replace(state, maintainer_bits=0))
+        account = writes.get_account(addr)
+        if account is not None and account.maintainer_bits:
+            writes.upsert_account(addr, replace(account, maintainer_bits=0))
+    trie = writes.commit()
 
     # forward link: pick the maintainers of height+2 on the post-block
     # state, excluding both adjacent service sets so nobody serves twice
@@ -217,10 +221,13 @@ def assemble_block(
         height,
         extra_exclusions=prev_block.assignment.members(),
     )
-    for slot, addr in enumerate(assignment.members()):
-        state = trie.get_account(addr)
-        bits = maintainer_bits(True, slot >= cfg.creator_redundancy, height + 2)
-        trie = trie.upsert_account(addr, replace(state, maintainer_bits=bits))
+    trie = trie.update({
+        addr: replace(
+            trie.get_account(addr),
+            maintainer_bits=maintainer_bits(True, slot >= cfg.creator_redundancy, height + 2),
+        )
+        for slot, addr in enumerate(assignment.members())
+    })
 
     header = BlockHeader(
         height=height,
@@ -264,11 +271,16 @@ class BlockExecutor:
     is judged against are the only other input, so validation and every
     node's commit and vote passes share one check per header and
     committee.
+
+    The header commits to the body only through the roots and digests
+    that validation recomputes, so a memo entry keeps the block it judged
+    and answers only for that same body; another body under the same
+    header is validated on its own and leaves the entry as it was.
     """
 
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
-        self._memo: dict[Hash, ExecResult] = {}
+        self._memo: dict[Hash, tuple[Block, ExecResult]] = {}
         self._certs: dict[tuple, bool] = {}
 
     def validate(
@@ -280,12 +292,19 @@ class BlockExecutor:
         clear_members,
     ) -> ExecResult:
         d = block_digest(candidate.header)
-        hit = self._memo.get(d)
-        if hit is not None:
-            return hit
-        result = self._validate(candidate, prev_block, pre_trie, schedule, clear_members)
-        self._memo[d] = result
+        result = self._memo_hit(d, candidate)
+        if result is None:
+            result = self._validate(candidate, prev_block, pre_trie, schedule, clear_members)
+            self._memo.setdefault(d, (candidate, result))
         return result
+
+    def _memo_hit(self, d: Hash, block: Block) -> ExecResult | None:
+        """The memoized result under digest d if it was reached for this
+        same body, else None."""
+        hit = self._memo.get(d)
+        if hit is not None and (hit[0] is block or hit[0] == block):
+            return hit[1]
+        return None
 
     def record(self, built: BlockResult, prev_block: Block, schedule) -> ExecResult:
         """Memoize a creator's own assembly as its block's validation.
@@ -294,12 +313,17 @@ class BlockExecutor:
         on the same inputs, so after the same header checks its post-state
         is the validation result.  Only for blocks broadcast unaltered.
         """
+        d = block_digest(built.block.header)
+        result = self._memo_hit(d, built.block)
+        if result is not None:
+            return result
         reason = self._header_fault(built.block.header, prev_block, schedule)
         if reason:
             result = ExecResult(False, reason, None)
         else:
             result = ExecResult(True, "", built.post_trie, built.issued, built.confiscated)
-        return self._memo.setdefault(block_digest(built.block.header), result)
+        self._memo.setdefault(d, (built.block, result))
+        return result
 
     def certifies_parent(self, hdr: BlockHeader, voters: tuple) -> bool:
         """Does the header's certificate target its named parent and pass
@@ -379,9 +403,15 @@ def equivocation_evidence(height: int, creator: Address, digests) -> Hash:
 class Node:
     """One consensus participant; fed events, emits actions.
 
-    Actions: ("broadcast", message), ("send", node_index, message),
-    ("wake", tick), ("log", kind, info).  Messages are (kind, payload)
-    tuples routed by the network simulation.
+    Actions: ("broadcast", message) to every other node; ("send",
+    node_index, message) to one node; ("multicast", recipients, message)
+    to the listed addresses other than its own, which is how a vote
+    reaches the maintainers that consume it; ("gossip", message) to the
+    next nodes on the ring, one hop on a block's first receipt; ("wake",
+    tick); and ("log", kind, info).
+    Messages are (kind, payload) tuples routed by the network simulation.
+    A disapproval vote is verified (a bad one counts in `bad_messages`)
+    but never tallied.
     """
 
     def __init__(
@@ -413,7 +443,6 @@ class Node:
         self.candidates: dict[int, dict[Hash, Block]] = {}
         self.cand_height: dict[Hash, int] = {gd: 0}
         self.approvals: dict[Hash, dict[Address, Vote]] = {}
-        self.disapprovals: dict[Hash, set] = {}
         self.voted: set[Hash] = set()
         # candidates per height still awaiting this node's vote decision;
         # the vote pass skips a height whose count is zero (every
@@ -557,8 +586,6 @@ class Node:
             # a quorum can only form at or past the raw-count threshold
             if v.target_hash not in self._qual and len(bucket) >= self.cfg.quorum:
                 self._dirty = True
-        else:
-            self.disapprovals.setdefault(v.target_hash, set()).add(v.voter)
 
     def _sync_payload(self, req_head: int):
         blocks = [self.committed[j] for j in range(req_head + 1, self.head + 1)]
@@ -637,7 +664,6 @@ class Node:
                     continue  # certificates over the head may still be needed
                 self.cand_height.pop(sd, None)
                 self.approvals.pop(sd, None)
-                self.disapprovals.pop(sd, None)
                 self.voted.discard(sd)
         self.locked_parent.pop(j, None)
         self._unvoted.pop(j, None)

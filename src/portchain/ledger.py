@@ -9,6 +9,11 @@ money-creation paths, and both are returned explicitly so callers can
 keep an exact conservation ledger.  The tax pool an account builds up
 here sets its lottery weight (`AccountState.weight`); a fraud verdict's
 blacklist term zeroes that weight for selection.
+
+Each rule reads and writes accounts only through `get_account` and
+`upsert_account`, and raises before its first write, so it runs alike on
+a `StateTrie` snapshot (returning a new snapshot) and on a block's
+`WriteSet` (recording the writes in it).
 """
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .core import FraudReport, Transaction
 from .crypto import Address, verify
-from .trie import EMPTY_ACCOUNT, StateTrie
+from .trie import EMPTY_ACCOUNT, StateTrie, WriteSet
 
 
 class TxRejected(ValueError):
@@ -46,12 +51,12 @@ class LedgerConfig:
 
 
 def apply_transaction(
-    trie: StateTrie,
+    trie: StateTrie | WriteSet,
     tx: Transaction,
     cfg: LedgerConfig,
     current_height: int,
     public_keys,
-) -> StateTrie:
+) -> StateTrie | WriteSet:
     """Apply one transfer with dual-sided taxation; raises TxRejected on
     any precondition failure, leaving the trie untouched."""
     if tx.value < 0:
@@ -83,7 +88,9 @@ def apply_transaction(
     return trie.upsert_account(tx.sender, paid).upsert_account(tx.receiver, received)
 
 
-def refund_reward(trie: StateTrie, addr: Address, reward: int) -> tuple[StateTrie, int]:
+def refund_reward(
+    trie: StateTrie | WriteSet, addr: Address, reward: int
+) -> tuple[StateTrie | WriteSet, int]:
     """Pay a duty reward and deduct it from the refundable tax, clamping
     at zero.  Returns (new trie, issued amount), where issued is the part
     of the reward not covered by accumulated tax (bootstrap issuance)."""
@@ -102,12 +109,12 @@ def refund_reward(trie: StateTrie, addr: Address, reward: int) -> tuple[StateTri
 
 
 def apply_fraud_verdict(
-    trie: StateTrie,
+    trie: StateTrie | WriteSet,
     report: FraudReport,
     approved: bool,
     current_height: int,
     cfg: LedgerConfig,
-) -> tuple[StateTrie, int, int]:
+) -> tuple[StateTrie | WriteSet, int, int]:
     """Apply an approved fraud verdict: blacklist (and optionally strip)
     the accused, reward the reporter.  Returns (trie, issued, confiscated);
     a rejected verdict is the identity."""

@@ -6,7 +6,9 @@ current total weight), then descends the state trie top-down by
 left-sibling cumulative weights until a leaf is reached.  Exclusions are
 handled by zeroing the excluded accounts' weights against a reduced
 total, so proportionality among the remaining candidates is exact and
-anyone can re-run the selection to verify it.  An account weighs
+anyone can re-run the selection to verify it: every node on an excluded
+account's path records the excluded weight below it, so a slot's
+descent subtracts one number per child.  An account weighs
 `AccountState.weight`, and `eligible_total_weight` is the total left once
 exclusions and active blacklist entries weigh zero.
 """
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 
 from .core import MaintainerAssignment
 from .crypto import Address, Hash, digest
-from .trie import StateTrie, _Leaf, _nibbles
+from .trie import StateTrie, _Branch, _Leaf, _nibbles
 
 
 class NoCandidatesError(RuntimeError):
@@ -41,69 +43,77 @@ def selection_number(block_hash: Hash, maintainer_addr: Address, seq: int, total
     return int.from_bytes(h, "big") % total_weight
 
 
-def _exclusion_weights(trie: StateTrie, exclusions, current_height: int) -> dict[Address, int]:
-    """Weight carried by each excluded or actively blacklisted account."""
-    widths: dict[Address, int] = {}
-    for addr in exclusions:
-        state = trie.get_account(addr)
-        if state is not None and addr not in widths:
-            widths[addr] = state.weight
-    for addr in trie.active_blacklist(current_height):
-        if addr not in widths:
-            widths[addr] = trie.get_account(addr).weight
-    return widths
+def _exclude(sums: dict, root, addr: Address) -> None:
+    """Add the weight of addr's leaf, if the trie holds one, to the
+    excluded-weight sum of every node on its path, the leaf included."""
+    path = _nibbles(addr)
+    depth = 0
+    node = root
+    visited = []
+    # only addr's own path can end at a leaf holding addr, so the walk
+    # follows the nibbles without checking branch prefixes
+    while isinstance(node, _Branch):
+        visited.append(node)
+        depth += len(node.prefix)
+        node = node.children.get(path[depth])
+        depth += 1
+    if node is not None and node.addr == addr:
+        visited.append(node)
+        w = node.weight
+        for n in visited:
+            sums[n] = sums.get(n, 0) + w
 
 
-def _reduced_total(trie: StateTrie, widths: dict[Address, int]) -> int:
-    """Trie weight left once the accounts in widths weigh zero."""
-    root = trie.root_node
-    return (0 if root is None else root.weight) - sum(widths.values())
+def _exclusion_sums(trie: StateTrie, exclusions, current_height: int) -> dict:
+    """Excluded weight under each trie node, keyed by node: the excluded
+    accounts and the actively blacklisted ones each count once."""
+    sums: dict = {}
+    for addr in set(exclusions).union(trie.active_blacklist(current_height)):
+        _exclude(sums, trie.root_node, addr)
+    return sums
+
+
+def _eligible(root, sums: dict) -> int:
+    return 0 if root is None else root.weight - sums.get(root, 0)
 
 
 def eligible_total_weight(trie: StateTrie, exclusions, current_height: int) -> int:
     """Total lottery weight of the accounts neither excluded nor
     blacklisted at current_height."""
-    return _reduced_total(trie, _exclusion_weights(trie, exclusions, current_height))
+    return _eligible(trie.root_node, _exclusion_sums(trie, exclusions, current_height))
 
 
-def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _widths=None) -> Address:
+def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _sums=None) -> Address:
     """Resolve h to the unique leaf whose half-open interval of the
-    exclusion-adjusted prefix sum (canonical trie order) contains it."""
-    excluded = _exclusion_weights(trie, exclusions, current_height) if _widths is None else _widths
-    root = trie.root_node
-    if root is None:
+    exclusion-adjusted prefix sum (canonical trie order) contains it.
+
+    Every node's cached weight less its excluded-weight sum is what the
+    eligible accounts below it weigh, so the descent is O(depth);
+    `select_assignment` passes the sums it keeps across slots as _sums,
+    which then stand for the exclusions and the blacklist."""
+    sums = _exclusion_sums(trie, exclusions, current_height) if _sums is None else _sums
+    node = trie.root_node
+    if node is None:
         raise NoCandidatesError("empty trie")
     # weight adjustments (exclusions and active blacklist) all go through
-    # `excluded`; the cached totals stay height independent
-    reduced = _reduced_total(trie, excluded)
+    # the sums; the cached totals stay height independent
+    reduced = _eligible(node, sums)
     if reduced < 1:
         raise NoCandidatesError("all candidates excluded")
     if not 0 <= h < reduced:
         raise ValueError(f"selection number {h} outside [0, {reduced})")
-    # pair each excluded address with its absolute nibble path once
-    pending = [(_nibbles(addr), w) for addr, w in excluded.items()]
-    node = root
-    depth = 0
-    while True:
-        if isinstance(node, _Leaf):
-            return node.addr
-        depth += len(node.prefix)
-        # split the pending exclusions by their nibble at this level once
-        by_nib: dict[int, list] = {}
-        for path, w in pending:
-            by_nib.setdefault(path[depth], []).append((path, w))
-        for nib in sorted(node.children):
-            child = node.children[nib]
-            sub_excl = by_nib.get(nib, ())
-            w = child.weight - sum(w for _, w in sub_excl) if sub_excl else child.weight
+    while not isinstance(node, _Leaf):
+        children = node.children
+        for nib in sorted(children):
+            child = children[nib]
+            w = child.weight - sums.get(child, 0)
             if h < w:
                 node = child
-                pending = sub_excl
-                depth += 1
                 break
             h -= w
         else:
             raise AssertionError("descent exhausted children; weight caches corrupt")
+    return node.addr
 
 
 def select_assignment(
@@ -127,27 +137,24 @@ def select_assignment(
         raise NoCandidatesError(
             f"{len(current_maintainers)} current maintainers cannot seed {slots} slots"
         )
-    excluded: set[Address] = {addr for addr, _ in current_maintainers}
-    excluded.update(extra_exclusions)
     creators: list[Address] = []
     voters: list[Address] = []
-    # weight carried by each excluded account, maintained incrementally so
-    # the per-slot totals do not re-walk the trie for every exclusion
-    widths = _exclusion_weights(trie_after_block, excluded, current_height)
+    # excluded weight per node, built once; each pick then adds its own path
+    root = trie_after_block.root_node
+    excluded = [addr for addr, _ in current_maintainers] + list(extra_exclusions)
+    sums = _exclusion_sums(trie_after_block, excluded, current_height)
     for k in range(slots):
         addr_k, seq_k = current_maintainers[k]
-        total = _reduced_total(trie_after_block, widths)
+        total = _eligible(root, sums)
         if total < 1:
             raise NoCandidatesError(f"no eligible weight left for slot {k}")
         h = selection_number(block_hash, addr_k, seq_k, total)
-        chosen = weighted_descend(trie_after_block, h, excluded, current_height, _widths=widths)
+        chosen = weighted_descend(trie_after_block, h, (), current_height, _sums=sums)
         if k < cfg.creator_redundancy:
             creators.append(chosen)
         else:
             voters.append(chosen)
-        excluded.add(chosen)
-        if chosen not in widths:
-            widths[chosen] = trie_after_block.get_account(chosen).weight
+        _exclude(sums, root, chosen)
     return MaintainerAssignment(
         block_height=current_height + 2,
         creators=tuple(creators),

@@ -2,9 +2,12 @@
 
 Every internal node caches the total lottery weight (`AccountState.weight`
 per account) of its subtree, so the weighted selection descent runs in
-O(depth).  Updates copy only the touched path: earlier snapshots stay
+O(depth).  Updates copy only the touched paths: earlier snapshots stay
 valid and readable, which is what voters need to re-verify selection
-against the exact post-block state.
+against the exact post-block state.  `StateTrie.update` lands a batch of
+writes at once, copying each branch on a touched path once per batch,
+and a `WriteSet` buffers the writes of a block in front of a snapshot so
+they land as one batch.
 
 Blacklist expiry is lazy: leaves cache the unconditional weight and the
 trie keeps a small side map of blacklisted addresses, subtracted at read
@@ -14,6 +17,7 @@ weigh zero.
 """
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,6 +26,7 @@ from .crypto import ZERO_HASH, Address, Hash, digest
 __all__ = [
     "AccountState",
     "StateTrie",
+    "WriteSet",
     "empty_trie",
     "MAINTAINER_SELECTED",
     "MAINTAINER_VOTER",
@@ -62,10 +67,13 @@ class AccountState:
         return self.tax + 1
 
     def encode(self) -> bytes:
-        return b"".join(
-            x.to_bytes(8, "big")
-            for x in (self.balance, self.nonce, self.tax, self.maintainer_bits, self.blacklist_until)
+        return _ACCOUNT_ENCODING.pack(
+            self.balance, self.nonce, self.tax, self.maintainer_bits, self.blacklist_until
         )
+
+
+# five big-endian unsigned 8-byte fields, in declaration order
+_ACCOUNT_ENCODING = struct.Struct(">5Q")
 
 
 EMPTY_ACCOUNT = AccountState()
@@ -120,36 +128,70 @@ class _Branch:
         return h
 
 
-def _common_prefix(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+def _runs(items, at: int):
+    """(nibble, run) for each run of the sorted items that shares the
+    path nibble at index `at`; the items agree before `at`, so each
+    nibble's items are contiguous."""
+    i, n = 0, len(items)
+    while i < n:
+        nib = items[i][0][at]
+        j = i + 1
+        while j < n and items[j][0][at] == nib:
+            j += 1
+        yield nib, items[i:j]
+        i = j
 
 
-def _upsert(node, path: tuple[int, ...], addr: Address, state: AccountState):
+def _build(items, depth: int):
+    """Subtree at nibble depth `depth` holding exactly `items`: (path,
+    addr, state) triples with full nibble paths, sorted by path and
+    agreeing before `depth`."""
+    path, addr, state = items[0]
+    if len(items) == 1:
+        return _Leaf(path[depth:], addr, state)
+    # a sorted run's first and last paths share the run's common prefix
+    last = items[-1][0]
+    cp = depth
+    while path[cp] == last[cp]:
+        cp += 1
+    return _Branch(path[depth:cp], {nib: _build(run, cp + 1) for nib, run in _runs(items, cp)})
+
+
+def _update(node, items, depth: int):
+    """Copy of the subtree `node` at nibble depth `depth` with `items` (as
+    for `_build`) written into it; every branch on a written path is
+    copied once."""
     if node is None:
-        return _Leaf(path, addr, state)
+        return _build(items, depth)
     if isinstance(node, _Leaf):
-        if node.path == path:
-            return _Leaf(path, addr, state)
-        cp = _common_prefix(node.path, path)
-        old = _Leaf(node.path[cp + 1 :], node.addr, node.state)
-        new = _Leaf(path[cp + 1 :], addr, state)
-        return _Branch(path[:cp], {node.path[cp]: old, path[cp]: new})
-    cp = _common_prefix(node.prefix, path)
-    if cp < len(node.prefix):
-        # split the branch prefix at the divergence point
-        lower = _Branch(node.prefix[cp + 1 :], node.children)
-        new = _Leaf(path[cp + 1 :], addr, state)
-        return _Branch(path[:cp], {node.prefix[cp]: lower, path[cp]: new})
-    nib = path[len(node.prefix)]
-    children = dict(node.children)
-    old = children.get(nib)
-    new = children[nib] = _upsert(old, path[len(node.prefix) + 1 :], addr, state)
-    weight = node.weight - (old.weight if old is not None else 0) + new.weight
-    return _Branch(node.prefix, children, weight)
+        if all(a != node.addr for _, a, _ in items):
+            items = sorted(items + [(_nibbles(node.addr), node.addr, node.state)])
+        return _build(items, depth)
+    prefix = node.prefix
+    # as in _build, the first and last paths bound the whole sorted run
+    first, last = items[0][0], items[-1][0]
+    cp = depth
+    for nib in prefix:
+        if first[cp] != nib or last[cp] != nib:
+            break
+        cp += 1
+    weight = node.weight
+    keep = cp - depth
+    if keep < len(prefix):
+        # the writes diverge inside the branch prefix: split it there
+        children = {prefix[keep]: _Branch(prefix[keep + 1 :], node.children, weight)}
+    else:
+        children = dict(node.children)
+    for nib, run in _runs(items, cp):
+        old = children.get(nib)
+        if len(run) == 1 and isinstance(old, _Leaf) and old.addr == run[0][1]:
+            # a rewrite keeps the leaf's place and path
+            new = _Leaf(old.path, old.addr, run[0][2])
+        else:
+            new = _update(old, run, cp + 1)
+        children[nib] = new
+        weight += new.weight - (old.weight if old is not None else 0)
+    return _Branch(prefix[:keep], children, weight)
 
 
 def _get(node, path: tuple[int, ...]):
@@ -183,16 +225,23 @@ class StateTrie:
         self._root = root
         self._blacklist = blacklist or {}
 
+    def update(self, changes: dict) -> "StateTrie":
+        """New snapshot with every (address -> state) write in `changes`
+        applied; equal to writing them one at a time."""
+        if not changes:
+            return self
+        # paths are distinct, so the triples sort by path alone
+        items = sorted((_nibbles(addr), addr, state) for addr, state in changes.items())
+        blacklist = dict(self._blacklist)
+        for addr, state in changes.items():
+            if state.blacklist_until > 0:
+                blacklist[addr] = state.blacklist_until
+            else:
+                blacklist.pop(addr, None)
+        return StateTrie(_update(self._root, items, 0), blacklist)
+
     def upsert_account(self, addr: Address, state: AccountState) -> "StateTrie":
-        root = _upsert(self._root, _nibbles(addr), addr, state)
-        blacklist = self._blacklist
-        if state.blacklist_until > 0:
-            blacklist = dict(blacklist)
-            blacklist[addr] = state.blacklist_until
-        elif addr in blacklist:
-            blacklist = dict(blacklist)
-            del blacklist[addr]
-        return StateTrie(root, blacklist)
+        return self.update({addr: state})
 
     def get_account(self, addr: Address) -> AccountState | None:
         return _get(self._root, _nibbles(addr))
@@ -218,3 +267,31 @@ class StateTrie:
 
 def empty_trie() -> StateTrie:
     return StateTrie()
+
+
+class WriteSet:
+    """Account writes buffered in front of a trie snapshot.
+
+    Reads see the buffered writes first.  `upsert_account` records a write
+    and returns the write set itself, so code written for
+    `trie = trie.upsert_account(...)` (the `ledger` rules) runs unchanged
+    on it; `commit` lands every write in one `StateTrie.update`.  The
+    snapshot itself is never changed.
+    """
+
+    __slots__ = ("base", "writes")
+
+    def __init__(self, base: StateTrie):
+        self.base = base
+        self.writes: dict[Address, AccountState] = {}
+
+    def get_account(self, addr: Address) -> AccountState | None:
+        state = self.writes.get(addr)
+        return self.base.get_account(addr) if state is None else state
+
+    def upsert_account(self, addr: Address, state: AccountState) -> "WriteSet":
+        self.writes[addr] = state
+        return self
+
+    def commit(self) -> StateTrie:
+        return self.base.update(self.writes)

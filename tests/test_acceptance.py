@@ -26,7 +26,7 @@ from portchain.cli import chi_square_critical
 from portchain.ledger import LedgerConfig
 from portchain.netsim import AdversarySpec, SimConfig, build_context, replay_check, run
 from portchain.selection import (
-    _exclusion_weights,
+    _exclusion_sums,
     eligible_total_weight,
     weighted_descend,
 )
@@ -97,13 +97,13 @@ def test_criterion_2_descend_oracle_equivalence(capsys):
             k = rng.randint(0, min(15, len(addrs) - 1))
             exclusions = set(rng.sample(addrs, k))
             height = rng.randint(0, 10)
-            widths = _exclusion_weights(trie, exclusions, height)
-            total = trie.root_node.weight - sum(widths.values())
+            sums = _exclusion_sums(trie, exclusions, height)
+            total = trie.root_node.weight - sums.get(trie.root_node, 0)
             if total < 1:
                 continue
             h = rng.randrange(total)
             assert weighted_descend(
-                trie, h, exclusions, height, _widths=widths
+                trie, h, exclusions, height, _sums=sums
             ) == _flat_oracle(entries, h, exclusions, height)
             cases += 1
             if cases >= 100_000:

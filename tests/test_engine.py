@@ -257,10 +257,13 @@ def test_executor_rejects_tampering():
     sched = ctx.genesis_assignments[1]
     good = built.block
 
+    # one executor that has already judged the honest block: a memo entry
+    # must not answer for another body under the same header
+    ex = BlockExecutor(ctx.engine_cfg)
+    assert ex.validate(good, ctx.genesis_block, ctx.genesis_trie, sched, ()).valid
+
     def check(blk, expect_reason=None):
-        # a fresh executor each time: the memo is keyed by the header
-        # digest, which a body-only change leaves as it is
-        r = BlockExecutor(ctx.engine_cfg).validate(blk, ctx.genesis_block, ctx.genesis_trie, sched, ())
+        r = ex.validate(blk, ctx.genesis_block, ctx.genesis_trie, sched, ())
         assert not r.valid
         if expect_reason:
             assert expect_reason in r.reason
@@ -316,6 +319,66 @@ def test_executor_rejects_tampering():
         ),
         "2/3 rule",
     )
+
+
+def test_executor_memo_answers_only_for_the_validated_body():
+    ctx = _context()
+    sched = ctx.genesis_assignments[1]
+    good = _block_one(ctx).block
+    asg = good.assignment
+    intruder = next(a for a in ctx.addresses if a not in asg.members())
+    # the same header over a substituted last voter
+    forged = dataclasses.replace(
+        good, assignment=dataclasses.replace(asg, voters=asg.voters[:-1] + (intruder,))
+    )
+    assert block_digest(forged.header) == block_digest(good.header)
+
+    def validate(ex, blk):
+        return ex.validate(blk, ctx.genesis_block, ctx.genesis_trie, sched, ())
+
+    ex = BlockExecutor(ctx.engine_cfg)
+    first = validate(ex, good)
+    assert first.valid
+    r = validate(ex, forged)
+    assert not r.valid and r.reason == "assignment mismatch"
+    # the forged body left the entry alone, and an equal copy of the
+    # honest body is answered from it
+    assert validate(ex, good) is first
+    assert validate(ex, dataclasses.replace(good)) is first
+    # the other order: the forged body is judged first
+    ex = BlockExecutor(ctx.engine_cfg)
+    assert validate(ex, forged).reason == "assignment mismatch"
+    assert validate(ex, good).valid
+    assert validate(ex, forged).reason == "assignment mismatch"
+
+
+def test_rejected_transaction_leaves_no_write():
+    ctx = _context()
+    key_of = dict(zip(ctx.addresses, ctx.keys))
+    a1 = ctx.genesis_assignments[1]
+    gdigest = block_digest(ctx.genesis_block.header)
+    cert = _certificate(ctx, gdigest, a1.voters)
+    payer, rich, receiver = ctx.addresses[:3]
+
+    def tx(sender, value):
+        body = Transaction(sender=sender, receiver=receiver, value=value, nonce=1, signature=b"")
+        return dataclasses.replace(body, signature=sign(key_of[sender], body.signing_bytes()))
+
+    def assemble(mempool):
+        return assemble_block(
+            ctx.engine_cfg, 1, ctx.genesis_block, gdigest, cert, a1.creators[0], 0, 5,
+            [(a, i) for i, a in enumerate(a1.members())], (), ctx.genesis_trie, mempool=mempool,
+        )
+
+    balance = ctx.genesis_trie.get_account(rich).balance
+    paid = tx(payer, 7)
+    overdrawn = tx(rich, balance)  # the tax on top makes it unpayable
+    built = assemble({(payer, 1): paid, (rich, 1): overdrawn})
+    assert built.block.transactions == (paid,)
+    assert built.rejected == [(overdrawn, "insufficient balance")]
+    alone = assemble({(payer, 1): paid})
+    assert built.post_trie.root_commitment() == alone.post_trie.root_commitment()
+    assert built.post_trie.get_account(rich) == ctx.genesis_trie.get_account(rich)
 
 
 def test_executor_timestamp_changes_digest_only():

@@ -11,7 +11,7 @@ from portchain.selection import (
     selection_number,
     weighted_descend,
 )
-from portchain.trie import AccountState, StateTrie
+from portchain.trie import AccountState, StateTrie, _Leaf, _nibbles
 
 from conftest import addr_of, make_trie
 
@@ -162,3 +162,118 @@ def test_incremental_widths_match_full_recompute(rnd):
             picks.append(chosen)
             excluded.add(chosen)
         assert list(a1.members()) == picks
+
+
+# --- reference: the pending-split descent ------------------------------------
+#
+# The descent as it was before per-node exclusion sums: every level splits
+# the excluded (path, weight) pairs by nibble and subtracts each child's
+# share.  Kept here as the reference the descent must agree with.
+
+
+def _reference_widths(trie, exclusions, height):
+    widths = {}
+    for addr in list(exclusions) + trie.active_blacklist(height):
+        state = trie.get_account(addr)
+        if state is not None and addr not in widths:
+            widths[addr] = state.weight
+    return widths
+
+
+def _reference_descend(trie, h, widths):
+    root = trie.root_node
+    if root is None:
+        raise NoCandidatesError("empty trie")
+    reduced = root.weight - sum(widths.values())
+    if reduced < 1:
+        raise NoCandidatesError("all candidates excluded")
+    if not 0 <= h < reduced:
+        raise ValueError(f"selection number {h} outside [0, {reduced})")
+    pending = [(_nibbles(addr), w) for addr, w in widths.items()]
+    node, depth = root, 0
+    while not isinstance(node, _Leaf):
+        depth += len(node.prefix)
+        by_nib = {}
+        for path, w in pending:
+            by_nib.setdefault(path[depth], []).append((path, w))
+        for nib in sorted(node.children):
+            child = node.children[nib]
+            sub = by_nib.get(nib, ())
+            w = child.weight - sum(w for _, w in sub)
+            if h < w:
+                node, pending, depth = child, sub, depth + 1
+                break
+            h -= w
+    return node.addr
+
+
+def _reference_select(trie, block_hash, current, cfg, height, extra=()):
+    excluded = {a for a, _ in current} | set(extra)
+    widths = _reference_widths(trie, excluded, height)
+    picks = []
+    for k in range(cfg.slot_count):
+        total = trie.root_node.weight - sum(widths.values()) if trie.root_node else 0
+        if total < 1:
+            raise NoCandidatesError(f"no eligible weight left for slot {k}")
+        h = selection_number(block_hash, current[k][0], current[k][1], total)
+        chosen = _reference_descend(trie, h, widths)
+        picks.append(chosen)
+        widths[chosen] = trie.get_account(chosen).weight
+    return picks
+
+
+def _random_trie(rnd, n):
+    trie = StateTrie()
+    for i in range(n):
+        # half the addresses share a two-byte prefix, so branches carry
+        # prefixes and exclusions meet at inner nodes
+        tag = addr_of(f"x{rnd.random()}")
+        addr = (b"\x5a\x5a" + tag[2:]) if rnd.random() < 0.5 else tag
+        trie = trie.upsert_account(addr, AccountState(
+            balance=1,
+            tax=rnd.randint(0, 60),
+            blacklist_until=rnd.choice([0, 0, 0, 0, 20, 40]),
+        ))
+    return trie
+
+
+def test_descent_matches_the_pending_split_reference(rnd):
+    for _ in range(120):
+        trie = _random_trie(rnd, rnd.randint(1, 64))
+        addrs = [a for a, _ in trie.accounts()]
+        height = rnd.choice([0, 10, 30, 50])
+        exclusions = set(rnd.sample(addrs, rnd.randint(0, len(addrs))))
+        # an address the trie does not hold excludes nothing
+        exclusions.add(addr_of("absent"))
+        widths = _reference_widths(trie, exclusions, height)
+        total = eligible_total_weight(trie, exclusions, height)
+        assert total == trie.root_node.weight - sum(widths.values())
+        if total < 1:
+            with pytest.raises(NoCandidatesError):
+                weighted_descend(trie, 0, exclusions, height)
+            continue
+        for h in range(total):
+            assert weighted_descend(trie, h, exclusions, height) == _reference_descend(trie, h, widths)
+        with pytest.raises(ValueError):
+            weighted_descend(trie, total, exclusions, height)
+
+
+def test_select_assignment_matches_the_pending_split_reference(rnd):
+    cfg = SelectionConfig(creator_redundancy=2, voter_count=3)
+    for _ in range(300):
+        trie = _random_trie(rnd, rnd.randint(1, 64))
+        addrs = [a for a, _ in trie.accounts()]
+        height = rnd.choice([0, 10, 30, 50])
+        seeds = rnd.sample(addrs, min(len(addrs), cfg.slot_count))
+        seeds += [addr_of(f"seed{i}") for i in range(cfg.slot_count - len(seeds))]
+        current = [(a, rnd.randrange(100)) for a in seeds]
+        extra = rnd.sample(addrs, rnd.randint(0, min(len(addrs), 8)))
+        block_hash = bytes([rnd.randrange(256)]) * 32
+        try:
+            expected = _reference_select(trie, block_hash, current, cfg, height, extra)
+        except NoCandidatesError as exc:
+            with pytest.raises(NoCandidatesError, match=str(exc)):
+                select_assignment(trie, block_hash, current, cfg, height, extra_exclusions=extra)
+            continue
+        got = select_assignment(trie, block_hash, current, cfg, height, extra_exclusions=extra)
+        assert list(got.members()) == expected

@@ -1,11 +1,11 @@
 """State trie behavior against a flat-dict oracle."""
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portchain.selection import eligible_total_weight
-from portchain.trie import AccountState, StateTrie, empty_trie
+from portchain.trie import AccountState, StateTrie, WriteSet, empty_trie
 
 from conftest import addr_of, make_trie
 
@@ -102,3 +102,71 @@ def test_accounts_iterates_all():
     assert set(seen) == set(entries)
     assert all(seen[a].tax == v for a, v in entries.items())
     assert len(list(t.accounts())) == 25
+
+
+# addresses from a five-symbol alphabet over their first three bytes share
+# prefixes of every length, so writes split branch prefixes and leaves
+clustered_addr_st = st.lists(
+    st.sampled_from([0x00, 0x01, 0x10, 0x11, 0xF0]), min_size=3, max_size=3
+).map(lambda b: bytes(b) + bytes(17))
+addr_st = st.one_of(
+    clustered_addr_st, st.integers(min_value=0, max_value=40).map(lambda i: addr_of(str(i)))
+)
+
+
+def _snapshot(t, addrs, height):
+    return (
+        t.root_commitment(),
+        list(t.accounts()),
+        eligible_total_weight(t, (), height),
+        sorted(t.active_blacklist(height)),
+        [t.get_account(a) for a in addrs],
+    )
+
+
+def _at(*head):
+    return bytes(head) + bytes(20 - len(head))
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.tuples(addr_st, account_st), max_size=25),
+    st.lists(st.tuples(addr_st, account_st), min_size=1, max_size=25),
+    st.integers(min_value=0, max_value=300),
+)
+# a batch whose last (then whose first) path leaves a branch prefix that
+# the other end of the batch follows
+@example([(_at(0, 0), AccountState()), (_at(0, 1), AccountState())],
+         [(_at(0, 0), AccountState(tax=3)), (_at(1, 0), AccountState())], 0)
+@example([(_at(1, 0), AccountState()), (_at(1, 1), AccountState())],
+         [(_at(0, 0), AccountState()), (_at(1, 0), AccountState(tax=3))], 0)
+def test_batched_update_equals_writes_one_at_a_time(base_writes, writes, height):
+    base = StateTrie()
+    for addr, state in base_writes:
+        base = base.upsert_account(addr, state)
+    probe = sorted({a for a, _ in base_writes} | {a for a, _ in writes})
+    before = _snapshot(base, probe, height)
+    one_by_one = base
+    for addr, state in writes:
+        one_by_one = one_by_one.upsert_account(addr, state)
+    # a repeated address keeps its last write, as in one_by_one
+    batched = base.update(dict(writes))
+    assert _snapshot(batched, probe, height) == _snapshot(one_by_one, probe, height)
+    # and both agree with a flat dict of the final states
+    final = dict(base_writes) | dict(writes)
+    assert list(batched.accounts()) == sorted(final.items())
+    assert eligible_total_weight(batched, (), height) == sum(
+        s.weight for s in final.values() if s.blacklist_until <= height
+    )
+    assert sorted(batched.active_blacklist(height)) == sorted(
+        a for a, s in final.items() if s.blacklist_until > height
+    )
+    # so does a block's write set, which reads its own writes first
+    ws = WriteSet(base)
+    for addr, state in writes:
+        ws = ws.upsert_account(addr, state)
+        assert ws.get_account(addr) == state
+    assert _snapshot(ws.commit(), probe, height) == _snapshot(one_by_one, probe, height)
+    # the snapshot written over stays as it was
+    assert _snapshot(base, probe, height) == before
+
