@@ -94,11 +94,11 @@ class EngineConfig:
     max_txs: int
     ledger: LedgerConfig
     public_keys: dict  # address -> public key bytes
-    proposal_delay: int = 0
-    sync_interval: int = 20
+    proposal_delay: int
+    sync_interval: int
     # how long a voter waits for missing sibling candidates at a height
     # before judging on what arrived
-    vote_patience: int = 10
+    vote_patience: int
 
     @property
     def selection(self) -> SelectionConfig:
@@ -408,7 +408,8 @@ class Node:
     to the listed addresses other than its own, which is how a vote
     reaches the maintainers that consume it; ("gossip", message) to the
     next nodes on the ring, one hop on a block's first receipt; ("wake",
-    tick); and ("log", kind, info).
+    tick); ("commit", height, digest) when a block becomes final; and
+    ("log", kind, info).
     Messages are (kind, payload) tuples routed by the network simulation.
     A disapproval vote is verified (a bad one counts in `bad_messages`)
     but never tallied.
@@ -436,25 +437,23 @@ class Node:
 
         gd = block_digest(genesis_block.header)
         self.committed: dict[int, Block] = {0: genesis_block}
-        self.committed_digest: dict[int, Hash] = {0: gd}
-        self.tries: dict[int, StateTrie] = {0: genesis_trie}
         self.head = 0
+        self.head_digest = gd
+        self.head_trie = genesis_trie
         self.schedules: dict[int, MaintainerAssignment] = dict(genesis_assignments)
         self.candidates: dict[int, dict[Hash, Block]] = {}
         self.cand_height: dict[Hash, int] = {gd: 0}
         self.approvals: dict[Hash, dict[Address, Vote]] = {}
-        self.voted: set[Hash] = set()
-        # candidates per height still awaiting this node's vote decision;
-        # the vote pass skips a height whose count is zero (every
-        # candidate there was voted on or found to need no vote)
-        self._unvoted: dict[int, int] = {}
+        # digests per height still awaiting this node's vote decision
+        # (genesis waits at 0); a digest leaves once it is voted on or
+        # found to need no vote, and a height leaves when it commits
+        self._unvoted: dict[int, set[Hash]] = {0: {gd}}
         self.locked_parent: dict[int, Hash] = {}
         self.proposed: set[int] = set()
         self.quorum_tick: dict[int, int] = {}
         self.mempool: dict[tuple, Transaction] = {}
         self.fraud_seen: dict[tuple, list[Hash]] = {}
         self.first_seen: dict[int, int] = {}
-        self.level_creators: dict[int, set] = {}
         # heights at which this node is a creator on some branch: set from
         # the assignment of each candidate two heights below, and fixed by
         # the committed block's assignment once that height commits
@@ -464,10 +463,9 @@ class Node:
         self.reported: set[tuple] = set()
         self.last_head_change = 0
         self.counters = {"rejected_txs": 0, "bad_messages": 0, "frauds_detected": 0}
-        # quorum status per candidate digest; qualification is monotone so
-        # True is sticky and False is rechecked only after new approvals
-        self._qual: dict[Hash, bool] = {}
-        self._qual_len: dict[Hash, int] = {}
+        # digests known to hold a quorum; qualification is monotone, so a
+        # digest never leaves
+        self._qual: set[Hash] = set()
         self._sync_attempts = 0
         # one periodic sync timer: the first wake at or after this tick runs
         # the sync check and re-arms it; other wakes never arm a second one
@@ -560,9 +558,8 @@ class Node:
             return False
         level[d] = blk
         self.cand_height[d] = h
-        self._unvoted[h] = self._unvoted.get(h, 0) + 1
+        self._unvoted.setdefault(h, set()).add(d)
         self.first_seen.setdefault(h, tick)
-        self.level_creators.setdefault(h, set()).add(blk.header.creator)
         if blk.assignment.block_height == h + 2 and self.addr in blk.assignment.creators:
             self._creator_heights.add(h + 2)
         self._dirty = True
@@ -621,7 +618,7 @@ class Node:
             x = self.candidates.get(k - 2, {}).get(t.header.prev_hash)
             if x is None:
                 continue
-            if x.header.prev_hash != self.committed_digest[self.head]:
+            if x.header.prev_hash != self.head_digest:
                 actions.append(("log", "violation", f"fork-ancestry@{k - 2}"))
                 continue
             # voters of height k are recorded in block k-2 on this branch
@@ -637,7 +634,7 @@ class Node:
         result = self.executor.validate(
             blk,
             self.committed[self.head],
-            self.tries[self.head],
+            self.head_trie,
             self.schedules[j],
             self._clear_members(j),
         )
@@ -645,8 +642,8 @@ class Node:
             actions.append(("log", "violation", f"committed-invalid@{j}:{result.reason}"))
             return
         self.committed[j] = blk
-        self.committed_digest[j] = d
-        self.tries[j] = result.post_trie
+        self.head_digest = d
+        self.head_trie = result.post_trie
         self.schedules[j + 2] = blk.assignment
         if self.addr in blk.assignment.creators:
             self._creator_heights.add(j + 2)
@@ -664,27 +661,22 @@ class Node:
                     continue  # certificates over the head may still be needed
                 self.cand_height.pop(sd, None)
                 self.approvals.pop(sd, None)
-                self.voted.discard(sd)
         self.locked_parent.pop(j, None)
         self._unvoted.pop(j, None)
         self.quorum_tick.pop(j, None)
         self.first_seen.pop(j, None)
-        self.level_creators.pop(j, None)
         # approvals are only needed to build certificates near the tip
-        old = self.committed_digest.get(j - 2)
-        if old is not None:
+        if j >= 2:
+            old = block_digest(self.committed[j - 2].header)
             self.approvals.pop(old, None)
             self.cand_height.pop(old, None)
         # settled single-candidate heights cannot become fraud evidence
         for key in [k for k in self.fraud_seen if k[0] <= j - 2 and len(self.fraud_seen[k]) < 2]:
             del self.fraud_seen[key]
-        actions.append(("log", "commit", f"{j}:{d.hex()[:16]}"))
+        actions.append(("commit", j, d))
 
     def _mark_voted(self, d: Hash) -> None:
-        self.voted.add(d)
-        h = self.cand_height.get(d)
-        if h is not None:
-            self._unvoted[h] = self._unvoted.get(h, 0) - 1
+        self._unvoted[self.cand_height[d]].discard(d)
 
     def _clear_members(self, height: int):
         sched = self.schedules.get(height - 1)
@@ -696,32 +688,31 @@ class Node:
         if self.head == 0:
             self._maybe_vote_genesis(actions)
         for k in (self.head + 1, self.head + 2):
-            level = self.candidates.get(k)
-            if not level or not self._unvoted.get(k):
+            pending = self._unvoted.get(k)
+            if not pending:
                 continue
+            level = self.candidates[k]
             # wait for the full sibling set (or a patience timeout) so the
             # first approval, which locks this node's parent choice, is
             # made with the same evidence everywhere
-            if len(self.level_creators.get(k, ())) < self.cfg.creator_redundancy:
+            if len({blk.header.creator for blk in level.values()}) < self.cfg.creator_redundancy:
                 due = self.first_seen.get(k, tick) + self.cfg.vote_patience
                 if tick < due:
                     self._schedule_timer(due, actions)
                     continue
-            for d in sorted(level):
-                if d in self.voted:
-                    continue
+            for d in sorted(pending):
                 self._consider_vote(k, d, level[d], actions)
 
     def _maybe_vote_genesis(self, actions: list) -> None:
-        gd = self.committed_digest[0]
-        if gd in self.voted:
+        gd = self.head_digest
+        if gd not in self._unvoted[0]:
             return
         sched = self.schedules[1]
         if self.addr not in sched.voters:
             return
         behavior = self._voter_behavior(sched)
         if behavior == VOTE_WITHHOLD:
-            self.voted.add(gd)
+            self._mark_voted(gd)
             return
         self._emit_vote(gd, behavior != VOTE_DISAPPROVE_ALL, sched.members(), actions)
 
@@ -775,17 +766,11 @@ class Node:
         self._emit_vote(d, approve, voter_schedule.members(), actions)
 
     def _is_qualified(self, d: Hash, voters) -> bool:
-        if self._qual.get(d):
+        if d in self._qual:
             return True
-        approvers = self.approvals.get(d)
-        if not approvers:
-            return False
-        n = len(approvers)
-        if self._qual_len.get(d) == n:
-            return False
-        self._qual_len[d] = n
+        approvers = self.approvals.get(d, ())
         if sum(1 for a in approvers if a in voters) >= self.cfg.quorum:
-            self._qual[d] = True
+            self._qual.add(d)
             return True
         return False
 
@@ -795,7 +780,7 @@ class Node:
         Certificate evidence, unlike raw vote tallies, is identical for
         every node holding the same candidate set, so honest locks agree."""
         if k == self.head + 1:
-            return blk.header.prev_hash == self.committed_digest[self.head]
+            return blk.header.prev_hash == self.head_digest
         parents = {blk.header.prev_hash}  # proven by blk's own certificate
         sched = self.schedules.get(k)
         if sched is not None:
@@ -863,7 +848,7 @@ class Node:
         """Largest-rehash candidate at k-1 holding a 2/3 approval tally,
         together with the schedule for height k on its branch."""
         if k - 1 == self.head:
-            pool = {self.committed_digest[self.head]: self.committed[self.head]}
+            pool = {self.head_digest: self.committed[self.head]}
         elif k - 1 < self.head:
             return None
         else:
@@ -937,11 +922,11 @@ class Node:
 
     def _post_state_of(self, blk: Block) -> StateTrie | None:
         h = blk.header.height
-        if h <= self.head:
-            return self.tries.get(h)
+        if h == self.head:
+            return self.head_trie
         if h - 1 == self.head:
             parent = self.committed[self.head]
-            if blk.header.prev_hash != self.committed_digest[self.head]:
+            if blk.header.prev_hash != self.head_digest:
                 return None
         else:
             parent = self.candidates.get(h - 1, {}).get(blk.header.prev_hash)

@@ -38,12 +38,12 @@ class LedgerError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class LedgerConfig:
-    tax_rate_numerator: int = 1
-    tax_rate_denominator: int = 100
-    creator_reward: int = 10
-    voter_reward: int = 10
-    reporter_reward: int = 5
-    blacklist_duration: int = 100
+    tax_rate_numerator: int
+    tax_rate_denominator: int
+    creator_reward: int
+    voter_reward: int
+    reporter_reward: int
+    blacklist_duration: int
     confiscate_on_fraud: bool = False
 
     def tax_amount(self, value: int) -> int:

@@ -481,13 +481,13 @@ def run(config: SimConfig) -> SimTranscript:
                     elif op == "send":
                         send(tick, (act[1],), act[2])
                     elif op == "log":
-                        _, lkind, info = act
-                        if lkind == "commit":
-                            h, d = info.split(":")
-                            commits[i].append((int(h), d))
-                            last_commit_tick = tick
-                            commit_events += 1
-                        events.append((tick, i, lkind, info))
+                        events.append((tick, i, act[1], act[2]))
+                    elif op == "commit":
+                        h, d = act[1], act[2].hex()[:16]
+                        commits[i].append((h, d))
+                        last_commit_tick = tick
+                        commit_events += 1
+                        events.append((tick, i, "commit", f"{h}:{d}"))
             elif kind == "crash":
                 crashed[payload] = True
             elif kind == "recover":
@@ -550,12 +550,4 @@ def run(config: SimConfig) -> SimTranscript:
         events=tuple(events),
         counters=counters,
         chain=chain,
-    )
-
-
-def replay_check(config: SimConfig, transcript: SimTranscript) -> bool:
-    """Re-run the config and require a byte-identical transcript."""
-    again = run(config)
-    return again.text() == transcript.text() and encode_chain(again.chain) == encode_chain(
-        transcript.chain
     )

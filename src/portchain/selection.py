@@ -27,8 +27,8 @@ class NoCandidatesError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SelectionConfig:
-    creator_redundancy: int = 2
-    voter_count: int = 3
+    creator_redundancy: int
+    voter_count: int
 
     @property
     def slot_count(self) -> int:

@@ -4,12 +4,13 @@ import random
 import pytest
 from hypothesis import settings
 
+from portchain.core import encode_chain
 from portchain.crypto import digest, keypair_from_seed
 
 # shared hosts show large wall-clock variance; per-example deadlines misfire
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
-from portchain.netsim import AdversarySpec, SimConfig
+from portchain.netsim import AdversarySpec, SimConfig, run
 from portchain.trie import AccountState, StateTrie
 
 
@@ -45,10 +46,19 @@ def rnd():
     return random.Random(0xC0FFEE)
 
 
-def adversary_config(kind):
-    """A 60-height run with node 2 playing the given creator adversary."""
+def adversary_config(kind, node=2):
+    """A 60-height run with one node (by default node 2, a creator) playing
+    the given adversary."""
     return SimConfig(seed=1, node_count=24, voter_count=4, run_height=60,
-                     adversaries=(AdversarySpec(kind=kind, node=2),))
+                     adversaries=(AdversarySpec(kind=kind, node=node),))
+
+
+def replay_check(config, transcript) -> bool:
+    """Re-run the config and require a byte-identical transcript."""
+    again = run(config)
+    return again.text() == transcript.text() and encode_chain(again.chain) == encode_chain(
+        transcript.chain
+    )
 
 
 def pad_nested_blob(data: bytes, nested) -> bytes:

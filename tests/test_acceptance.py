@@ -24,7 +24,7 @@ from portchain.analysis import (
 )
 from portchain.cli import chi_square_critical
 from portchain.ledger import LedgerConfig
-from portchain.netsim import AdversarySpec, SimConfig, build_context, replay_check, run
+from portchain.netsim import AdversarySpec, SimConfig, build_context, run
 from portchain.selection import (
     _exclusion_sums,
     eligible_total_weight,
@@ -32,7 +32,7 @@ from portchain.selection import (
 )
 from portchain.trie import AccountState, StateTrie
 
-from conftest import addr_of
+from conftest import addr_of, replay_check
 
 
 def announce(capsys, ok, label, detail=""):

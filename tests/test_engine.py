@@ -156,7 +156,7 @@ def _certificate(ctx, target, voters):
     )
 
 
-def _block_one(ctx, timestamp=5):
+def _block_one(ctx, timestamp=5, slot=0):
     a1 = ctx.genesis_assignments[1]
     gdigest = block_digest(ctx.genesis_block.header)
     cert = _certificate(ctx, gdigest, a1.voters)
@@ -167,8 +167,8 @@ def _block_one(ctx, timestamp=5):
         ctx.genesis_block,
         gdigest,
         cert,
-        a1.creators[0],
-        0,
+        a1.creators[slot],
+        slot,
         timestamp,
         current,
         (),
@@ -465,6 +465,24 @@ def _voter_at_height_one(ctx):
 
 def _votes(actions):
     return [a[2][1] for a in actions if a[0] == "multicast" and a[2][0] == "vote"]
+
+
+def test_vote_wait_counts_distinct_creators():
+    ctx = _context()
+    patience = ctx.engine_cfg.vote_patience
+    # two candidates from one creator fill no second sibling slot: the
+    # voter waits out its patience before judging either
+    node = _voter_at_height_one(ctx)
+    node.handle("wake", None, 0)
+    node.handle("block", _block_one(ctx, timestamp=5).block, 1)
+    assert _votes(node.handle("block", _block_one(ctx, timestamp=6).block, 2)) == []
+    assert _votes(node.handle("wake", None, patience)) == []
+    assert len(_votes(node.handle("wake", None, 1 + patience))) == 2
+    # one candidate from each genesis creator ends the wait at once
+    node = _voter_at_height_one(ctx)
+    node.handle("wake", None, 0)
+    assert _votes(node.handle("block", _block_one(ctx, slot=0).block, 1)) == []
+    assert len(_votes(node.handle("block", _block_one(ctx, slot=1).block, 2))) == 2
 
 
 def test_voter_disapproves_a_child_of_an_invalid_parent():

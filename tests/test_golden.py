@@ -1,8 +1,11 @@
 """Pinned transcript and report digests.
 
 Each transcript digest was recorded before the build-once and idle-wake
-changes to the engine (the last four before the tick-bucket event queue), and the README scenario's report digest before the
-single-replay and integer chi-square changes to the audits; a change that
+changes to the engine (the last four before the tick-bucket event queue,
+and the two node-scoped vote adversaries before the Node's consensus
+state was cut to one copy of each fact), and the README scenario's
+report digest before the single-replay and integer chi-square changes to
+the audits; a change that
 alters any simulated event, counter, block or report line shows up here.
 A change that alters a digest on purpose says why in CHANGES.md and
 re-records it.
@@ -44,6 +47,11 @@ GOLDEN = [
      "fdb5dcb2e14da9bc2cd3ca74d2932ee8c922bd540d8ef3b0046e2f2602b10785"),
     (adversary_config("forge_assignment"),
      "8eb9d26d11b79cd33787a37705a557970f72c8d9a532b1c866b06391e03da4b6"),
+    # node 19 holds voter slot 0 at height 1 (it votes on genesis)
+    (adversary_config("vote_withhold", node=19),
+     "6c2c5ad9ad36094bea1d2ad62dea385278b4856ea52c7dbf79e4c7d66d036a26"),
+    (adversary_config("vote_disapprove_all", node=19),
+     "4585c2959c5177794244411515fbd9c712faf14bd9277031addeebe300ca145d"),
     # crash recovery on a lossy network
     (SimConfig(seed=4, node_count=16, run_height=30, drop_probability=0.05,
                adversaries=(
@@ -72,7 +80,7 @@ GOLDEN = [
 @pytest.mark.parametrize(
     "cfg,expected", GOLDEN,
     ids=[f"c9-{s}" for s in range(10)]
-    + ["equivocate", "forge", "crash-drops", "same-tick", "stall-patience", "max-ticks",
+    + ["equivocate", "forge", "withhold-node", "disapprove-node", "crash-drops", "same-tick", "stall-patience", "max-ticks",
        "stale-mempool"],
 )
 def test_transcript_digest_pinned(cfg, expected):

@@ -1,4 +1,6 @@
 """Transfer taxation, refunds, and fraud verdicts."""
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,19 +8,19 @@ from hypothesis import strategies as st
 from portchain.core import FraudReport, Transaction
 from portchain.crypto import digest, sign
 from portchain.ledger import (
-    LedgerConfig,
     LedgerError,
     TxRejected,
     apply_fraud_verdict,
     apply_transaction,
     refund_reward,
 )
+from portchain.netsim import SimConfig
 from portchain.selection import eligible_total_weight
 from portchain.trie import AccountState, StateTrie
 
 from conftest import addr_of, make_keys
 
-CFG = LedgerConfig()
+CFG = SimConfig().ledger()
 
 
 def _setup(n=2, balance=100_000):
@@ -55,7 +57,7 @@ def test_zero_value_and_zero_rate():
     pairs, pubkeys, trie = _setup()
     out = apply_transaction(trie, _tx(pairs, 0, 1, 0), CFG, 0, pubkeys)
     assert out.get_account(pairs[0][0]).tax == 0
-    free = LedgerConfig(tax_rate_numerator=0)
+    free = replace(CFG, tax_rate_numerator=0)
     out = apply_transaction(trie, _tx(pairs, 0, 1, 1000), free, 0, pubkeys)
     assert out.get_account(pairs[0][0]).balance == 99_000
     assert out.get_account(pairs[1][0]).balance == 101_000
@@ -120,7 +122,7 @@ def test_blacklisted_parties_rejected():
 )
 def test_transfer_conserves_money(value, rate):
     pairs, pubkeys, trie = _setup()
-    cfg = LedgerConfig(tax_rate_numerator=rate)
+    cfg = replace(CFG, tax_rate_numerator=rate)
     before = sum(s.balance + s.tax for _, s in trie.accounts())
     out = apply_transaction(trie, _tx(pairs, 0, 1, value), cfg, 0, pubkeys)
     after = sum(s.balance + s.tax for _, s in out.accounts())
@@ -182,7 +184,7 @@ def test_fraud_verdict():
     assert issued == CFG.reporter_reward
     assert out.get_account(reporter).balance == 10 + CFG.reporter_reward
     # with confiscation enabled the balance is stripped
-    strict = LedgerConfig(confiscate_on_fraud=True)
+    strict = replace(CFG, confiscate_on_fraud=True)
     out, issued, confiscated = apply_fraud_verdict(trie, report, True, 20, strict)
     assert out.get_account(accused).balance == 0
     assert confiscated == 777

@@ -13,11 +13,10 @@ from portchain.netsim import (
     SimConfigError,
     below,
     build_context,
-    replay_check,
     run,
 )
 
-from conftest import adversary_config
+from conftest import adversary_config, replay_check
 
 
 def _commit_heights(transcript):
