@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Block, VoteCertificate, block_digest
+from .core import Block, block_digest, schedule_for
 from .crypto import Address
 from .engine import BlockExecutor, EngineConfig, quorum_threshold
 from .trie import StateTrie
@@ -70,6 +70,8 @@ def render_fraction(x: Fraction, digits: int = 30) -> str:
 def byzantine_tail(n: int, p, m: int, digits: int = 30) -> TailResult:
     """Exact P[X >= m] for X ~ Binomial(n, p), plus the coefficient-free
     variant sum_{i=m}^{n} p^i (1-p)^(n-i)."""
+    if digits < 1:
+        raise AnalysisError(f"digits {digits} below 1")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise AnalysisError(f"probability {p} outside [0, 1]")
@@ -194,14 +196,6 @@ class ReplayStep:
     issued: int
     confiscated: int
     schedule: object  # MaintainerAssignment serving this height
-
-
-def schedule_for(chain, genesis_assignments: dict, h: int):
-    """The assignment serving height h: the one recorded in block h-2 of
-    the chain, or for heights below 2 the genesis assignment, if any."""
-    if 2 <= h <= len(chain) + 1:
-        return chain[h - 2].assignment
-    return genesis_assignments.get(h)
 
 
 def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engine_cfg: EngineConfig):

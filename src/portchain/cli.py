@@ -267,7 +267,10 @@ def import_chain(chain_path: str, doc: dict):
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

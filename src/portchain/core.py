@@ -3,7 +3,9 @@
 Blocks carry both links of the double-linked chain: the backward link is
 the previous block's header digest (plus a vote certificate committing
 it), the forward link is the recorded maintainer assignment that alone
-authorizes the creators and voters of a future block.
+authorizes the creators and voters of a future block.  `schedule_for`
+is the one rule that reads who serves a height: block h-2 of the chain,
+or for the first two heights the genesis assignments.
 
 The encoding is length-prefixed and field-ordered so digests are
 bit-exact and language-neutral; ``decode_block`` and ``decode_chain``
@@ -112,6 +114,15 @@ class Block:
     transactions: tuple[Transaction, ...]
     assignment: MaintainerAssignment
     fraud_reports: tuple[FraudReport, ...]
+
+
+def schedule_for(chain, genesis_assignments: dict, h: int) -> MaintainerAssignment | None:
+    """The assignment serving height h: the one recorded in block h-2 of
+    the chain (a sequence indexed by height, genesis first), or for
+    heights below 2 the genesis assignment, if any."""
+    if 2 <= h <= len(chain) + 1:
+        return chain[h - 2].assignment
+    return genesis_assignments.get(h)
 
 
 # ---------------------------------------------------------------------------

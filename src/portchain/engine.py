@@ -1,10 +1,18 @@
 """Per-node consensus state machine.
 
 Scheduling follows the jump-step rule: the creators and voters serving
-height h are recorded in block h-2, voters active at height h validate
-the candidates at h-1, and the certificate they produce is embedded in
-block h.  Redundant creators produce sibling candidates; a successor
-links to the qualified sibling with the largest re-hash of its digest.
+height h are recorded in block h-2 (`core.schedule_for`), voters active
+at height h validate the candidates at h-1, and the certificate they
+produce is embedded in block h.  Redundant creators produce sibling
+candidates; a successor links to the qualified sibling with the largest
+re-hash of its digest.
+
+A new assignment takes the shape (the creator and voter slot counts) of
+the schedule serving its block, so the shape cannot drift: every
+schedule is either a genesis assignment or the recorded assignment of a
+block that passed validation, and validation recomputed that assignment
+from its own serving schedule.  A node validates a grandparent before
+it uses its assignment (`_post_state_of`, `_propose`).
 
 Commit point: a block is final once a certified grandchild exists, i.e.
 accepting a candidate at height k whose embedded certificate commits a
@@ -34,6 +42,7 @@ from .core import (
     VoteCertificate,
     block_digest,
     build_certificate,
+    schedule_for,
     verify_certificate,
 )
 from .crypto import Address, Hash, KeyPair, address_from_public, digest, sign, verify
@@ -44,7 +53,7 @@ from .ledger import (
     apply_transaction,
     refund_reward,
 )
-from .selection import NoCandidatesError, SelectionConfig, select_assignment
+from .selection import NoCandidatesError, select_assignment
 from .trie import StateTrie, WriteSet, maintainer_bits
 
 
@@ -90,7 +99,6 @@ def resolve_redundant(candidates) -> Block:
 @dataclass(frozen=True)
 class EngineConfig:
     voter_count: int
-    creator_redundancy: int
     max_txs: int
     ledger: LedgerConfig
     public_keys: dict  # address -> public key bytes
@@ -99,12 +107,6 @@ class EngineConfig:
     # how long a voter waits for missing sibling candidates at a height
     # before judging on what arrived
     vote_patience: int
-
-    @property
-    def selection(self) -> SelectionConfig:
-        return SelectionConfig(
-            creator_redundancy=self.creator_redundancy, voter_count=self.voter_count
-        )
 
     @property
     def quorum(self) -> int:
@@ -122,27 +124,29 @@ class BlockResult:
 
 def assemble_block(
     cfg: EngineConfig,
-    height: int,
     prev_block: Block,
-    prev_digest: Hash,
     cert: VoteCertificate,
     creator: Address,
     creator_index: int,
     timestamp: int,
-    current_maintainers,  # ordered (address, seq) for schedule(height)
+    schedule: MaintainerAssignment,  # serving the new block's height
     clear_members,  # maintainers of height-1, duty complete
     pre_trie: StateTrie,
     txs=None,
     mempool=None,
     reports=(),
 ) -> BlockResult:
-    """Deterministically compute a block and its post-state.
+    """Deterministically compute the child of prev_block and its post-state.
 
-    Creator path: pass mempool (txs=None) and valid transactions are
-    picked in canonical order up to max_txs.  Validation path: pass the
-    candidate's exact transaction list; any rejection raises BlockInvalid
-    so a voter rejects the block rather than silently repairing it.
+    The child's height is the parent's plus one and its backward link the
+    parent's digest.  Creator path: pass mempool (txs=None) and valid
+    transactions are picked in canonical order up to max_txs.  Validation
+    path: pass the candidate's exact transaction list; any rejection
+    raises BlockInvalid so a voter rejects the block rather than silently
+    repairing it.
     """
+    height = prev_block.header.height + 1
+    prev_digest = block_digest(prev_block.header)
     # every account write of the block collects in one write set and lands
     # in the trie as one batch before the selection
     writes = WriteSet(pre_trie)
@@ -214,17 +218,12 @@ def assemble_block(
     # state, excluding both adjacent service sets so nobody serves twice
     # in a row
     assignment = select_assignment(
-        trie,
-        prev_digest,
-        current_maintainers,
-        cfg.selection,
-        height,
-        extra_exclusions=prev_block.assignment.members(),
+        trie, prev_digest, schedule, height, extra_exclusions=prev_block.assignment.members()
     )
     trie = trie.update({
         addr: replace(
             trie.get_account(addr),
-            maintainer_bits=maintainer_bits(True, slot >= cfg.creator_redundancy, height + 2),
+            maintainer_bits=maintainer_bits(True, slot >= len(assignment.creators), height + 2),
         )
         for slot, addr in enumerate(assignment.members())
     })
@@ -340,8 +339,7 @@ class BlockExecutor:
     def _header_fault(self, hdr: BlockHeader, prev_block: Block, schedule) -> str:
         """Why the header's creator slot, backward link or certificate is
         invalid, or "" if they hold."""
-        cfg = self.cfg
-        if hdr.creator_index >= cfg.creator_redundancy:
+        if hdr.creator_index >= len(schedule.creators):
             return "creator index out of range"
         if schedule.creators[hdr.creator_index] != hdr.creator:
             return "creator not assigned to slot"
@@ -358,18 +356,15 @@ class BlockExecutor:
         reason = self._header_fault(hdr, prev_block, schedule)
         if reason:
             return ExecResult(False, reason, None)
-        current_maintainers = [(a, i) for i, a in enumerate(schedule.members())]
         try:
             built = assemble_block(
                 self.cfg,
-                hdr.height,
                 prev_block,
-                hdr.prev_hash,
                 hdr.prev_certificate,
                 hdr.creator,
                 hdr.creator_index,
                 hdr.timestamp,
-                current_maintainers,
+                schedule,
                 clear_members,
                 pre_trie,
                 txs=candidate.transactions,
@@ -436,11 +431,13 @@ class Node:
         self.slot_behaviors = slot_behaviors or {}
 
         gd = block_digest(genesis_block.header)
-        self.committed: dict[int, Block] = {0: genesis_block}
+        # the committed chain, indexed by height; with the genesis
+        # assignments it is the only record of who serves a height
+        self.committed: list[Block] = [genesis_block]
+        self.genesis_assignments = genesis_assignments
         self.head = 0
         self.head_digest = gd
         self.head_trie = genesis_trie
-        self.schedules: dict[int, MaintainerAssignment] = dict(genesis_assignments)
         self.candidates: dict[int, dict[Hash, Block]] = {}
         self.cand_height: dict[Hash, int] = {gd: 0}
         self.approvals: dict[Hash, dict[Address, Vote]] = {}
@@ -585,7 +582,7 @@ class Node:
                 self._dirty = True
 
     def _sync_payload(self, req_head: int):
-        blocks = [self.committed[j] for j in range(req_head + 1, self.head + 1)]
+        blocks = self.committed[req_head + 1 :]
         cands = []
         for h in sorted(self.candidates):
             if h > req_head:
@@ -632,19 +629,14 @@ class Node:
         j = self.head + 1
         d = block_digest(blk.header)
         result = self.executor.validate(
-            blk,
-            self.committed[self.head],
-            self.head_trie,
-            self.schedules[j],
-            self._clear_members(j),
+            blk, self.committed[-1], self.head_trie, self._schedule(j), self._clear_members(j)
         )
         if not result.valid:
             actions.append(("log", "violation", f"committed-invalid@{j}:{result.reason}"))
             return
-        self.committed[j] = blk
+        self.committed.append(blk)
         self.head_digest = d
         self.head_trie = result.post_trie
-        self.schedules[j + 2] = blk.assignment
         if self.addr in blk.assignment.creators:
             self._creator_heights.add(j + 2)
         else:
@@ -678,8 +670,13 @@ class Node:
     def _mark_voted(self, d: Hash) -> None:
         self._unvoted[self.cand_height[d]].discard(d)
 
+    def _schedule(self, h: int) -> MaintainerAssignment | None:
+        """The committed assignment serving height h (`core.schedule_for`),
+        known up to head+2; None past that, where it depends on the branch."""
+        return schedule_for(self.committed, self.genesis_assignments, h)
+
     def _clear_members(self, height: int):
-        sched = self.schedules.get(height - 1)
+        sched = self._schedule(height - 1)
         return sched.members() if sched is not None else ()
 
     # -- voting --------------------------------------------------------------
@@ -695,7 +692,8 @@ class Node:
             # wait for the full sibling set (or a patience timeout) so the
             # first approval, which locks this node's parent choice, is
             # made with the same evidence everywhere
-            if len({blk.header.creator for blk in level.values()}) < self.cfg.creator_redundancy:
+            creators = {blk.header.creator for blk in level.values()}
+            if len(creators) < len(self._schedule(k).creators):
                 due = self.first_seen.get(k, tick) + self.cfg.vote_patience
                 if tick < due:
                     self._schedule_timer(due, actions)
@@ -707,7 +705,7 @@ class Node:
         gd = self.head_digest
         if gd not in self._unvoted[0]:
             return
-        sched = self.schedules[1]
+        sched = self._schedule(1)
         if self.addr not in sched.voters:
             return
         behavior = self._voter_behavior(sched)
@@ -727,7 +725,7 @@ class Node:
 
     def _consider_vote(self, k: int, d: Hash, blk: Block, actions: list) -> None:
         if k == self.head + 1:
-            parent = self.committed[self.head]
+            parent = self.committed[-1]
         else:
             parent = self.candidates.get(k - 1, {}).get(blk.header.prev_hash)
             if parent is None:
@@ -756,7 +754,7 @@ class Node:
             approve = False
         if approve:
             result = self.executor.validate(
-                blk, parent, parent_trie, self.schedules[k], self._clear_members(k)
+                blk, parent, parent_trie, self._schedule(k), self._clear_members(k)
             )
             approve = result.valid
         if behavior == VOTE_DISAPPROVE_ALL:
@@ -782,7 +780,7 @@ class Node:
         if k == self.head + 1:
             return blk.header.prev_hash == self.head_digest
         parents = {blk.header.prev_hash}  # proven by blk's own certificate
-        sched = self.schedules.get(k)
+        sched = self._schedule(k)
         if sched is not None:
             for sib in self.candidates.get(k, {}).values():
                 if sib is not blk and self.executor.certifies_parent(sib.header, sched.voters):
@@ -840,7 +838,7 @@ class Node:
         """Assignment governing height k on parent's branch, i.e. the one
         recorded in block k-2 (parent sits at k-1)."""
         if k - 2 <= self.head:
-            return self.schedules.get(k)
+            return self._schedule(k)
         gp = self.candidates.get(k - 2, {}).get(parent.header.prev_hash)
         return gp.assignment if gp is not None else None
 
@@ -848,7 +846,7 @@ class Node:
         """Largest-rehash candidate at k-1 holding a 2/3 approval tally,
         together with the schedule for height k on its branch."""
         if k - 1 == self.head:
-            pool = {self.head_digest: self.committed[self.head]}
+            pool = {self.head_digest: self.committed[-1]}
         elif k - 1 < self.head:
             return None
         else:
@@ -882,18 +880,15 @@ class Node:
         if pre_trie is None:
             return
         reports = self._eligible_reports(k, pre_trie)
-        current_maintainers = [(a, i) for i, a in enumerate(sched.members())]
         try:
             built = assemble_block(
                 self.cfg,
-                k,
                 resolved,
-                prev_digest,
                 cert,
                 self.addr,
                 ci,
                 tick,
-                current_maintainers,
+                sched,
                 self._clear_members(k),
                 pre_trie,
                 mempool=self.mempool,
@@ -906,8 +901,8 @@ class Node:
         blocks = [built.block]
         if self.behavior == EQUIVOCATE_CREATOR:
             twin = assemble_block(
-                self.cfg, k, resolved, prev_digest, cert, self.addr, ci, tick + 1,
-                current_maintainers, self._clear_members(k), pre_trie,
+                self.cfg, resolved, cert, self.addr, ci, tick + 1,
+                sched, self._clear_members(k), pre_trie,
                 txs=built.block.transactions, reports=reports,
             )
             blocks.append(twin.block)
@@ -925,7 +920,7 @@ class Node:
         if h == self.head:
             return self.head_trie
         if h - 1 == self.head:
-            parent = self.committed[self.head]
+            parent = self.committed[-1]
             if blk.header.prev_hash != self.head_digest:
                 return None
         else:

@@ -29,7 +29,7 @@ from .engine import (
     Node,
 )
 from .ledger import LedgerConfig
-from .trie import AccountState, empty_trie, maintainer_bits
+from .trie import AccountState, StateTrie, maintainer_bits
 
 
 class SimConfigError(ValueError):
@@ -41,7 +41,7 @@ class CounterRng:
     stream does not depend on draw order."""
 
     def __init__(self, seed: int):
-        self._seed = seed.to_bytes(8, "big", signed=False)
+        self._seed = seed.to_bytes(8, "big")
 
     def _raw(self, key: str) -> int:
         h = hashlib.sha256(self._seed + key.encode()).digest()
@@ -81,6 +81,8 @@ NODE_BEHAVIOR_KINDS = {
 # inclusive bounds of single integer fields (None: no upper bound)
 _INT_BOUNDS = {
     "run_height": (1, None),
+    # a header encodes its creator_index in one byte
+    "creator_redundancy": (1, 256),
     # the seed is hashed as 8 unsigned big-endian bytes
     "seed": (0, 2**64 - 1),
     "tx_interval": (1, None),
@@ -243,7 +245,7 @@ def build_context(config: SimConfig) -> SimContext:
     a1 = MaintainerAssignment(block_height=1, creators=tuple(ordered[:c]), voters=tuple(ordered[c:m]))
     a2 = MaintainerAssignment(block_height=2, creators=tuple(ordered[m : m + c]), voters=tuple(ordered[m + c : 2 * m]))
 
-    trie = empty_trie()
+    trie = StateTrie()
     initial = {}
     for rank, addr in enumerate(ordered):
         tax = rng.randint(config.genesis_tax_min, config.genesis_tax_max, f"gtax/{rank}")
@@ -275,7 +277,6 @@ def build_context(config: SimConfig) -> SimContext:
     )
     engine_cfg = EngineConfig(
         voter_count=config.voter_count,
-        creator_redundancy=config.creator_redundancy,
         max_txs=config.max_txs,
         ledger=config.ledger(),
         public_keys=public_keys,
@@ -338,7 +339,7 @@ def run(config: SimConfig) -> SimTranscript:
     rng = CounterRng(cfg.seed)
     # per-delivery latency/drop draws happen in deterministic event order,
     # so a fast sequential generator replays identically
-    net_rng = random.Random(digest(cfg.seed.to_bytes(8, "big", signed=True) + b"net"))
+    net_rng = random.Random(digest(cfg.seed.to_bytes(8, "big") + b"net"))
 
     node_behavior = {i: HONEST for i in range(cfg.node_count)}
     slot_behaviors: dict[int, str] = {}
@@ -540,7 +541,7 @@ def run(config: SimConfig) -> SimTranscript:
             counters[k] = counters.get(k, 0) + v
 
     best = max(range(n), key=lambda i: (nodes[i].head, -i))
-    chain = tuple(nodes[best].committed[h] for h in range(nodes[best].head + 1))
+    chain = tuple(nodes[best].committed)
     return SimTranscript(
         config_digest=cfg.digest_hex(),
         ticks=final_tick,

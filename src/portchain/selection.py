@@ -1,20 +1,19 @@
 """Verifiable weighted-random maintainer selection.
 
 Each slot derives a pseudo-random number from public chain data (seed
-hash, the serving maintainer's address and sequence number, and the
-current total weight), then descends the state trie top-down by
-left-sibling cumulative weights until a leaf is reached.  Exclusions are
-handled by zeroing the excluded accounts' weights against a reduced
-total, so proportionality among the remaining candidates is exact and
-anyone can re-run the selection to verify it: every node on an excluded
-account's path records the excluded weight below it, so a slot's
-descent subtracts one number per child.  An account weighs
+hash, the address of the maintainer serving the same slot at the current
+height, the slot index as its sequence number, and the current total
+weight), then descends the state trie top-down by left-sibling
+cumulative weights until a leaf is reached.  Exclusions are handled by
+zeroing the excluded accounts' weights against a reduced total, so
+proportionality among the remaining candidates is exact and anyone can
+re-run the selection to verify it: every node on an excluded account's
+path records the excluded weight below it, so a slot's descent
+subtracts one number per child.  An account weighs
 `AccountState.weight`, and `eligible_total_weight` is the total left once
 exclusions and active blacklist entries weigh zero.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import MaintainerAssignment
 from .crypto import Address, Hash, digest
@@ -23,16 +22,6 @@ from .trie import StateTrie, _Branch, _Leaf, _nibbles
 
 class NoCandidatesError(RuntimeError):
     """No eligible account weight remains to select from."""
-
-
-@dataclass(frozen=True, slots=True)
-class SelectionConfig:
-    creator_redundancy: int
-    voter_count: int
-
-    @property
-    def slot_count(self) -> int:
-        return self.creator_redundancy + self.voter_count
 
 
 def selection_number(block_hash: Hash, maintainer_addr: Address, seq: int, total_weight: int) -> int:
@@ -119,44 +108,35 @@ def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _
 def select_assignment(
     trie_after_block: StateTrie,
     block_hash: Hash,
-    current_maintainers,
-    cfg: SelectionConfig,
+    schedule: MaintainerAssignment,
     current_height: int,
     extra_exclusions=(),
 ) -> MaintainerAssignment:
     """Fill every slot of the height+2 assignment.
 
-    current_maintainers: ordered (address, seq) pairs of the maintainers
-    serving the current block; slot k is seeded by pair k.  Exclusions
-    cover the current maintainers, any extra exclusions supplied by the
-    caller (the already-assigned maintainers of height+1, so no address
-    serves two consecutive heights), and inheritors picked so far.
+    schedule is the assignment serving the current block, and the new
+    one has its shape: as many creator and voter slots.  Slot k is seeded
+    by `schedule.members()[k]` with sequence number k.  Exclusions cover
+    the current maintainers, any extra exclusions supplied by the caller
+    (the already-assigned maintainers of height+1, so no address serves
+    two consecutive heights), and inheritors picked so far.
     """
-    slots = cfg.slot_count
-    if len(current_maintainers) < slots:
-        raise NoCandidatesError(
-            f"{len(current_maintainers)} current maintainers cannot seed {slots} slots"
-        )
-    creators: list[Address] = []
-    voters: list[Address] = []
+    seeds = schedule.members()
+    creator_slots = len(schedule.creators)
+    picks: list[Address] = []
     # excluded weight per node, built once; each pick then adds its own path
     root = trie_after_block.root_node
-    excluded = [addr for addr, _ in current_maintainers] + list(extra_exclusions)
-    sums = _exclusion_sums(trie_after_block, excluded, current_height)
-    for k in range(slots):
-        addr_k, seq_k = current_maintainers[k]
+    sums = _exclusion_sums(trie_after_block, seeds + tuple(extra_exclusions), current_height)
+    for k, seed_addr in enumerate(seeds):
         total = _eligible(root, sums)
         if total < 1:
             raise NoCandidatesError(f"no eligible weight left for slot {k}")
-        h = selection_number(block_hash, addr_k, seq_k, total)
+        h = selection_number(block_hash, seed_addr, k, total)
         chosen = weighted_descend(trie_after_block, h, (), current_height, _sums=sums)
-        if k < cfg.creator_redundancy:
-            creators.append(chosen)
-        else:
-            voters.append(chosen)
+        picks.append(chosen)
         _exclude(sums, root, chosen)
     return MaintainerAssignment(
         block_height=current_height + 2,
-        creators=tuple(creators),
-        voters=tuple(voters),
+        creators=tuple(picks[:creator_slots]),
+        voters=tuple(picks[creator_slots:]),
     )

@@ -27,7 +27,6 @@ __all__ = [
     "AccountState",
     "StateTrie",
     "WriteSet",
-    "empty_trie",
     "MAINTAINER_SELECTED",
     "MAINTAINER_VOTER",
     "MAINTAINER_ODD",
@@ -263,10 +262,6 @@ class StateTrie:
     @property
     def root_node(self):
         return self._root
-
-
-def empty_trie() -> StateTrie:
-    return StateTrie()
 
 
 class WriteSet:

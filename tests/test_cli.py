@@ -209,6 +209,17 @@ def test_tail_subcommand(capsys):
     assert "coefficient_free_sum=2.3477" in out
     assert main(["tail", "--n", "5", "--p", "3/2", "--m", "1"]) == 2
     capsys.readouterr()
+    # a zero denominator is an argument error, not a ZeroDivisionError
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tail", "--n", "5", "--p", "1/0", "--m", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--p" in err and "Traceback" not in err
+    # -5 raised IndexError in mpmath; 0 printed ".0e+0" and exited 0
+    for digits in ("-5", "0"):
+        assert main(["tail", "--n", "5", "--p", "1/3", "--m", "1", "--digits", digits]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "digits" in err and "Traceback" not in err
 
 
 def test_chi_square_critical_reference_points():
@@ -300,9 +311,12 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, field, value):
     # reported as stalls, exit 1
     ({"max_ticks": -1}, "max_ticks"),
     ({"stall_patience": -1}, "stall_patience"),
+    # a header's one-byte creator_index overflowed at the first proposal
+    ({"node_count": 774, "voter_count": 1, "creator_redundancy": 257}, "creator_redundancy"),
 ], ids=["genesis-tax-2**62", "crash-node-99", "voter-slot-99", "withhold-node-99",
         "node-count-16.0", "run-height-3.0", "drop-probability-nan", "max-txs--1",
-        "txs-per-interval--2", "proposal-delay--5", "max-ticks--1", "stall-patience--1"])
+        "txs-per-interval--2", "proposal-delay--5", "max-ticks--1", "stall-patience--1",
+        "creator-redundancy-257"])
 def test_hostile_config_exits_2(tmp_path, capsys, config, named):
     path = _scenario(tmp_path, config=config)
     assert main(["run", "--config", str(path)]) == 2

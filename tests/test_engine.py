@@ -160,17 +160,14 @@ def _block_one(ctx, timestamp=5, slot=0):
     a1 = ctx.genesis_assignments[1]
     gdigest = block_digest(ctx.genesis_block.header)
     cert = _certificate(ctx, gdigest, a1.voters)
-    current = [(a, i) for i, a in enumerate(a1.members())]
     return assemble_block(
         ctx.engine_cfg,
-        1,
         ctx.genesis_block,
-        gdigest,
         cert,
         a1.creators[slot],
         slot,
         timestamp,
-        current,
+        a1,
         (),
         ctx.genesis_trie,
         txs=(),
@@ -204,8 +201,7 @@ def test_stale_mempool_entries_are_rejected_before_apply(monkeypatch):
 
     def assemble(cfg):
         return assemble_block(
-            cfg, 1, ctx.genesis_block, gdigest, cert, a1.creators[0], 0, 5,
-            [(a, i) for i, a in enumerate(a1.members())], (), pre_trie, mempool=mempool,
+            cfg, ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (), pre_trie, mempool=mempool,
         )
 
     built = assemble(ctx.engine_cfg)
@@ -288,6 +284,11 @@ def test_executor_rejects_tampering():
         ),
         "backward link",
     )
+    # a height other than the parent's plus one
+    check(
+        dataclasses.replace(good, header=dataclasses.replace(good.header, height=2)),
+        "recomputed header mismatch",
+    )
     # doctored state root
     check(
         dataclasses.replace(
@@ -366,8 +367,8 @@ def test_rejected_transaction_leaves_no_write():
 
     def assemble(mempool):
         return assemble_block(
-            ctx.engine_cfg, 1, ctx.genesis_block, gdigest, cert, a1.creators[0], 0, 5,
-            [(a, i) for i, a in enumerate(a1.members())], (), ctx.genesis_trie, mempool=mempool,
+            ctx.engine_cfg, ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (),
+            ctx.genesis_trie, mempool=mempool,
         )
 
     balance = ctx.genesis_trie.get_account(rich).balance
@@ -497,8 +498,8 @@ def test_voter_disapproves_a_child_of_an_invalid_parent():
         pd = block_digest(parent.header)
         # a height-2 child assembled on the parent's claimed post-state
         child = assemble_block(
-            ctx.engine_cfg, 2, parent, pd, _certificate(ctx, pd, a2.voters), a2.creators[0], 0, 6,
-            [(a, i) for i, a in enumerate(a2.members())], a1.members(), built.post_trie, txs=(),
+            ctx.engine_cfg, parent, _certificate(ctx, pd, a2.voters), a2.creators[0], 0, 6,
+            a2, a1.members(), built.post_trie, txs=(),
         ).block
         # candidates at height 2 are judged by the voters the parent records
         i = ctx.addresses.index(parent.assignment.voters[0])
@@ -545,7 +546,7 @@ def _spy_assemble(monkeypatch):
     real = engine.assemble_block
 
     def spy(*args, **kwargs):
-        heights.append(args[1])
+        heights.append(args[1].header.height + 1)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(engine, "assemble_block", spy)

@@ -162,6 +162,15 @@ def test_config_validation_errors():
             SimConfig(**bad).validate()
 
 
+@pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
+def test_seeds_past_the_signed_range_run(seed):
+    # validate admits 8 unsigned bytes of seed; the network generator's
+    # seed once encoded them signed and raised OverflowError from 2**63 up
+    t = run(SimConfig(seed=seed, run_height=3))
+    assert not t.stalled and min(t.heads) >= 3
+    assert assert_single_chain(t)[0]
+
+
 def test_counter_rng_is_keyed_and_stable():
     r1, r2 = CounterRng(7), CounterRng(7)
     assert r1.randint(0, 100, "a/0") == r2.randint(0, 100, "a/0")

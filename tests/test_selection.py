@@ -3,9 +3,9 @@ import random
 
 import pytest
 
+from portchain.core import MaintainerAssignment
 from portchain.selection import (
     NoCandidatesError,
-    SelectionConfig,
     eligible_total_weight,
     select_assignment,
     selection_number,
@@ -106,40 +106,53 @@ def test_selection_number_pinned():
         selection_number(b"\xaa" * 32, b"\xbb" * 20, 3, 0)
 
 
-def _assignment_setup(n=20, tax=50):
+def _schedule(members, creators, height=10):
+    members = tuple(members)
+    return MaintainerAssignment(
+        block_height=height, creators=members[:creators], voters=members[creators:]
+    )
+
+
+def _assignment_setup(n=20, tax=50, creators=2, voters=3):
     trie = make_trie({addr_of(f"m{i}"): tax + i for i in range(n)})
-    cfg = SelectionConfig(creator_redundancy=2, voter_count=3)
-    current = [(addr_of(f"m{i}"), i) for i in range(cfg.slot_count)]
-    return trie, cfg, current
+    schedule = _schedule((addr_of(f"m{i}") for i in range(creators + voters)), creators)
+    return trie, schedule
 
 
 def test_select_assignment_structure():
-    trie, cfg, current = _assignment_setup()
-    a = select_assignment(trie, b"\x07" * 32, current, cfg, 10)
+    trie, schedule = _assignment_setup()
+    a = select_assignment(trie, b"\x07" * 32, schedule, 10)
     assert a.block_height == 12
     assert len(a.creators) == 2 and len(a.voters) == 3
     members = a.members()
     assert len(set(members)) == len(members)
     # nobody serving now is picked again for height + 2
-    assert not set(members) & {addr for addr, _ in current}
+    assert not set(members) & set(schedule.members())
+
+
+def test_select_assignment_takes_the_serving_schedule_shape():
+    trie, schedule = _assignment_setup(creators=1, voters=4)
+    a = select_assignment(trie, b"\x07" * 32, schedule, 10)
+    assert len(a.creators) == 1 and len(a.voters) == 4
+    # the same seeds in the same slot order, whatever the split
+    two_three = _schedule(schedule.members(), 2)
+    assert select_assignment(trie, b"\x07" * 32, two_three, 10).members() == a.members()
 
 
 def test_select_assignment_respects_extra_exclusions():
-    trie, cfg, current = _assignment_setup()
-    base = select_assignment(trie, b"\x07" * 32, current, cfg, 10)
+    trie, schedule = _assignment_setup()
+    base = select_assignment(trie, b"\x07" * 32, schedule, 10)
     banned = base.members()
-    redo = select_assignment(trie, b"\x07" * 32, current, cfg, 10, extra_exclusions=banned)
+    redo = select_assignment(trie, b"\x07" * 32, schedule, 10, extra_exclusions=banned)
     assert not set(redo.members()) & set(banned)
 
 
 def test_select_assignment_errors():
-    trie, cfg, current = _assignment_setup(n=5)
-    with pytest.raises(NoCandidatesError):
-        select_assignment(trie, b"\x07" * 32, current[:3], cfg, 10)
+    trie, schedule = _assignment_setup(n=5)
     # every account excluded leaves no weight
     all_addrs = [a for a, _ in trie.accounts()]
     with pytest.raises(NoCandidatesError):
-        select_assignment(trie, b"\x07" * 32, current, cfg, 10, extra_exclusions=all_addrs)
+        select_assignment(trie, b"\x07" * 32, schedule, 10, extra_exclusions=all_addrs)
 
 
 def test_incremental_widths_match_full_recompute(rnd):
@@ -147,17 +160,16 @@ def test_incremental_widths_match_full_recompute(rnd):
     for _ in range(20):
         n = rnd.randint(16, 30)
         trie = make_trie({addr_of(f"w{rnd.random()}"): rnd.randint(0, 99) for _ in range(n)})
-        cfg = SelectionConfig(creator_redundancy=2, voter_count=3)
         addrs = [a for a, _ in trie.accounts()]
-        current = [(a, i) for i, a in enumerate(addrs[: cfg.slot_count])]
+        schedule = _schedule(addrs[:5], 2)
         seed = bytes([rnd.randrange(256)] * 32)
-        a1 = select_assignment(trie, seed, current, cfg, 0)
+        a1 = select_assignment(trie, seed, schedule, 0)
         # oracle: recompute each slot with plain weighted_descend
-        excluded = {addr for addr, _ in current}
+        excluded = set(schedule.members())
         picks = []
-        for k in range(cfg.slot_count):
+        for k, addr in enumerate(schedule.members()):
             total = eligible_total_weight(trie, excluded, 0)
-            h = selection_number(seed, current[k][0], current[k][1], total)
+            h = selection_number(seed, addr, k, total)
             chosen = weighted_descend(trie, h, set(excluded), 0)
             picks.append(chosen)
             excluded.add(chosen)
@@ -207,15 +219,16 @@ def _reference_descend(trie, h, widths):
     return node.addr
 
 
-def _reference_select(trie, block_hash, current, cfg, height, extra=()):
-    excluded = {a for a, _ in current} | set(extra)
+def _reference_select(trie, block_hash, seeds, height, extra=()):
+    """Picks for the (address, sequence number) seeds, one slot each."""
+    excluded = {a for a, _ in seeds} | set(extra)
     widths = _reference_widths(trie, excluded, height)
     picks = []
-    for k in range(cfg.slot_count):
+    for k, (addr, seq) in enumerate(seeds):
         total = trie.root_node.weight - sum(widths.values()) if trie.root_node else 0
         if total < 1:
             raise NoCandidatesError(f"no eligible weight left for slot {k}")
-        h = selection_number(block_hash, current[k][0], current[k][1], total)
+        h = selection_number(block_hash, addr, seq, total)
         chosen = _reference_descend(trie, h, widths)
         picks.append(chosen)
         widths[chosen] = trie.get_account(chosen).weight
@@ -259,21 +272,25 @@ def test_descent_matches_the_pending_split_reference(rnd):
 
 
 def test_select_assignment_matches_the_pending_split_reference(rnd):
-    cfg = SelectionConfig(creator_redundancy=2, voter_count=3)
     for _ in range(300):
         trie = _random_trie(rnd, rnd.randint(1, 64))
         addrs = [a for a, _ in trie.accounts()]
         height = rnd.choice([0, 10, 30, 50])
-        seeds = rnd.sample(addrs, min(len(addrs), cfg.slot_count))
-        seeds += [addr_of(f"seed{i}") for i in range(cfg.slot_count - len(seeds))]
-        current = [(a, rnd.randrange(100)) for a in seeds]
+        creators, voters = rnd.randint(1, 3), rnd.randint(1, 4)
+        slots = creators + voters
+        members = rnd.sample(addrs, min(len(addrs), slots))
+        members += [addr_of(f"seed{i}") for i in range(slots - len(members))]
+        schedule = _schedule(members, creators, height)
+        # slot k is seeded by the serving member of slot k, sequence number k
+        seeds = [(a, k) for k, a in enumerate(members)]
         extra = rnd.sample(addrs, rnd.randint(0, min(len(addrs), 8)))
         block_hash = bytes([rnd.randrange(256)]) * 32
         try:
-            expected = _reference_select(trie, block_hash, current, cfg, height, extra)
+            expected = _reference_select(trie, block_hash, seeds, height, extra)
         except NoCandidatesError as exc:
             with pytest.raises(NoCandidatesError, match=str(exc)):
-                select_assignment(trie, block_hash, current, cfg, height, extra_exclusions=extra)
+                select_assignment(trie, block_hash, schedule, height, extra_exclusions=extra)
             continue
-        got = select_assignment(trie, block_hash, current, cfg, height, extra_exclusions=extra)
+        got = select_assignment(trie, block_hash, schedule, height, extra_exclusions=extra)
         assert list(got.members()) == expected
+        assert len(got.creators) == creators and len(got.voters) == voters

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portchain.selection import eligible_total_weight
-from portchain.trie import AccountState, StateTrie, WriteSet, empty_trie
+from portchain.trie import AccountState, StateTrie, WriteSet
 
 from conftest import addr_of, make_trie
 
@@ -27,7 +27,7 @@ def test_weight_excludes_blacklisted():
 
 
 def test_empty_trie():
-    t = empty_trie()
+    t = StateTrie()
     assert list(t.accounts()) == []
     assert eligible_total_weight(t, (), 0) == 0
     assert t.get_account(addr_of("a")) is None
