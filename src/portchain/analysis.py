@@ -77,14 +77,28 @@ def byzantine_tail(n: int, p, m: int, digits: int = 30) -> TailResult:
         raise AnalysisError(f"probability {p} outside [0, 1]")
     if not 0 <= m <= n:
         raise AnalysisError(f"threshold m={m} outside [0, {n}]")
-    q = 1 - p
-    exact = Fraction(0)
-    bare = Fraction(0)
-    for i in range(m, n + 1):
-        term = p**i * q ** (n - i)
-        bare += term
-        exact += math.comb(n, i) * term
-    return TailResult(n=n, m=m, p=p, exact=exact, coefficient_free=bare, digits=digits)
+    # with p = a/b and c = b - a, term i is the integer a**i * c**(n-i)
+    # over b**n, times C(n, i) in the exact tail.  Each term follows from
+    # the one before by small factors and an exact division by c (and
+    # by i + 1 for the coefficient), so a term costs time linear in its
+    # size and one Fraction is built per sum.  For p = 1 (c = 0) every
+    # term below i = n is zero.
+    a, b = p.numerator, p.denominator
+    c = b - a
+    first = n if c == 0 else m
+    bare = a**first * c ** (n - first)
+    term = math.comb(n, first) * bare
+    exact_sum, bare_sum = term, bare
+    for i in range(first, n):
+        bare = bare * a // c
+        term = term * (a * (n - i)) // (c * (i + 1))
+        exact_sum += term
+        bare_sum += bare
+    denominator = b**n
+    return TailResult(
+        n=n, m=m, p=p, exact=Fraction(exact_sum, denominator),
+        coefficient_free=Fraction(bare_sum, denominator), digits=digits,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +147,26 @@ def fairness_from_draws(draw_records) -> FairnessReport:
 
     Weights are summed as integers per (draw total, address), and one
     Fraction is built per distinct total: the same exact rationals as
-    adding w/total draw by draw.  Addresses keep the order in which they
-    first carry weight, so the float chi-square sums its terms in that
-    order too.
+    adding w/total draw by draw.  A run of consecutive records that share
+    one weights object adds w * (run length) once, so a caller must not
+    change a weights dict after passing it in a record.  Addresses keep
+    the order in which they first carry weight, so the float chi-square
+    sums its terms in that order too.
     """
     expected: dict[Address, Fraction] = {}
     sums_by_total: dict[int, dict[Address, int]] = {}
     observed: dict[Address, int] = {}
     draws = 0
+    # [weights, count] per run of consecutive records sharing one weights
+    # object, in record order
+    runs: list[list] = []
     for weights, chosen in draw_records:
+        if runs and runs[-1][0] is weights:
+            runs[-1][1] += 1
+        else:
+            runs.append([weights, 1])
+        observed[chosen] = observed.get(chosen, 0) + 1
+    for weights, count in runs:
         total = sum(weights.values())
         if total <= 0:
             raise AnalysisError("draw with no eligible weight")
@@ -152,12 +177,11 @@ def fairness_from_draws(draw_records) -> FairnessReport:
             if w:
                 s = sums.get(addr)
                 if s is None:
-                    sums[addr] = w
+                    sums[addr] = w * count
                     expected.setdefault(addr, Fraction(0))
                 else:
-                    sums[addr] = s + w
-        observed[chosen] = observed.get(chosen, 0) + 1
-        draws += 1
+                    sums[addr] = s + w * count
+        draws += count
     if draws == 0:
         raise AnalysisError("no draws in window")
     for total, sums in sums_by_total.items():

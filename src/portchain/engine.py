@@ -211,7 +211,7 @@ def assemble_block(
     for addr in sorted(set(clear_members)):
         account = writes.get_account(addr)
         if account is not None and account.maintainer_bits:
-            writes.upsert_account(addr, replace(account, maintainer_bits=0))
+            writes.upsert_account(addr, account.changed(maintainer_bits=0))
     trie = writes.commit()
 
     # forward link: pick the maintainers of height+2 on the post-block
@@ -221,9 +221,8 @@ def assemble_block(
         trie, prev_digest, schedule, height, extra_exclusions=prev_block.assignment.members()
     )
     trie = trie.update({
-        addr: replace(
-            trie.get_account(addr),
-            maintainer_bits=maintainer_bits(True, slot >= len(assignment.creators), height + 2),
+        addr: trie.get_account(addr).changed(
+            maintainer_bits=maintainer_bits(True, slot >= len(assignment.creators), height + 2)
         )
         for slot, addr in enumerate(assignment.members())
     })
@@ -275,12 +274,31 @@ class BlockExecutor:
     that validation recomputes, so a memo entry keeps the block it judged
     and answers only for that same body; another body under the same
     header is validated on its own and leaves the entry as it was.
+
+    Both memos are kept per header height, and `forget_below` drops whole
+    heights.  Every lookup a node makes is for a header above its own
+    head: `_commit` validates head+1, `_commit_pass` checks the
+    certificate of a head+3 header, `_consider_vote` judges heights from
+    head+1 up and `_resolution_matches` from head+2 up, `_post_state_of`
+    stops its descent at the head, and `record` sees a proposal at most
+    at head+3.  `_add_candidate` refuses every height at or below the
+    head, sync responses included, so no older header reaches these
+    paths.  A caller that forgets every height at or below the lowest
+    head of the nodes that can still handle events (`netsim.run`)
+    therefore never asks for a forgotten entry: no block is assembled
+    twice, every answer is the one the full memo would give, and the
+    memo holds the live heights only, not every block of the run with
+    its post-state.
     """
 
     def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
-        self._memo: dict[Hash, tuple[Block, ExecResult]] = {}
-        self._certs: dict[tuple, bool] = {}
+        # header height -> digest -> (judged block, result)
+        self._memo: dict[int, dict[Hash, tuple[Block, ExecResult]]] = {}
+        # header height -> (digest, voters) -> certifies_parent answer
+        self._certs: dict[int, dict[tuple, bool]] = {}
+        # every height below this one has been forgotten
+        self._floor = 0
 
     def validate(
         self,
@@ -294,16 +312,28 @@ class BlockExecutor:
         result = self._memo_hit(d, candidate)
         if result is None:
             result = self._validate(candidate, prev_block, pre_trie, schedule, clear_members)
-            self._memo.setdefault(d, (candidate, result))
+            self._remember(d, candidate, result)
         return result
 
     def _memo_hit(self, d: Hash, block: Block) -> ExecResult | None:
         """The memoized result under digest d if it was reached for this
         same body, else None."""
-        hit = self._memo.get(d)
+        level = self._memo.get(block.header.height)
+        hit = level.get(d) if level is not None else None
         if hit is not None and (hit[0] is block or hit[0] == block):
             return hit[1]
         return None
+
+    def _remember(self, d: Hash, block: Block, result: ExecResult) -> None:
+        """Memoize result for block unless digest d already has an entry."""
+        self._memo.setdefault(block.header.height, {}).setdefault(d, (block, result))
+
+    def forget_below(self, height: int) -> None:
+        """Drop the memo and certificate entries of headers below height."""
+        for h in range(self._floor, height):
+            self._memo.pop(h, None)
+            self._certs.pop(h, None)
+        self._floor = max(self._floor, height)
 
     def record(self, built: BlockResult, prev_block: Block, schedule) -> ExecResult:
         """Memoize a creator's own assembly as its block's validation.
@@ -321,19 +351,21 @@ class BlockExecutor:
             result = ExecResult(False, reason, None)
         else:
             result = ExecResult(True, "", built.post_trie, built.issued, built.confiscated)
-        self._memo.setdefault(d, (built.block, result))
+        self._remember(d, built.block, result)
         return result
 
     def certifies_parent(self, hdr: BlockHeader, voters: tuple) -> bool:
         """Does the header's certificate target its named parent and pass
         `commit_rule` against the voters?  Memoized per (digest, voters)."""
         key = (block_digest(hdr), voters)
-        ok = self._certs.get(key)
+        level = self._certs.get(hdr.height)
+        ok = level.get(key) if level is not None else None
         if ok is None:
             cert = hdr.prev_certificate
-            ok = self._certs[key] = cert.target_hash == hdr.prev_hash and commit_rule(
+            ok = cert.target_hash == hdr.prev_hash and commit_rule(
                 cert, voters, self.cfg.public_keys
             )
+            self._certs.setdefault(hdr.height, {})[key] = ok
         return ok
 
     def _header_fault(self, hdr: BlockHeader, prev_block: Block, schedule) -> str:
@@ -446,6 +478,8 @@ class Node:
         # found to need no vote, and a height leaves when it commits
         self._unvoted: dict[int, set[Hash]] = {0: {gd}}
         self.locked_parent: dict[int, Hash] = {}
+        # heights this node has proposed at; a proposal is made at head+1
+        # to head+3 only, so a height leaves when it commits
         self.proposed: set[int] = set()
         self.quorum_tick: dict[int, int] = {}
         self.mempool: dict[tuple, Transaction] = {}
@@ -654,6 +688,7 @@ class Node:
                 self.cand_height.pop(sd, None)
                 self.approvals.pop(sd, None)
         self.locked_parent.pop(j, None)
+        self.proposed.discard(j)
         self._unvoted.pop(j, None)
         self.quorum_tick.pop(j, None)
         self.first_seen.pop(j, None)

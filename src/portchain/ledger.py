@@ -17,7 +17,7 @@ a `StateTrie` snapshot (returning a new snapshot) and on a block's
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import FraudReport, Transaction
 from .crypto import Address, verify
@@ -79,12 +79,12 @@ def apply_transaction(
         raise TxRejected("insufficient balance")
     if tx.sender == tx.receiver:
         # self-transfer: both tax sides land on the same account
-        merged = replace(sender, balance=sender.balance - 2 * tax,
-                         nonce=sender.nonce + 1, tax=sender.tax + 2 * tax)
+        merged = sender.changed(balance=sender.balance - 2 * tax,
+                                nonce=sender.nonce + 1, tax=sender.tax + 2 * tax)
         return trie.upsert_account(tx.sender, merged)
-    paid = replace(sender, balance=sender.balance - tx.value - tax,
-                   nonce=sender.nonce + 1, tax=sender.tax + tax)
-    received = replace(receiver, balance=receiver.balance + tx.value - tax, tax=receiver.tax + tax)
+    paid = sender.changed(balance=sender.balance - tx.value - tax,
+                          nonce=sender.nonce + 1, tax=sender.tax + tax)
+    received = receiver.changed(balance=receiver.balance + tx.value - tax, tax=receiver.tax + tax)
     return trie.upsert_account(tx.sender, paid).upsert_account(tx.receiver, received)
 
 
@@ -103,7 +103,7 @@ def refund_reward(
         return trie, 0
     issued = max(0, reward - state.tax)
     trie = trie.upsert_account(
-        addr, replace(state, balance=state.balance + reward, tax=max(0, state.tax - reward))
+        addr, state.changed(balance=state.balance + reward, tax=max(0, state.tax - reward))
     )
     return trie, issued
 
@@ -130,10 +130,10 @@ def apply_fraud_verdict(
         balance = 0
     trie = trie.upsert_account(
         report.accused,
-        replace(accused, balance=balance, blacklist_until=current_height + cfg.blacklist_duration),
+        accused.changed(balance=balance, blacklist_until=current_height + cfg.blacklist_duration),
     )
     reporter = trie.get_account(report.reporter) or EMPTY_ACCOUNT
     trie = trie.upsert_account(
-        report.reporter, replace(reporter, balance=reporter.balance + cfg.reporter_reward)
+        report.reporter, reporter.changed(balance=reporter.balance + cfg.reporter_reward)
     )
     return trie, cfg.reporter_reward, confiscated

@@ -9,6 +9,15 @@ The event queue keeps tick buckets, after Brown's calendar queue: one
 FIFO list per tick and a heap that holds only the distinct ticks.
 Nothing is ever scheduled before the current tick, so appending to a
 bucket gives the order of one heap keyed by (tick, insertion sequence).
+
+Live state follows the window of live heights, not the length of the
+run: the nodes share one `BlockExecutor`, and `run` tracks the lowest
+head over the nodes that can still handle events (a node crashed with
+no recovery left does not count) and has the executor forget every
+height at or below it.  Each committed block gets one commit label,
+shared by every node's commits and commit events.  What still grows with
+the run is its output (the chain, the commits and the events) and the
+process-wide signature cache of `crypto.verify`.
 """
 from __future__ import annotations
 
@@ -80,6 +89,11 @@ NODE_BEHAVIOR_KINDS = {
 
 # inclusive bounds of single integer fields (None: no upper bound)
 _INT_BOUNDS = {
+    # build_context derives one Ed25519 key per node before the first tick
+    # and every broadcast goes to node_count - 1 nodes, so an unbounded
+    # count exhausts memory instead of running; 1024 still holds the 771
+    # nodes that the largest creator_redundancy (256, one voter) needs
+    "node_count": (1, 1024),
     "run_height": (1, None),
     # a header encodes its creator_index in one byte
     "creator_redundancy": (1, 256),
@@ -255,7 +269,7 @@ def build_context(config: SimConfig) -> SimContext:
         for slot, addr in enumerate(asg.members()):
             st = trie.get_account(addr)
             bits = maintainer_bits(True, slot >= c, asg.block_height)
-            trie = trie.upsert_account(addr, dataclasses.replace(st, maintainer_bits=bits))
+            trie = trie.upsert_account(addr, st.changed(maintainer_bits=bits))
 
     header = core.BlockHeader(
         height=0,
@@ -371,6 +385,9 @@ def run(config: SimConfig) -> SimTranscript:
 
     crashed = [False] * n
     crashed_forever = [False] * n
+    # recovery events still to come, per node: a node that crashes with
+    # none pending never handles another event
+    recoveries_left = [0] * n
     # events are (target node or -1, kind, payload), one FIFO list per tick
     buckets: dict[int, list] = {}
     ticks: list[int] = []  # heap of the ticks that hold a bucket
@@ -418,6 +435,31 @@ def run(config: SimConfig) -> SimTranscript:
     commit_events = 0
     pending_recoveries = 0
 
+    # the lowest head over the nodes that can still handle events, kept
+    # with a count of those nodes per head height; every executor lookup
+    # is for a header above its caller's head, so the executor forgets
+    # each height once the lowest head reaches it
+    live = [True] * n
+    at_head = [n]
+    lowest = 0
+    # one (height, digest16) pair and one "height:digest16" string per
+    # committed block, shared by every node's commits and commit events
+    # and dropped once the lowest head passes their height
+    labels: dict[int, tuple] = {}
+
+    def head_left(h):
+        """One live node left head h; advance the window past the heights
+        no live node holds."""
+        nonlocal lowest
+        at_head[h] -= 1
+        if h == lowest and not at_head[h]:
+            top = len(at_head) - 1
+            while lowest < top and not at_head[lowest]:
+                labels.pop(lowest, None)
+                lowest += 1
+            labels.pop(lowest, None)
+            executor.forget_below(lowest + 1)
+
     # bootstrap: initial wakes, workload, fault schedule
     for i in everyone:
         push(0, i, "wake", None)
@@ -428,6 +470,7 @@ def run(config: SimConfig) -> SimTranscript:
         if adv.recover_tick is not None:
             push(adv.recover_tick, -1, "recover", adv.node)
             pending_recoveries += 1
+            recoveries_left[adv.node] += 1
         else:
             crashed_forever[adv.node] = True
 
@@ -484,16 +527,29 @@ def run(config: SimConfig) -> SimTranscript:
                     elif op == "log":
                         events.append((tick, i, act[1], act[2]))
                     elif op == "commit":
-                        h, d = act[1], act[2].hex()[:16]
-                        commits[i].append((h, d))
+                        h, d = act[1], act[2]
+                        label = labels.get(h)
+                        if label is None or label[0] != d:
+                            label = (d, (h, d.hex()[:16]), f"{h}:{d.hex()[:16]}")
+                            labels.setdefault(h, label)
+                        commits[i].append(label[1])
                         last_commit_tick = tick
                         commit_events += 1
-                        events.append((tick, i, "commit", f"{h}:{d}"))
+                        events.append((tick, i, "commit", label[2]))
+                        # a node handling events is live
+                        if h == len(at_head):
+                            at_head.append(0)
+                        at_head[h] += 1
+                        head_left(h - 1)
             elif kind == "crash":
                 crashed[payload] = True
+                if live[payload] and not recoveries_left[payload]:
+                    live[payload] = False
+                    head_left(nodes[payload].head)
             elif kind == "recover":
                 crashed[payload] = False
                 pending_recoveries -= 1
+                recoveries_left[payload] -= 1
                 push(tick, payload, "wake", None)
                 send(tick, others[payload], ("sync_req", (payload, nodes[payload].head)))
             elif kind == "workload":

@@ -65,6 +65,25 @@ class AccountState:
         blacklisted."""
         return self.tax + 1
 
+    def changed(
+        self,
+        balance: int | None = None,
+        nonce: int | None = None,
+        tax: int | None = None,
+        maintainer_bits: int | None = None,
+        blacklist_until: int | None = None,
+    ) -> AccountState:
+        """This state with the given fields replaced: one direct
+        constructor call, about half the cost of `dataclasses.replace`
+        on this frozen class."""
+        return AccountState(
+            self.balance if balance is None else balance,
+            self.nonce if nonce is None else nonce,
+            self.tax if tax is None else tax,
+            self.maintainer_bits if maintainer_bits is None else maintainer_bits,
+            self.blacklist_until if blacklist_until is None else blacklist_until,
+        )
+
     def encode(self) -> bytes:
         return _ACCOUNT_ENCODING.pack(
             self.balance, self.nonce, self.tax, self.maintainer_bits, self.blacklist_until

@@ -65,6 +65,28 @@ def _comb(n, k):
     return math.comb(n, k)
 
 
+def _tail_by_fraction_terms(n, p, m):
+    """The per-term Fraction sums that byzantine_tail replaced by integer
+    steps; kept as the reference for both results."""
+    p = Fraction(p)
+    q = 1 - p
+    exact = bare = Fraction(0)
+    for i in range(m, n + 1):
+        term = p**i * q ** (n - i)
+        bare += term
+        exact += _comb(n, i) * term
+    return exact, bare
+
+
+@pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(2, 7),
+                               Fraction(1, 2), Fraction(123, 1001)])
+def test_byzantine_tail_matches_the_fraction_terms(p):
+    for n in (0, 1, 2, 6, 57, 300):
+        for m in sorted({m for m in (0, 1, n // 3, n // 2, n - 1, n) if 0 <= m <= n}):
+            r = byzantine_tail(n, p, m)
+            assert (r.exact, r.coefficient_free) == _tail_by_fraction_terms(n, p, m)
+
+
 def test_byzantine_tail_edges_and_errors():
     r = byzantine_tail(10, Fraction(1, 3), 0)
     assert r.exact == 1
@@ -301,6 +323,22 @@ def test_fairness_matches_reference_with_zero_weights():
     rep = _assert_same_as_reference(records)
     assert list(rep.expected_share) == [a, b, c]
     assert d in rep.observed_count and d not in rep.expected_share
+
+
+def test_fairness_matches_reference_on_runs_of_shared_tables():
+    # runs of records that share one weights object, of lengths 1 to 40,
+    # between tables with equal contents in distinct dicts, a table that
+    # comes back after another, and two tables with one total
+    rng = random.Random(11)
+    addrs = [addr_of(f"run{i}") for i in range(12)]
+    tables = [{a: rng.randint(0, 9) for a in addrs} for _ in range(4)]
+    tables.append(dict(tables[0]))
+    tables.append({a: w for a, w in reversed(list(tables[1].items()))})
+    records = []
+    for _ in range(60):
+        weights = rng.choice(tables)
+        records.extend((weights, rng.choice(addrs)) for _ in range(rng.randint(1, 40)))
+    _assert_same_as_reference(records)
 
 
 def test_fairness_errors_match_reference():

@@ -222,6 +222,56 @@ def test_tail_subcommand(capsys):
         assert err.startswith("error: ") and "digits" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv,named", [
+    # with the old sum, n = 32,000 at p = 1/3 ran for over two minutes
+    (["--n", "100000", "--p", "1/3", "--m", "0"], "--n 100000"),
+    (["--n", "40001", "--p", "1/3", "--m", "0"], "--n 40001"),
+    # a 33-bit denominator makes every term 16 times longer
+    (["--n", "2425", "--p", "2147483647/4294967296", "--m", "0"], "--n 2425"),
+    # rendered at digits + 15 places: still running after 20 s
+    (["--n", "5", "--p", "1/3", "--m", "1", "--digits", "10000000"], "digits 10000000"),
+], ids=["n-100000", "n-40001", "wide-denominator", "digits-10**7"])
+def test_tail_work_is_bounded(monkeypatch, capsys, argv, named):
+    def never(*args, **kwargs):
+        raise AssertionError("the tail computation started")
+
+    monkeypatch.setattr(analysis, "byzantine_tail", never)
+    assert main(["tail", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+def test_tail_bounds_admit_their_edge(monkeypatch, capsys):
+    calls = []
+    real = analysis.byzantine_tail
+
+    def small(n, p, m, digits):
+        calls.append(n)
+        return real(5, p, 1, digits=digits)
+
+    monkeypatch.setattr(analysis, "byzantine_tail", small)
+    for argv in (["--n", "40000", "--p", "1/3", "--m", "0", "--digits", "1000"],
+                 ["--n", "2424", "--p", "2147483647/4294967296", "--m", "0"]):
+        assert main(["tail", *argv]) == 0
+    capsys.readouterr()
+    assert calls == [40000, 2424]
+
+
+@pytest.mark.parametrize("node_count", [1025, 10**9])
+def test_node_count_above_bound_exits_2_before_any_key(monkeypatch, tmp_path, capsys, node_count):
+    # one Ed25519 key per node is derived before the first tick, so a
+    # billion nodes would exhaust memory instead of exiting 2
+    def never(seed):
+        raise AssertionError("a node key was derived")
+
+    monkeypatch.setattr(portchain.netsim, "keypair_from_seed", never)
+    path = _scenario(tmp_path, config={"node_count": node_count})
+    assert main(["run", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"node_count {node_count}" in err
+    assert "Traceback" not in err
+
+
 def test_chi_square_critical_reference_points():
     # one percent upper-tail quantiles, reference values to ~0.1%
     assert chi_square_critical(49) == pytest.approx(74.919, rel=2e-3)

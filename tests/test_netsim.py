@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from portchain import engine, netsim
 from portchain.analysis import assert_single_chain, conservation_audit
 from portchain.core import block_digest
 from portchain.netsim import (
@@ -200,3 +201,142 @@ def test_latency_draw_replays_randint(lo, span):
         if i % 3:
             assert ref.random() == fast.random()  # a drop draw
         assert ref.randint(lo, lo + span - 1) == lo + below(fast.getrandbits, span, bits)
+
+
+# --- the executor's window of live heights ---------------------------------
+
+_WINDOW_BASE = SimConfig(seed=4, node_count=16, run_height=40, drop_probability=0.05)
+_WINDOW_CONFIGS = {
+    "recovering-crash": dataclasses.replace(_WINDOW_BASE, adversaries=(
+        AdversarySpec(kind="crash", node=3, start_tick=60, recover_tick=300),)),
+    "permanent-crash": dataclasses.replace(_WINDOW_BASE, adversaries=(
+        AdversarySpec(kind="crash", node=3, start_tick=60),)),
+    "equivocate-creator": adversary_config("equivocate_creator"),
+    "forge-assignment": adversary_config("forge_assignment"),
+}
+
+
+def _down_for_good(cfg, tick):
+    """Nodes that crashed without a recovery and can no longer handle an
+    event at this tick (the crash event itself may run later in its tick,
+    so a node counts only from the next one)."""
+    return {adv.node for adv in cfg.adversaries
+            if adv.kind == "crash" and adv.recover_tick is None and tick > adv.start_tick}
+
+
+def _watch_window(monkeypatch, cfg):
+    """Patch netsim's Node so that, before every event a node handles, the
+    shared executor is checked to hold no header at or below the lowest
+    head of the nodes still running, and the node to keep no proposed
+    height at or below its own head.  Returns the memo sizes seen."""
+    nodes, sizes = [], []
+
+    class Watched(engine.Node):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(self)
+
+        def handle(self, kind, payload, tick):
+            dead = _down_for_good(cfg, tick)
+            lowest = min(nd.head for nd in nodes if nd.index not in dead)
+            ex = self.executor
+            held = set(ex._memo) | set(ex._certs)
+            assert not held or min(held) > lowest, (tick, lowest, sorted(held))
+            assert min(self.proposed, default=self.head + 1) > self.head
+            sizes.append(sum(len(level) for level in ex._memo.values()))
+            return super().handle(kind, payload, tick)
+
+    monkeypatch.setattr(netsim, "Node", Watched)
+    return sizes
+
+
+def test_commit_labels_are_shared_across_nodes():
+    # one (height, digest) pair and one event text per committed block,
+    # not one copy per node, also for a node that commits long after the
+    # others (it recovers from a crash)
+    t = run(_WINDOW_CONFIGS["recovering-crash"])
+    pairs, texts = {}, {}
+    for per_node in t.commits:
+        for label in per_node:
+            pairs.setdefault(label[0], set()).add(id(label))
+    for _, _, kind, info in t.events:
+        if kind == "commit":
+            texts.setdefault(info, set()).add(id(info))
+    assert len(pairs) >= 30 and all(len(ids) == 1 for ids in pairs.values())
+    assert len(texts) == len(pairs) and all(len(ids) == 1 for ids in texts.values())
+
+
+@pytest.mark.parametrize("name", sorted(_WINDOW_CONFIGS))
+def test_window_keeps_live_heights_without_reassembly(monkeypatch, name):
+    # the executor holds only live heights (checked before every event),
+    # and every block is still assembled once: by its creator (a proposal,
+    # or an equivocation twin, each with its own propose event) or, if its
+    # creator did not record it (a forged block), by one validation
+    cfg = _WINDOW_CONFIGS[name]
+    sizes = _watch_window(monkeypatch, cfg)
+    counts = {"assemble": 0, "commit_rule": 0}
+    validated = []
+    real_assemble, real_rule = engine.assemble_block, engine.commit_rule
+    real_validate = engine.BlockExecutor._validate
+
+    def assemble(*args, **kwargs):
+        counts["assemble"] += 1
+        return real_assemble(*args, **kwargs)
+
+    def rule(*args):
+        counts["commit_rule"] += 1
+        return real_rule(*args)
+
+    def validate(self, candidate, *args):
+        validated.append(block_digest(candidate.header))
+        return real_validate(self, candidate, *args)
+
+    monkeypatch.setattr(engine, "assemble_block", assemble)
+    monkeypatch.setattr(engine, "commit_rule", rule)
+    monkeypatch.setattr(engine.BlockExecutor, "_validate", validate)
+    t = run(cfg)
+    assert not t.stalled and sizes
+    proposals = sum(1 for e in t.events if e[2] == "propose")
+    assert len(validated) == len(set(validated))
+    assert counts["assemble"] == proposals + len(validated)
+    if name == "forge-assignment":
+        assert validated  # the forged blocks, judged once each
+    # an executor that never forgets gives the same run with the same work,
+    # so no lookup missed a forgotten entry
+    windowed = dict(counts, validated=len(validated), digest=t.digest_hex())
+    counts.update(assemble=0, commit_rule=0)
+    validated.clear()
+    monkeypatch.setattr(netsim, "Node", engine.Node)
+    monkeypatch.setattr(engine.BlockExecutor, "forget_below", lambda self, height: None)
+    t_full = run(cfg)
+    assert dict(counts, validated=len(validated), digest=t_full.digest_hex()) == windowed
+
+
+def test_memo_peak_does_not_grow_with_run_height(monkeypatch):
+    # the memo holds the heights above the lowest head of the running
+    # nodes up to the highest candidate, at most head + 3 of the fastest
+    # node, with creator_redundancy siblings each.  Heads on this config
+    # stay within a few heights of each other, so at most 8 heights are
+    # live however long the run (3 at the peak, 6 entries, at 60 and at
+    # 240 heights); without the window the memo held every block of the
+    # run, creator_redundancy per height.
+    base = SimConfig(seed=3, node_count=16, latency_max=4, drop_probability=0.05)
+    peaks = {}
+    for height in (60, 240):
+        cfg = dataclasses.replace(base, run_height=height)
+        sizes = _watch_window(monkeypatch, cfg)
+        assert not run(cfg).stalled
+        peaks[height] = max(sizes)
+    assert peaks[240] <= 8 * base.creator_redundancy
+    assert peaks[240] <= peaks[60] + base.creator_redundancy
+
+
+def test_permanent_crash_does_not_hold_the_window(monkeypatch):
+    # node 3 stops at head 3 for good; the memo still moves on with the
+    # running nodes rather than keeping every height above the dead head
+    cfg = dataclasses.replace(_WINDOW_CONFIGS["permanent-crash"], run_height=120)
+    sizes = _watch_window(monkeypatch, cfg)
+    t = run(cfg)
+    assert not t.stalled
+    assert t.heads[3] < 10 and min(h for i, h in enumerate(t.heads) if i != 3) >= 120
+    assert max(sizes) <= 8 * cfg.creator_redundancy
