@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -274,7 +275,14 @@ def import_chain(chain_path: str, doc: dict):
     return chain, f"verified {len(chain)} blocks up to height {head}"
 
 
+# `a/b` or a plain decimal: `Fraction` also takes an exponent, and would
+# build the power of ten of `1e-100000000` before any bound could look at it
+_FRACTION_TEXT = re.compile(r"[+-]?(?:\d+/\d+|\d+\.?\d*|\.\d+)", re.ASCII)
+
+
 def _parse_fraction(text: str) -> Fraction:
+    if not _FRACTION_TEXT.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a/b or a plain decimal, got {text!r}")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -50,25 +50,46 @@ def address_from_public(public: bytes) -> Address:
 
 
 # Loading key material is much slower than using it, so loaded key
-# objects are memoized per raw byte string.
-_private_cache: dict[bytes, Ed25519PrivateKey] = {}
+# objects are memoized per raw byte string; a secret's entry also holds
+# the public key derived from it.
+_private_cache: dict[bytes, tuple[Ed25519PrivateKey, bytes]] = {}
 _public_cache: dict[bytes, Ed25519PublicKey] = {}
 
 
-def _private_key(secret: bytes) -> Ed25519PrivateKey:
-    sk = _private_cache.get(secret)
-    if sk is None:
+def _private_key(secret: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    entry = _private_cache.get(secret)
+    if entry is None:
         sk = Ed25519PrivateKey.from_private_bytes(secret)
-        _private_cache[secret] = sk
-    return sk
+        entry = (sk, sk.public_key().public_bytes_raw())
+        _private_cache[secret] = entry
+    return entry
 
 
 def sign(key: KeyPair, message: bytes) -> bytes:
-    return _private_key(key.secret).sign(message)
+    sk, public = _private_key(key.secret)
+    signature = sk.sign(message)
+    _verify_cache[(public, signature, message)] = True
+    return signature
 
 
-# Signature checks dominate simulation time; identical (public, message,
-# signature) triples recur once per receiving node, so memoize results.
+# Signature checks dominate simulation time, and identical (public,
+# message, signature) triples recur once per receiving node, so results
+# are memoized for the whole process.  `sign` seeds the memo with True for
+# each signature it makes, so a signature made in this process is never
+# verified natively:
+# - the seeded value is the one OpenSSL would return: Ed25519 verification
+#   accepts every signature made by the matching secret (RFC 8032
+#   5.1.6-5.1.7), and none of the verifier's strictness checks refuses it,
+#   since the derived public key is canonically encoded and the
+#   signature's S is reduced below the group order;
+# - the entry is keyed by the public key derived from the secret that
+#   signed, never by `KeyPair.public`: a pair whose public half does not
+#   match its secret seeds no entry under that wrong key, and a verify
+#   against it still goes to OpenSSL and fails;
+# - every signature this process did not make is still verified natively
+#   the first time it is seen: forged, tampered or mis-keyed votes and
+#   transactions, and every signature in a chain file that another process
+#   wrote, so a standalone `portchain import` verifies the whole file.
 _verify_cache: dict[tuple, bool] = {}
 
 

@@ -494,8 +494,9 @@ class Node:
         self.reported: set[tuple] = set()
         self.last_head_change = 0
         self.counters = {"rejected_txs": 0, "bad_messages": 0, "frauds_detected": 0}
-        # digests known to hold a quorum; qualification is monotone, so a
-        # digest never leaves
+        # digests known to hold a quorum; qualification is monotone, and
+        # `_is_qualified` is asked only at or above the head, so a digest
+        # leaves when `_commit` drops its approvals
         self._qual: set[Hash] = set()
         self._sync_attempts = 0
         # one periodic sync timer: the first wake at or after this tick runs
@@ -687,6 +688,7 @@ class Node:
                     continue  # certificates over the head may still be needed
                 self.cand_height.pop(sd, None)
                 self.approvals.pop(sd, None)
+                self._qual.discard(sd)
         self.locked_parent.pop(j, None)
         self.proposed.discard(j)
         self._unvoted.pop(j, None)
@@ -697,6 +699,7 @@ class Node:
             old = block_digest(self.committed[j - 2].header)
             self.approvals.pop(old, None)
             self.cand_height.pop(old, None)
+            self._qual.discard(old)
         # settled single-candidate heights cannot become fraud evidence
         for key in [k for k in self.fraud_seen if k[0] <= j - 2 and len(self.fraud_seen[k]) < 2]:
             del self.fraud_seen[key]

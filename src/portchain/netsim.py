@@ -17,7 +17,9 @@ no recovery left does not count) and has the executor forget every
 height at or below it.  Each committed block gets one commit label,
 shared by every node's commits and commit events.  What still grows with
 the run is its output (the chain, the commits and the events) and the
-process-wide signature cache of `crypto.verify`.
+process-wide memo of `crypto.verify`, one entry per distinct signature.
+`crypto.sign` records each signature it makes in that memo, so a run
+verifies natively only the signatures it did not make.
 """
 from __future__ import annotations
 

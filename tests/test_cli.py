@@ -241,6 +241,21 @@ def test_tail_work_is_bounded(monkeypatch, capsys, argv, named):
     assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("p", ["1e-3", "1E3", "2.5e-1"])
+def test_tail_refuses_an_exponent_in_p(monkeypatch, capsys, p):
+    # Fraction accepts an exponent and builds its power of ten, so
+    # 1e-100000000 would work far past the bound before it could exit 2
+    def never(*args, **kwargs):
+        raise AssertionError("the tail computation started")
+
+    monkeypatch.setattr(analysis, "byzantine_tail", never)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["tail", "--n", "5", "--p", p, "--m", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--p" in err and p in err and "Traceback" not in err
+
+
 def test_tail_bounds_admit_their_edge(monkeypatch, capsys):
     calls = []
     real = analysis.byzantine_tail

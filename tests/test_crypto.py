@@ -1,8 +1,10 @@
 """Hash and signature primitives against independent vectors."""
 import hashlib
 
+from portchain import crypto
 from portchain.core import Vote, build_certificate, verify_certificate, vote_signing_bytes
 from portchain.crypto import (
+    KeyPair,
     address_from_public,
     digest,
     keypair_from_seed,
@@ -38,10 +40,19 @@ def test_keypair_deterministic_and_address():
     assert len(address_from_public(k1.public)) == 20
 
 
+def _verify_natively(public, message, signature):
+    """`verify` with its memo emptied first, so OpenSSL gives the answer."""
+    crypto._verify_cache.clear()
+    return verify(public, message, signature)
+
+
 def test_sign_verify_round_trip():
     kp = keypair_from_seed(b"\x02" * 32)
     sig = sign(kp, b"message")
+    # signing recorded the answer, and it is the one OpenSSL gives
+    assert crypto._verify_cache[(kp.public, sig, b"message")] is True
     assert verify(kp.public, b"message", sig)
+    assert _verify_natively(kp.public, b"message", sig)
     assert sign(kp, b"message") == sig  # deterministic signatures
 
 
@@ -49,10 +60,24 @@ def test_verify_rejects_tampering():
     kp = keypair_from_seed(b"\x03" * 32)
     other = keypair_from_seed(b"\x04" * 32)
     sig = sign(kp, b"message")
-    assert not verify(kp.public, b"messagf", sig)
-    assert not verify(other.public, b"message", sig)
     bad = bytes([sig[0] ^ 1]) + sig[1:]
-    assert not verify(kp.public, b"message", bad)
+    for public, message, signature in ((kp.public, b"messagf", sig),
+                                       (other.public, b"message", sig),
+                                       (kp.public, b"message", bad)):
+        assert not verify(public, message, signature)
+        assert not _verify_natively(public, message, signature)
+
+
+def test_mismatched_key_pair_seeds_no_entry_under_its_public_half():
+    a = keypair_from_seed(b"\x05" * 32)
+    b = keypair_from_seed(b"\x06" * 32)
+    crypto._verify_cache.clear()
+    sig = sign(KeyPair(secret=a.secret, public=b.public), b"message")
+    # the memo holds the key the secret derives, not the claimed one
+    assert (b.public, sig, b"message") not in crypto._verify_cache
+    assert not verify(b.public, b"message", sig)
+    assert verify(a.public, b"message", sig)
+    assert _verify_natively(a.public, b"message", sig)
 
 
 def test_verify_malformed_inputs_return_false():

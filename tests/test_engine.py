@@ -486,6 +486,29 @@ def test_vote_wait_counts_distinct_creators():
     assert len(_votes(node.handle("block", _block_one(ctx, slot=1).block, 2))) == 2
 
 
+def test_forged_votes_count_as_bad_messages():
+    ctx = _context()
+    node = _bystander(ctx)
+    node.handle("wake", None, 0)
+    (voter, other), target = ctx.genesis_assignments[1].voters[:2], digest(b"target")
+    key_of = dict(zip(ctx.addresses, ctx.keys))
+    message = vote_signing_bytes(target, True)
+    sig = sign(key_of[voter], message)
+    forged = [
+        sign(key_of[other], message),  # another voter's key
+        bytes([sig[0] ^ 1]) + sig[1:],  # tampered
+        sign(key_of[voter], vote_signing_bytes(target, False)),  # other message
+        # the voter's public half on another secret
+        sign(dataclasses.replace(key_of[other], public=key_of[voter].public), message),
+    ]
+    for i, signature in enumerate(forged, 1):
+        node.handle("vote", Vote(voter, target, True, signature), i)
+        assert node.counters["bad_messages"] == i
+    assert target not in node.approvals
+    node.handle("vote", Vote(voter, target, True, sig), 9)
+    assert node.counters["bad_messages"] == len(forged) and voter in node.approvals[target]
+
+
 def test_voter_disapproves_a_child_of_an_invalid_parent():
     ctx = _context()
     built = _block_one(ctx)

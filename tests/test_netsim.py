@@ -3,6 +3,7 @@ import dataclasses
 import random
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from portchain import engine, netsim
 from portchain.analysis import assert_single_chain, conservation_audit
@@ -115,6 +116,23 @@ def test_forged_assignment_never_commits():
     t, _, proposed = _adversary_run("forge_assignment")
     committed = {block_digest(blk.header).hex()[:16] for blk in t.chain}
     assert not proposed & committed
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(seed=5, node_count=16, run_height=30, txs_per_interval=4),
+    adversary_config("equivocate_creator"),
+], ids=["txs", "equivocate-creator"])
+def test_committed_signatures_verify_natively(cfg):
+    # `crypto.verify` answers a signature this process made from its memo,
+    # so every committed vote and transaction is checked here by OpenSSL
+    t = run(cfg)
+    public_keys = build_context(cfg).engine_cfg.public_keys
+    votes = [(v.voter, v) for blk in t.chain for v in blk.header.prev_certificate.votes]
+    txs = [(tx.sender, tx) for blk in t.chain for tx in blk.transactions]
+    assert votes and txs
+    for signer, item in votes + txs:
+        pk = Ed25519PublicKey.from_public_bytes(public_keys[signer])
+        pk.verify(item.signature, item.signing_bytes())  # raises if invalid
 
 
 def test_replay_check_round_trip():
@@ -329,6 +347,25 @@ def test_memo_peak_does_not_grow_with_run_height(monkeypatch):
         peaks[height] = max(sizes)
     assert peaks[240] <= 8 * base.creator_redundancy
     assert peaks[240] <= peaks[60] + base.creator_redundancy
+
+
+def test_qualified_digests_leave_with_their_approvals(monkeypatch):
+    # `_is_qualified` is asked only at or above the head, so `_commit`
+    # drops a digest from `_qual` where it drops its approvals: what is
+    # left are the last two committed blocks and the live candidates
+    nodes = []
+
+    class Kept(engine.Node):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nodes.append(self)
+
+    monkeypatch.setattr(netsim, "Node", Kept)
+    assert not run(dataclasses.replace(_WINDOW_BASE, run_height=60)).stalled
+    assert any(node._qual for node in nodes)
+    for node in nodes:
+        assert node.head == 60 and node._qual <= node.approvals.keys()
+        assert all(node.cand_height.get(d, -1) >= node.head - 1 for d in node._qual)
 
 
 def test_permanent_crash_does_not_hold_the_window(monkeypatch):
