@@ -427,6 +427,30 @@ def equivocation_evidence(height: int, creator: Address, digests) -> Hash:
     return digest(b"equiv" + height.to_bytes(8, "big") + creator + pair)
 
 
+class Level:
+    """What one node knows about one height above its head.  A record can
+    exist before its first block, made to hold the creator flag."""
+
+    __slots__ = ("blocks", "unvoted", "by_creator", "first_seen",
+                 "locked_parent", "quorum_tick", "creator", "proposed")
+
+    def __init__(self):
+        self.blocks: dict[Hash, Block] = {}
+        # digests still awaiting this node's vote decision; a digest leaves
+        # once its parent is known
+        self.unvoted: set[Hash] = set()
+        # digests per creator, in arrival order; two make equivocation
+        self.by_creator: dict[Address, list[Hash]] = {}
+        self.first_seen: int | None = None  # tick of the first block
+        self.locked_parent: Hash | None = None
+        self.quorum_tick: int | None = None
+        # this node is a creator here on some branch: set from the assignment
+        # of each candidate two heights below, and fixed by the committed
+        # block's assignment once that height commits
+        self.creator = False
+        self.proposed = False
+
+
 class Node:
     """One consensus participant; fed events, emits actions.
 
@@ -440,6 +464,10 @@ class Node:
     Messages are (kind, payload) tuples routed by the network simulation.
     A disapproval vote is verified (a bad one counts in `bad_messages`)
     but never tallied.
+
+    Each height above the head has one `Level` record in `levels`, which
+    a commit drops whole.  Only `equivocations` outlives it, since fraud
+    reports cite a creator's two digests after their height commits.
     """
 
     def __init__(
@@ -470,27 +498,19 @@ class Node:
         self.head = 0
         self.head_digest = gd
         self.head_trie = genesis_trie
-        self.candidates: dict[int, dict[Hash, Block]] = {}
+        self.levels: dict[int, Level] = {}
+        for k, a in genesis_assignments.items():
+            if self.addr in a.creators:
+                self._level(k).creator = True
+        self._genesis_voted = False
+        # digest -> height and approvals stay keyed by digest: a vote can
+        # arrive before its block, and its height is then unknown
         self.cand_height: dict[Hash, int] = {gd: 0}
         self.approvals: dict[Hash, dict[Address, Vote]] = {}
-        # digests per height still awaiting this node's vote decision
-        # (genesis waits at 0); a digest leaves once it is voted on or
-        # found to need no vote, and a height leaves when it commits
-        self._unvoted: dict[int, set[Hash]] = {0: {gd}}
-        self.locked_parent: dict[int, Hash] = {}
-        # heights this node has proposed at; a proposal is made at head+1
-        # to head+3 only, so a height leaves when it commits
-        self.proposed: set[int] = set()
-        self.quorum_tick: dict[int, int] = {}
         self.mempool: dict[tuple, Transaction] = {}
-        self.fraud_seen: dict[tuple, list[Hash]] = {}
-        self.first_seen: dict[int, int] = {}
-        # heights at which this node is a creator on some branch: set from
-        # the assignment of each candidate two heights below, and fixed by
-        # the committed block's assignment once that height commits
-        self._creator_heights: set[int] = {
-            k for k, a in genesis_assignments.items() if self.addr in a.creators
-        }
+        # (height, creator) -> that level's digests from the creator, kept
+        # once there are two and for good
+        self.equivocations: dict[tuple, list[Hash]] = {}
         self.reported: set[tuple] = set()
         self.last_head_change = 0
         self.counters = {"rejected_txs": 0, "bad_messages": 0, "frauds_detected": 0}
@@ -583,24 +603,33 @@ class Node:
         if h <= self.head or h < 1:
             return False
         d = block_digest(blk.header)
-        level = self.candidates.get(h)
-        if level is None:
-            level = self.candidates[h] = {}
-        elif d in level:
+        level = self._level(h)
+        if d in level.blocks:
             return False
-        level[d] = blk
+        if not level.blocks:
+            level.first_seen = tick
+        level.blocks[d] = blk
+        level.unvoted.add(d)
         self.cand_height[d] = h
-        self._unvoted.setdefault(h, set()).add(d)
-        self.first_seen.setdefault(h, tick)
         if blk.assignment.block_height == h + 2 and self.addr in blk.assignment.creators:
-            self._creator_heights.add(h + 2)
+            self._level(h + 2).creator = True
         self._dirty = True
-        key = (h, blk.header.creator)
-        seen = self.fraud_seen.setdefault(key, [])
+        seen = level.by_creator.setdefault(blk.header.creator, [])
         seen.append(d)
         if len(seen) == 2:
+            self.equivocations[(h, blk.header.creator)] = seen
             self.counters["frauds_detected"] += 1
         return True
+
+    def _level(self, h: int) -> Level:
+        level = self.levels.get(h)
+        if level is None:
+            level = self.levels[h] = Level()
+        return level
+
+    def _blocks(self, h: int) -> dict[Hash, Block]:
+        level = self.levels.get(h)
+        return level.blocks if level is not None else {}
 
     def _add_vote(self, v: Vote) -> None:
         h = self.cand_height.get(v.target_hash)
@@ -619,9 +648,9 @@ class Node:
     def _sync_payload(self, req_head: int):
         blocks = self.committed[req_head + 1 :]
         cands = []
-        for h in sorted(self.candidates):
+        for h, level in sorted(self.levels.items()):
             if h > req_head:
-                cands.extend(self.candidates[h][d] for d in sorted(self.candidates[h]))
+                cands.extend(level.blocks[d] for d in sorted(level.blocks))
         votes = []
         for d in sorted(self.approvals):
             dh = self.cand_height.get(d)
@@ -639,15 +668,11 @@ class Node:
 
     def _commit_pass(self, tick: int, actions: list) -> bool:
         k = self.head + 3
-        level = self.candidates.get(k)
-        if not level:
-            return False
-        for d in sorted(level):
-            bk = level[d]
-            t = self.candidates.get(k - 1, {}).get(bk.header.prev_hash)
+        for _, bk in sorted(self._blocks(k).items()):
+            t = self._blocks(k - 1).get(bk.header.prev_hash)
             if t is None:
                 continue
-            x = self.candidates.get(k - 2, {}).get(t.header.prev_hash)
+            x = self._blocks(k - 2).get(t.header.prev_hash)
             if x is None:
                 continue
             if x.header.prev_hash != self.head_digest:
@@ -672,41 +697,24 @@ class Node:
         self.committed.append(blk)
         self.head_digest = d
         self.head_trie = result.post_trie
-        if self.addr in blk.assignment.creators:
-            self._creator_heights.add(j + 2)
-        else:
-            self._creator_heights.discard(j + 2)
-        self._creator_heights.discard(j)
+        self._level(j + 2).creator = self.addr in blk.assignment.creators
         self.head = j
         self.last_head_change = tick
         for tx in blk.transactions:
             self.mempool.pop((tx.sender, tx.nonce), None)
-        stale = self.candidates.pop(j, None)
-        if stale:
-            for sd in stale:
-                if sd == d:
-                    continue  # certificates over the head may still be needed
-                self.cand_height.pop(sd, None)
-                self.approvals.pop(sd, None)
-                self._qual.discard(sd)
-        self.locked_parent.pop(j, None)
-        self.proposed.discard(j)
-        self._unvoted.pop(j, None)
-        self.quorum_tick.pop(j, None)
-        self.first_seen.pop(j, None)
+        for sd in self.levels.pop(j).blocks:
+            if sd == d:
+                continue  # certificates over the head may still be needed
+            self.cand_height.pop(sd, None)
+            self.approvals.pop(sd, None)
+            self._qual.discard(sd)
         # approvals are only needed to build certificates near the tip
         if j >= 2:
             old = block_digest(self.committed[j - 2].header)
             self.approvals.pop(old, None)
             self.cand_height.pop(old, None)
             self._qual.discard(old)
-        # settled single-candidate heights cannot become fraud evidence
-        for key in [k for k in self.fraud_seen if k[0] <= j - 2 and len(self.fraud_seen[k]) < 2]:
-            del self.fraud_seen[key]
         actions.append(("commit", j, d))
-
-    def _mark_voted(self, d: Hash) -> None:
-        self._unvoted[self.cand_height[d]].discard(d)
 
     def _schedule(self, h: int) -> MaintainerAssignment | None:
         """The committed assignment serving height h (`core.schedule_for`),
@@ -723,34 +731,29 @@ class Node:
         if self.head == 0:
             self._maybe_vote_genesis(actions)
         for k in (self.head + 1, self.head + 2):
-            pending = self._unvoted.get(k)
-            if not pending:
+            level = self.levels.get(k)
+            if level is None or not level.unvoted:
                 continue
-            level = self.candidates[k]
             # wait for the full sibling set (or a patience timeout) so the
             # first approval, which locks this node's parent choice, is
             # made with the same evidence everywhere
-            creators = {blk.header.creator for blk in level.values()}
-            if len(creators) < len(self._schedule(k).creators):
-                due = self.first_seen.get(k, tick) + self.cfg.vote_patience
+            if len(level.by_creator) < len(self._schedule(k).creators):
+                due = level.first_seen + self.cfg.vote_patience
                 if tick < due:
                     self._schedule_timer(due, actions)
                     continue
-            for d in sorted(pending):
-                self._consider_vote(k, d, level[d], actions)
+            for d in sorted(level.unvoted):
+                self._consider_vote(k, level, d, actions)
 
     def _maybe_vote_genesis(self, actions: list) -> None:
-        gd = self.head_digest
-        if gd not in self._unvoted[0]:
-            return
         sched = self._schedule(1)
-        if self.addr not in sched.voters:
+        if self._genesis_voted or self.addr not in sched.voters:
             return
+        self._genesis_voted = True
         behavior = self._voter_behavior(sched)
-        if behavior == VOTE_WITHHOLD:
-            self._mark_voted(gd)
-            return
-        self._emit_vote(gd, behavior != VOTE_DISAPPROVE_ALL, sched.members(), actions)
+        if behavior != VOTE_WITHHOLD:
+            approve = behavior != VOTE_DISAPPROVE_ALL
+            self._emit_vote(self.head_digest, approve, sched.members(), actions)
 
     def _voter_behavior(self, voter_schedule) -> str:
         if self.behavior in (VOTE_WITHHOLD, VOTE_DISAPPROVE_ALL):
@@ -761,44 +764,40 @@ class Node:
             return HONEST
         return self.slot_behaviors.get(slot, HONEST)
 
-    def _consider_vote(self, k: int, d: Hash, blk: Block, actions: list) -> None:
+    def _consider_vote(self, k: int, level: Level, d: Hash, actions: list) -> None:
+        blk = level.blocks[d]
         if k == self.head + 1:
             parent = self.committed[-1]
         else:
-            parent = self.candidates.get(k - 1, {}).get(blk.header.prev_hash)
+            parent = self._blocks(k - 1).get(blk.header.prev_hash)
             if parent is None:
                 return  # defer until the parent candidate arrives
+        # the decision is made now: membership is fixed once the parent is
+        # known, and every path below withholds or votes
+        level.unvoted.discard(d)
         # the voters for height k+1 (who judge candidates at k) are the
         # assignment recorded in the parent block
         voter_schedule = parent.assignment
         if voter_schedule.block_height != k + 1 or self.addr not in voter_schedule.voters:
-            self._mark_voted(d)  # membership is fixed once the parent is known
             return
         behavior = self._voter_behavior(voter_schedule)
         if behavior == VOTE_WITHHOLD:
-            self._mark_voted(d)
             return
         parent_trie = self._post_state_of(parent)
-        approve = parent_trie is not None
-        if approve and len(self.fraud_seen.get((k, blk.header.creator), ())) > 1:
-            approve = False  # equivocating creator
-        if approve and not self._resolution_matches(k, blk):
-            approve = False
-        if approve:
-            lock = self.locked_parent.get(k)
-            if lock is not None and lock != blk.header.prev_hash:
-                approve = False
-        if approve and not self._reports_substantiated(blk):
-            approve = False
-        if approve:
-            result = self.executor.validate(
+        approve = (
+            parent_trie is not None
+            and len(level.by_creator[blk.header.creator]) < 2  # no equivocation
+            and self._resolution_matches(k, level, blk)
+            and level.locked_parent in (None, blk.header.prev_hash)
+            and self._reports_substantiated(blk)
+            and self.executor.validate(
                 blk, parent, parent_trie, self._schedule(k), self._clear_members(k)
-            )
-            approve = result.valid
+            ).valid
+        )
         if behavior == VOTE_DISAPPROVE_ALL:
             approve = False
-        if approve and k not in self.locked_parent:
-            self.locked_parent[k] = blk.header.prev_hash
+        if approve and level.locked_parent is None:
+            level.locked_parent = blk.header.prev_hash
         self._emit_vote(d, approve, voter_schedule.members(), actions)
 
     def _is_qualified(self, d: Hash, voters) -> bool:
@@ -810,7 +809,7 @@ class Node:
             return True
         return False
 
-    def _resolution_matches(self, k: int, blk: Block) -> bool:
+    def _resolution_matches(self, k: int, level: Level, blk: Block) -> bool:
         """Backward link must name the largest-rehash parent among those
         proven qualified by sibling certificates this node has seen.
         Certificate evidence, unlike raw vote tallies, is identical for
@@ -820,18 +819,15 @@ class Node:
         parents = {blk.header.prev_hash}  # proven by blk's own certificate
         sched = self._schedule(k)
         if sched is not None:
-            for sib in self.candidates.get(k, {}).values():
+            for sib in level.blocks.values():
                 if sib is not blk and self.executor.certifies_parent(sib.header, sched.voters):
                     parents.add(sib.header.prev_hash)
         return max(parents, key=sibling_order) == blk.header.prev_hash
 
     def _reports_substantiated(self, blk: Block) -> bool:
         for report in blk.fraud_reports:
-            key = (report.height_of_offense, report.accused)
-            seen = self.fraud_seen.get(key, ())
-            if len(seen) < 2:
-                return False
-            if report.evidence_hash != equivocation_evidence(
+            seen = self.equivocations.get((report.height_of_offense, report.accused))
+            if seen is None or report.evidence_hash != equivocation_evidence(
                 report.height_of_offense, report.accused, seen
             ):
                 return False
@@ -844,7 +840,6 @@ class Node:
             approve=approve,
             signature=sign(self.keys, core.vote_signing_bytes(target, approve)),
         )
-        self._mark_voted(target)
         self._add_vote(vote)
         # only the next height's maintainers consume votes directly
         actions.append(("multicast", tuple(recipients), ("vote", vote)))
@@ -856,7 +851,8 @@ class Node:
         # (its schedule then lives in a candidate at head+1, per branch)
         for k in (self.head + 1, self.head + 2, self.head + 3):
             # could this node be a creator at k on any branch?
-            if k in self.proposed or k not in self._creator_heights:
+            level = self.levels.get(k)
+            if level is None or level.proposed or not level.creator:
                 continue
             resolved = self._resolve_parent(k)
             if resolved is None:
@@ -865,11 +861,13 @@ class Node:
             if self.addr not in sched.creators:
                 continue
             ci = sched.creators.index(self.addr)
-            first = self.quorum_tick.setdefault(k, tick)
-            due = first + self.cfg.proposal_delay
+            if level.quorum_tick is None:
+                level.quorum_tick = tick
+            due = level.quorum_tick + self.cfg.proposal_delay
             if tick < due:
                 self._schedule_timer(due, actions)
                 continue
+            level.proposed = True
             self._propose(k, ci, block, sched, tick, actions)
 
     def _branch_schedule(self, k: int, parent: Block):
@@ -877,7 +875,7 @@ class Node:
         recorded in block k-2 (parent sits at k-1)."""
         if k - 2 <= self.head:
             return self._schedule(k)
-        gp = self.candidates.get(k - 2, {}).get(parent.header.prev_hash)
+        gp = self._blocks(k - 2).get(parent.header.prev_hash)
         return gp.assignment if gp is not None else None
 
     def _resolve_parent(self, k: int):
@@ -888,7 +886,7 @@ class Node:
         elif k - 1 < self.head:
             return None
         else:
-            pool = self.candidates.get(k - 1, {})
+            pool = self._blocks(k - 1)
         qualified = []
         for pd in sorted(pool):
             blk = pool[pd]
@@ -903,12 +901,12 @@ class Node:
         return winner, self._branch_schedule(k, winner)
 
     def _propose(self, k: int, ci: int, resolved: Block, sched, tick: int, actions: list) -> None:
-        self.proposed.add(k)
         prev_digest = block_digest(resolved.header)
+        voters = set(sched.voters)
         votes = [
             self.approvals[prev_digest][a]
             for a in sorted(self.approvals.get(prev_digest, {}))
-            if a in set(sched.voters)
+            if a in voters
         ]
         try:
             cert = build_certificate(votes)
@@ -962,7 +960,7 @@ class Node:
             if blk.header.prev_hash != self.head_digest:
                 return None
         else:
-            parent = self.candidates.get(h - 1, {}).get(blk.header.prev_hash)
+            parent = self._blocks(h - 1).get(blk.header.prev_hash)
             if parent is None:
                 return None
         pre = self._post_state_of(parent)
@@ -974,10 +972,9 @@ class Node:
 
     def _eligible_reports(self, height: int, trie: StateTrie):
         reports = []
-        for key in sorted(self.fraud_seen):
+        for key, seen in sorted(self.equivocations.items()):
             offense_height, accused = key
-            seen = self.fraud_seen[key]
-            if len(seen) < 2 or key in self.reported or accused == self.addr:
+            if key in self.reported or accused == self.addr:
                 continue
             state = trie.get_account(accused)
             if state is None or state.blacklist_until > height:

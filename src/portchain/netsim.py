@@ -11,15 +11,16 @@ Nothing is ever scheduled before the current tick, so appending to a
 bucket gives the order of one heap keyed by (tick, insertion sequence).
 
 Live state follows the window of live heights, not the length of the
-run: the nodes share one `BlockExecutor`, and `run` tracks the lowest
-head over the nodes that can still handle events (a node crashed with
-no recovery left does not count) and has the executor forget every
-height at or below it.  Each committed block gets one commit label,
-shared by every node's commits and commit events.  What still grows with
-the run is its output (the chain, the commits and the events) and the
-process-wide memo of `crypto.verify`, one entry per distinct signature.
-`crypto.sign` records each signature it makes in that memo, so a run
-verifies natively only the signatures it did not make.
+run: each node keeps one `engine.Level` record per live height, and the
+nodes share one `BlockExecutor`; `run` tracks the lowest head over the
+nodes that can still handle events (a node crashed with no recovery left
+does not count) and has the executor forget every height at or below it.
+Each committed block gets one commit label, shared by every node's
+commits and commit events.  What still grows with the run is its output
+(the chain, the commits and the events) and the process-wide memo of
+`crypto.verify`, one entry per distinct signature.  `crypto.sign`
+records each signature it makes in that memo, so a run verifies natively
+only the signatures it did not make.
 """
 from __future__ import annotations
 

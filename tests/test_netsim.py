@@ -245,8 +245,10 @@ def _down_for_good(cfg, tick):
 def _watch_window(monkeypatch, cfg):
     """Patch netsim's Node so that, before every event a node handles, the
     shared executor is checked to hold no header at or below the lowest
-    head of the nodes still running, and the node to keep no proposed
-    height at or below its own head.  Returns the memo sizes seen."""
+    head of the nodes still running, and the node to keep no `Level` record
+    at or below its own head, the creator flag the committed chain fixes,
+    and only proven pairs as equivocations.  Returns the nodes and the
+    memo sizes seen."""
     nodes, sizes = [], []
 
     class Watched(engine.Node):
@@ -260,12 +262,17 @@ def _watch_window(monkeypatch, cfg):
             ex = self.executor
             held = set(ex._memo) | set(ex._certs)
             assert not held or min(held) > lowest, (tick, lowest, sorted(held))
-            assert min(self.proposed, default=self.head + 1) > self.head
+            assert min(self.levels, default=self.head + 1) > self.head
+            assert all(len(seen) >= 2 for seen in self.equivocations.values())
+            # up to head+2 the committed chain fixes who creates a height
+            for h in range(self.head + 1, self.head + 3):
+                if h in self.levels:
+                    assert self.levels[h].creator == (self.addr in self._schedule(h).creators)
             sizes.append(sum(len(level) for level in ex._memo.values()))
             return super().handle(kind, payload, tick)
 
     monkeypatch.setattr(netsim, "Node", Watched)
-    return sizes
+    return nodes, sizes
 
 
 def test_commit_labels_are_shared_across_nodes():
@@ -291,7 +298,7 @@ def test_window_keeps_live_heights_without_reassembly(monkeypatch, name):
     # or an equivocation twin, each with its own propose event) or, if its
     # creator did not record it (a forged block), by one validation
     cfg = _WINDOW_CONFIGS[name]
-    sizes = _watch_window(monkeypatch, cfg)
+    nodes, sizes = _watch_window(monkeypatch, cfg)
     counts = {"assemble": 0, "commit_rule": 0}
     validated = []
     real_assemble, real_rule = engine.assemble_block, engine.commit_rule
@@ -319,6 +326,9 @@ def test_window_keeps_live_heights_without_reassembly(monkeypatch, name):
     assert counts["assemble"] == proposals + len(validated)
     if name == "forge-assignment":
         assert validated  # the forged blocks, judged once each
+    if name == "equivocate-creator":
+        # the evidence outlives the record of its height
+        assert any(h <= node.head for node in nodes for h, _ in node.equivocations)
     # an executor that never forgets gives the same run with the same work,
     # so no lookup missed a forgotten entry
     windowed = dict(counts, validated=len(validated), digest=t.digest_hex())
@@ -342,7 +352,7 @@ def test_memo_peak_does_not_grow_with_run_height(monkeypatch):
     peaks = {}
     for height in (60, 240):
         cfg = dataclasses.replace(base, run_height=height)
-        sizes = _watch_window(monkeypatch, cfg)
+        _, sizes = _watch_window(monkeypatch, cfg)
         assert not run(cfg).stalled
         peaks[height] = max(sizes)
     assert peaks[240] <= 8 * base.creator_redundancy
@@ -372,7 +382,7 @@ def test_permanent_crash_does_not_hold_the_window(monkeypatch):
     # node 3 stops at head 3 for good; the memo still moves on with the
     # running nodes rather than keeping every height above the dead head
     cfg = dataclasses.replace(_WINDOW_CONFIGS["permanent-crash"], run_height=120)
-    sizes = _watch_window(monkeypatch, cfg)
+    _, sizes = _watch_window(monkeypatch, cfg)
     t = run(cfg)
     assert not t.stalled
     assert t.heads[3] < 10 and min(h for i, h in enumerate(t.heads) if i != 3) >= 120
