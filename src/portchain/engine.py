@@ -201,7 +201,7 @@ def assemble_block(
         if report.reporter == report.accused:
             raise BlockInvalid("self-accusation")
         try:
-            writes, extra, taken = apply_fraud_verdict(writes, report, True, height, cfg.ledger)
+            writes, extra, taken = apply_fraud_verdict(writes, report, height, cfg.ledger)
         except ValueError as exc:
             raise BlockInvalid(f"bad fraud report: {exc}")
         issued += extra
@@ -451,6 +451,20 @@ class Level:
         self.proposed = False
 
 
+class Tally:
+    """What one node knows about one candidate digest.  A vote can arrive
+    before its block, so `height` is None until the block does."""
+
+    __slots__ = ("height", "votes", "qualified")
+
+    def __init__(self, height: int | None = None):
+        self.height = height
+        self.votes: dict[Address, Vote] = {}  # approvals by voter
+        # the approvals were found to hold a quorum; that is monotone, and
+        # `_is_qualified` is asked only at or above the head
+        self.qualified = False
+
+
 class Node:
     """One consensus participant; fed events, emits actions.
 
@@ -468,6 +482,8 @@ class Node:
     Each height above the head has one `Level` record in `levels`, which
     a commit drops whole.  Only `equivocations` outlives it, since fraud
     reports cite a creator's two digests after their height commits.
+    Each candidate digest has one `Tally` record in `tallies`, which a
+    commit drops for the losing siblings and for the block two below.
     """
 
     def __init__(
@@ -503,10 +519,7 @@ class Node:
             if self.addr in a.creators:
                 self._level(k).creator = True
         self._genesis_voted = False
-        # digest -> height and approvals stay keyed by digest: a vote can
-        # arrive before its block, and its height is then unknown
-        self.cand_height: dict[Hash, int] = {gd: 0}
-        self.approvals: dict[Hash, dict[Address, Vote]] = {}
+        self.tallies: dict[Hash, Tally] = {gd: Tally(0)}
         self.mempool: dict[tuple, Transaction] = {}
         # (height, creator) -> that level's digests from the creator, kept
         # once there are two and for good
@@ -514,10 +527,6 @@ class Node:
         self.reported: set[tuple] = set()
         self.last_head_change = 0
         self.counters = {"rejected_txs": 0, "bad_messages": 0, "frauds_detected": 0}
-        # digests known to hold a quorum; qualification is monotone, and
-        # `_is_qualified` is asked only at or above the head, so a digest
-        # leaves when `_commit` drops its approvals
-        self._qual: set[Hash] = set()
         self._sync_attempts = 0
         # one periodic sync timer: the first wake at or after this tick runs
         # the sync check and re-arms it; other wakes never arm a second one
@@ -554,10 +563,8 @@ class Node:
             if requester != self.index:
                 actions.append(("send", requester, ("sync_resp", self._sync_payload(req_head))))
         elif kind == "sync_resp":
-            blocks, cands, votes = payload
+            blocks, votes = payload
             for blk in blocks:
-                self._add_candidate(blk, tick)
-            for blk in cands:
                 self._add_candidate(blk, tick)
             for v in votes:
                 self._add_vote(v)
@@ -610,7 +617,7 @@ class Node:
             level.first_seen = tick
         level.blocks[d] = blk
         level.unvoted.add(d)
-        self.cand_height[d] = h
+        self.tallies.setdefault(d, Tally()).height = h
         if blk.assignment.block_height == h + 2 and self.addr in blk.assignment.creators:
             self._level(h + 2).creator = True
         self._dirty = True
@@ -632,31 +639,32 @@ class Node:
         return level.blocks if level is not None else {}
 
     def _add_vote(self, v: Vote) -> None:
-        h = self.cand_height.get(v.target_hash)
-        if h is not None and h < self.head:
+        tally = self.tallies.get(v.target_hash)
+        if tally is not None and tally.height is not None and tally.height < self.head:
             return
         if not verify(self.cfg.public_keys.get(v.voter, b""), v.signing_bytes(), v.signature):
             self.counters["bad_messages"] += 1
             return
         if v.approve:
-            bucket = self.approvals.setdefault(v.target_hash, {})
-            bucket[v.voter] = v
+            if tally is None:
+                tally = self.tallies[v.target_hash] = Tally()
+            tally.votes[v.voter] = v
             # a quorum can only form at or past the raw-count threshold
-            if v.target_hash not in self._qual and len(bucket) >= self.cfg.quorum:
+            if not tally.qualified and len(tally.votes) >= self.cfg.quorum:
                 self._dirty = True
 
     def _sync_payload(self, req_head: int):
+        """The committed blocks above req_head, then the candidates by
+        height and digest; and the approvals by digest and voter."""
         blocks = self.committed[req_head + 1 :]
-        cands = []
         for h, level in sorted(self.levels.items()):
             if h > req_head:
-                cands.extend(level.blocks[d] for d in sorted(level.blocks))
+                blocks.extend(level.blocks[d] for d in sorted(level.blocks))
         votes = []
-        for d in sorted(self.approvals):
-            dh = self.cand_height.get(d)
-            if dh is None or dh >= req_head:
-                votes.extend(self.approvals[d][a] for a in sorted(self.approvals[d]))
-        return (tuple(blocks), tuple(cands), tuple(votes))
+        for d, tally in sorted(self.tallies.items()):
+            if tally.height is None or tally.height >= req_head:
+                votes.extend(tally.votes[a] for a in sorted(tally.votes))
+        return (tuple(blocks), tuple(votes))
 
     # -- core progression ---------------------------------------------------
 
@@ -703,17 +711,11 @@ class Node:
         for tx in blk.transactions:
             self.mempool.pop((tx.sender, tx.nonce), None)
         for sd in self.levels.pop(j).blocks:
-            if sd == d:
-                continue  # certificates over the head may still be needed
-            self.cand_height.pop(sd, None)
-            self.approvals.pop(sd, None)
-            self._qual.discard(sd)
+            if sd != d:  # certificates over the head may still be needed
+                self.tallies.pop(sd, None)
         # approvals are only needed to build certificates near the tip
         if j >= 2:
-            old = block_digest(self.committed[j - 2].header)
-            self.approvals.pop(old, None)
-            self.cand_height.pop(old, None)
-            self._qual.discard(old)
+            self.tallies.pop(block_digest(self.committed[j - 2].header), None)
         actions.append(("commit", j, d))
 
     def _schedule(self, h: int) -> MaintainerAssignment | None:
@@ -801,13 +803,12 @@ class Node:
         self._emit_vote(d, approve, voter_schedule.members(), actions)
 
     def _is_qualified(self, d: Hash, voters) -> bool:
-        if d in self._qual:
-            return True
-        approvers = self.approvals.get(d, ())
-        if sum(1 for a in approvers if a in voters) >= self.cfg.quorum:
-            self._qual.add(d)
-            return True
-        return False
+        tally = self.tallies.get(d)
+        if tally is None:
+            return False
+        if not tally.qualified:
+            tally.qualified = sum(1 for a in tally.votes if a in voters) >= self.cfg.quorum
+        return tally.qualified
 
     def _resolution_matches(self, k: int, level: Level, blk: Block) -> bool:
         """Backward link must name the largest-rehash parent among those
@@ -903,11 +904,8 @@ class Node:
     def _propose(self, k: int, ci: int, resolved: Block, sched, tick: int, actions: list) -> None:
         prev_digest = block_digest(resolved.header)
         voters = set(sched.voters)
-        votes = [
-            self.approvals[prev_digest][a]
-            for a in sorted(self.approvals.get(prev_digest, {}))
-            if a in voters
-        ]
+        approvals = self.tallies[prev_digest].votes
+        votes = [approvals[a] for a in sorted(approvals) if a in voters]
         try:
             cert = build_certificate(votes)
         except core.CertificateError:

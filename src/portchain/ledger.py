@@ -111,15 +111,11 @@ def refund_reward(
 def apply_fraud_verdict(
     trie: StateTrie | WriteSet,
     report: FraudReport,
-    approved: bool,
     current_height: int,
     cfg: LedgerConfig,
 ) -> tuple[StateTrie | WriteSet, int, int]:
     """Apply an approved fraud verdict: blacklist (and optionally strip)
-    the accused, reward the reporter.  Returns (trie, issued, confiscated);
-    a rejected verdict is the identity."""
-    if not approved:
-        return trie, 0, 0
+    the accused, reward the reporter.  Returns (trie, issued, confiscated)."""
     accused = trie.get_account(report.accused)
     if accused is None:
         raise LedgerError("accused account does not exist")

@@ -387,7 +387,6 @@ def run(config: SimConfig) -> SimTranscript:
     ]
 
     crashed = [False] * n
-    crashed_forever = [False] * n
     # recovery events still to come, per node: a node that crashes with
     # none pending never handles another event
     recoveries_left = [0] * n
@@ -430,19 +429,15 @@ def run(config: SimConfig) -> SimTranscript:
     gossip_fanout = min(4, n - 1)
     ring = [tuple((i + step) % n for step in range(1, gossip_fanout + 1)) for i in everyone]
     addr_index = {a: i for i, a in enumerate(ctx.addresses)}
-    multicast_targets: dict[tuple, tuple] = {}
 
     events: list = []
     commits: list = [[] for _ in range(n)]
     last_commit_tick = 0
-    commit_events = 0
-    pending_recoveries = 0
 
     # the lowest head over the nodes that can still handle events, kept
     # with a count of those nodes per head height; every executor lookup
     # is for a header above its caller's head, so the executor forgets
     # each height once the lowest head reaches it
-    live = [True] * n
     at_head = [n]
     lowest = 0
     # one (height, digest16) pair and one "height:digest16" string per
@@ -472,16 +467,15 @@ def run(config: SimConfig) -> SimTranscript:
         push(adv.start_tick, -1, "crash", adv.node)
         if adv.recover_tick is not None:
             push(adv.recover_tick, -1, "recover", adv.node)
-            pending_recoveries += 1
             recoveries_left[adv.node] += 1
-        else:
-            crashed_forever[adv.node] = True
 
-    required = [i for i in everyone if node_behavior[i] == HONEST and not crashed_forever[i]]
+    down_for_good = {adv.node for adv in crash_events if adv.recover_tick is None}
+    required = [i for i in everyone if node_behavior[i] == HONEST and i not in down_for_good]
     nonces = [0] * n
     stalled = False
     final_tick = 0
-    commits_seen = 0
+    # a commit since the last check of whether the run is done
+    new_commit = False
     max_ticks = cfg.max_ticks
     stall_patience = cfg.stall_patience
 
@@ -495,11 +489,11 @@ def run(config: SimConfig) -> SimTranscript:
         # ahead, the recovery wake now), so appending to this bucket keeps
         # the order of one heap keyed by (tick, insertion sequence)
         for i, kind, payload in buckets[tick]:
-            if commit_events != commits_seen:
-                commits_seen = commit_events
+            if new_commit:
+                new_commit = False
                 if all(nodes[r].head >= cfg.run_height for r in required):
                     break
-            if tick - last_commit_tick > stall_patience and pending_recoveries == 0:
+            if tick - last_commit_tick > stall_patience and not any(recoveries_left):
                 stalled = True
                 break
             if i >= 0:
@@ -512,13 +506,8 @@ def run(config: SimConfig) -> SimTranscript:
                 for act in nodes[i].handle(kind, payload, tick):
                     op = act[0]
                     if op == "multicast":
-                        key = (act[1], i)
-                        targets = multicast_targets.get(key)
-                        if targets is None:
-                            targets = multicast_targets[key] = tuple(
-                                j for j in map(addr_index.get, act[1]) if j is not None and j != i
-                            )
-                        send(tick, targets, act[2])
+                        send(tick, [j for j in map(addr_index.get, act[1])
+                                    if j is not None and j != i], act[2])
                     elif op == "wake":
                         push(act[1], i, "wake", None)
                     elif op == "broadcast":
@@ -537,7 +526,7 @@ def run(config: SimConfig) -> SimTranscript:
                             labels.setdefault(h, label)
                         commits[i].append(label[1])
                         last_commit_tick = tick
-                        commit_events += 1
+                        new_commit = True
                         events.append((tick, i, "commit", label[2]))
                         # a node handling events is live
                         if h == len(at_head):
@@ -545,13 +534,12 @@ def run(config: SimConfig) -> SimTranscript:
                         at_head[h] += 1
                         head_left(h - 1)
             elif kind == "crash":
-                crashed[payload] = True
-                if live[payload] and not recoveries_left[payload]:
-                    live[payload] = False
+                # a running node with no recovery left is down for good
+                if not crashed[payload] and not recoveries_left[payload]:
                     head_left(nodes[payload].head)
+                crashed[payload] = True
             elif kind == "recover":
                 crashed[payload] = False
-                pending_recoveries -= 1
                 recoveries_left[payload] -= 1
                 push(tick, payload, "wake", None)
                 send(tick, others[payload], ("sync_req", (payload, nodes[payload].head)))

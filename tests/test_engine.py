@@ -504,9 +504,9 @@ def test_forged_votes_count_as_bad_messages():
     for i, signature in enumerate(forged, 1):
         node.handle("vote", Vote(voter, target, True, signature), i)
         assert node.counters["bad_messages"] == i
-    assert target not in node.approvals
+    assert target not in node.tallies
     node.handle("vote", Vote(voter, target, True, sig), 9)
-    assert node.counters["bad_messages"] == len(forged) and voter in node.approvals[target]
+    assert node.counters["bad_messages"] == len(forged) and voter in node.tallies[target].votes
 
 
 def test_voter_disapproves_a_child_of_an_invalid_parent():

@@ -32,6 +32,15 @@ def _criterion_9_config(s):
                      ))
 
 
+def _crash_twice_config(*spans):
+    # node 3 crashes once per (start, recover) span; None recovers never
+    return SimConfig(seed=4, node_count=16, run_height=40, drop_probability=0.05,
+                     adversaries=tuple(
+                         AdversarySpec(kind="crash", node=3, start_tick=start, recover_tick=end)
+                         for start, end in spans
+                     ))
+
+
 GOLDEN = [
     (_criterion_9_config(0), "27d7b7742389bc76aa9bca34e675f94ebdb46f0d351010c2d754019aa8125742"),
     (_criterion_9_config(1), "ad8a30e1f5372bc11157707b9f3b0d0e916794e96b08e8efe616f2b6849a0cb1"),
@@ -74,6 +83,14 @@ GOLDEN = [
     # more transactions than blocks take: stale mempool entries are rejected
     (SimConfig(seed=14, tx_interval=3, txs_per_interval=4, latency_max=2, run_height=30),
      "744efb6ffc3b399476fe1f88dbf905c1eef712fead813ccef3ee975a742d457c"),
+    # one node crashed twice: nested recovering crashes, a recovery and then
+    # a permanent crash, and two permanent crashes
+    (_crash_twice_config((60, 300), (150, 200)),
+     "4295d2660711eef6ca5760a9a6df0af664caadff19c58bf9d83b1f0faf3fbe86"),
+    (_crash_twice_config((60, 150), (250, None)),
+     "da8d2b12335ca3532a12d2dca493afd808a53a3b35fe641e94f2ec79d67497aa"),
+    (_crash_twice_config((60, None), (90, None)),
+     "64496bb6d761517ecb359afc1aa1aaa1f1cda169ac516769c3fda1ac8ead343b"),
 ]
 
 
@@ -81,7 +98,7 @@ GOLDEN = [
     "cfg,expected", GOLDEN,
     ids=[f"c9-{s}" for s in range(10)]
     + ["equivocate", "forge", "withhold-node", "disapprove-node", "crash-drops", "same-tick", "stall-patience", "max-ticks",
-       "stale-mempool"],
+       "stale-mempool", "crash-nested", "crash-recover-then-permanent", "crash-two-permanent"],
 )
 def test_transcript_digest_pinned(cfg, expected):
     assert run(cfg).digest_hex() == expected

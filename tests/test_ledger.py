@@ -162,7 +162,7 @@ def test_effective_weight():
     report = FraudReport(reporter=reporter, accused=accused,
                          evidence_hash=digest(b"e"), height_of_offense=4)
     assert eligible_total_weight(trie, (), 10) == 6 + 1
-    out, _, _ = apply_fraud_verdict(trie, report, True, 10, CFG)
+    out, _, _ = apply_fraud_verdict(trie, report, 10, CFG)
     end = 10 + CFG.blacklist_duration
     assert eligible_total_weight(out, (), 10) == 1
     assert eligible_total_weight(out, (), end - 1) == 1
@@ -176,7 +176,7 @@ def test_fraud_verdict():
     trie = trie.upsert_account(reporter, AccountState(balance=10))
     report = FraudReport(reporter=reporter, accused=accused,
                          evidence_hash=digest(b"e"), height_of_offense=4)
-    out, issued, confiscated = apply_fraud_verdict(trie, report, True, 20, CFG)
+    out, issued, confiscated = apply_fraud_verdict(trie, report, 20, CFG)
     a = out.get_account(accused)
     assert a.blacklist_until == 20 + CFG.blacklist_duration
     assert a.balance == 777  # confiscation off by default
@@ -185,10 +185,6 @@ def test_fraud_verdict():
     assert out.get_account(reporter).balance == 10 + CFG.reporter_reward
     # with confiscation enabled the balance is stripped
     strict = replace(CFG, confiscate_on_fraud=True)
-    out, issued, confiscated = apply_fraud_verdict(trie, report, True, 20, strict)
+    out, issued, confiscated = apply_fraud_verdict(trie, report, 20, strict)
     assert out.get_account(accused).balance == 0
     assert confiscated == 777
-    # rejected verdict is the identity
-    out, issued, confiscated = apply_fraud_verdict(trie, report, False, 20, CFG)
-    assert (issued, confiscated) == (0, 0)
-    assert out.root_commitment() == trie.root_commitment()

@@ -229,6 +229,20 @@ _WINDOW_CONFIGS = {
         AdversarySpec(kind="crash", node=3, start_tick=60, recover_tick=300),)),
     "permanent-crash": dataclasses.replace(_WINDOW_BASE, adversaries=(
         AdversarySpec(kind="crash", node=3, start_tick=60),)),
+    # one node crashed twice
+    "nested-recovering-crashes": dataclasses.replace(_WINDOW_BASE, adversaries=(
+        AdversarySpec(kind="crash", node=3, start_tick=60, recover_tick=300),
+        AdversarySpec(kind="crash", node=3, start_tick=150, recover_tick=200))),
+    "recovery-then-permanent-crash": dataclasses.replace(_WINDOW_BASE, adversaries=(
+        AdversarySpec(kind="crash", node=3, start_tick=60, recover_tick=150),
+        AdversarySpec(kind="crash", node=3, start_tick=250))),
+    "two-permanent-crashes": dataclasses.replace(_WINDOW_BASE, adversaries=(
+        AdversarySpec(kind="crash", node=3, start_tick=60),
+        AdversarySpec(kind="crash", node=3, start_tick=90))),
+    # the second crash finds the node down and must not leave its head again
+    "two-permanent-crashes-at-head-0": dataclasses.replace(_WINDOW_BASE, adversaries=(
+        AdversarySpec(kind="crash", node=3, start_tick=1),
+        AdversarySpec(kind="crash", node=3, start_tick=2))),
     "equivocate-creator": adversary_config("equivocate_creator"),
     "forge-assignment": adversary_config("forge_assignment"),
 }
@@ -246,9 +260,9 @@ def _watch_window(monkeypatch, cfg):
     """Patch netsim's Node so that, before every event a node handles, the
     shared executor is checked to hold no header at or below the lowest
     head of the nodes still running, and the node to keep no `Level` record
-    at or below its own head, the creator flag the committed chain fixes,
-    and only proven pairs as equivocations.  Returns the nodes and the
-    memo sizes seen."""
+    at or below its own head, no `Tally` of a known height below head - 1,
+    the creator flag the committed chain fixes, and only proven pairs as
+    equivocations.  Returns the nodes and the memo sizes seen."""
     nodes, sizes = [], []
 
     class Watched(engine.Node):
@@ -263,6 +277,8 @@ def _watch_window(monkeypatch, cfg):
             held = set(ex._memo) | set(ex._certs)
             assert not held or min(held) > lowest, (tick, lowest, sorted(held))
             assert min(self.levels, default=self.head + 1) > self.head
+            assert all(t.height is None or t.height >= self.head - 1
+                       for t in self.tallies.values())
             assert all(len(seen) >= 2 for seen in self.equivocations.values())
             # up to head+2 the committed chain fixes who creates a height
             for h in range(self.head + 1, self.head + 3):
@@ -361,8 +377,8 @@ def test_memo_peak_does_not_grow_with_run_height(monkeypatch):
 
 def test_qualified_digests_leave_with_their_approvals(monkeypatch):
     # `_is_qualified` is asked only at or above the head, so `_commit`
-    # drops a digest from `_qual` where it drops its approvals: what is
-    # left are the last two committed blocks and the live candidates
+    # drops a qualified digest's `Tally` with its approvals: what is left
+    # are the last two committed blocks and the live candidates
     nodes = []
 
     class Kept(engine.Node):
@@ -372,10 +388,24 @@ def test_qualified_digests_leave_with_their_approvals(monkeypatch):
 
     monkeypatch.setattr(netsim, "Node", Kept)
     assert not run(dataclasses.replace(_WINDOW_BASE, run_height=60)).stalled
-    assert any(node._qual for node in nodes)
-    for node in nodes:
-        assert node.head == 60 and node._qual <= node.approvals.keys()
-        assert all(node.cand_height.get(d, -1) >= node.head - 1 for d in node._qual)
+    qualified = [[t for t in node.tallies.values() if t.qualified] for node in nodes]
+    assert any(qualified)
+    for node, tallies in zip(nodes, qualified):
+        assert node.head == 60
+        assert all(t.votes and t.height is not None and t.height >= node.head - 1
+                   for t in tallies)
+
+
+def test_no_stall_while_a_recovery_is_pending():
+    # half the nodes are down from tick 40 to 400, so commits stop; the
+    # stall patience runs out long before, but a run is not called stalled
+    # while a crashed node can still come back
+    cfg = SimConfig(seed=4, node_count=16, run_height=12, stall_patience=150,
+                    adversaries=tuple(AdversarySpec(kind="crash", node=i, start_tick=40,
+                                                    recover_tick=400) for i in range(0, 16, 2)))
+    t = run(cfg)
+    last_commit = max(tick for tick, _, kind, _ in t.events if kind == "commit")
+    assert last_commit + cfg.stall_patience < 400 <= t.ticks
 
 
 def test_permanent_crash_does_not_hold_the_window(monkeypatch):
