@@ -30,6 +30,7 @@ keys, so a simulation transcript is a pure function of its config.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 from . import core
 from .core import (
@@ -76,8 +77,13 @@ def commit_rule(cert: VoteCertificate, voters, public_keys) -> bool:
     return verify_certificate(cert, voters, public_keys)
 
 
+@lru_cache(maxsize=16)
 def rehash_value(block_hash: Hash) -> int:
-    """Re-hash of a block digest, compared as a big-endian integer."""
+    """Re-hash of a block digest, compared as a big-endian integer.
+
+    Cached: the sibling rankings of a height ask again and again for the
+    digests of its few candidates, so a small bound answers almost every
+    call, and the digests of committed heights leave the cache."""
     return int.from_bytes(digest(b"rehash" + block_hash), "big")
 
 

@@ -13,7 +13,7 @@ bucket gives the order of one heap keyed by (tick, insertion sequence).
 Live state follows the window of live heights, not the length of the
 run: each node keeps one `engine.Level` record per live height, and the
 nodes share one `BlockExecutor`; `run` tracks the lowest head over the
-nodes that can still handle events (a node crashed with no recovery left
+nodes that can still handle events (a node down with no recovery left
 does not count) and has the executor forget every height at or below it.
 Each committed block gets one commit label, shared by every node's
 commits and commit events.  What still grows with the run is its output
@@ -21,6 +21,12 @@ commits and commit events.  What still grows with the run is its output
 `crypto.verify`, one entry per distinct signature.  `crypto.sign`
 records each signature it makes in that memo, so a run verifies natively
 only the signatures it did not make.
+
+A node is down while any crash spec covers it: crash specs nest.  A run
+is called stalled once no recovery is still to come and `stall_patience`
+ticks have passed since the later of the last commit and the last tick
+at which a crashed node came back up, so the patience starts again when
+a node comes back.
 """
 from __future__ import annotations
 
@@ -69,7 +75,9 @@ class CounterRng:
 class AdversarySpec:
     """One fault to inject.
 
-    kind 'crash' needs node (recover_tick None means permanent).
+    kind 'crash' needs node (recover_tick None means permanent).  Crash
+    specs on one node nest: the node runs again only once no crash spec
+    covers it, so a permanent one keeps it down for good.
     kinds 'vote_withhold'/'vote_disapprove_all' target either a fixed
     node or a voter slot index (whoever holds that slot each height).
     kinds 'equivocate_creator'/'forge_assignment' need node.
@@ -386,8 +394,10 @@ def run(config: SimConfig) -> SimTranscript:
         for i in range(n)
     ]
 
-    crashed = [False] * n
-    # recovery events still to come, per node: a node that crashes with
+    # crash specs that cover each node now: a node runs only at zero, so
+    # crash specs nest
+    down = [0] * n
+    # recovery events still to come, per node: a node that is down with
     # none pending never handles another event
     recoveries_left = [0] * n
     # events are (target node or -1, kind, payload), one FIFO list per tick
@@ -433,6 +443,9 @@ def run(config: SimConfig) -> SimTranscript:
     events: list = []
     commits: list = [[] for _ in range(n)]
     last_commit_tick = 0
+    # stall patience runs from the later of the last commit and the last
+    # tick at which a crashed node came back up
+    patience_from = 0
 
     # the lowest head over the nodes that can still handle events, kept
     # with a count of those nodes per head height; every executor lookup
@@ -493,11 +506,11 @@ def run(config: SimConfig) -> SimTranscript:
                 new_commit = False
                 if all(nodes[r].head >= cfg.run_height for r in required):
                     break
-            if tick - last_commit_tick > stall_patience and not any(recoveries_left):
+            if tick - patience_from > stall_patience and not any(recoveries_left):
                 stalled = True
                 break
             if i >= 0:
-                if crashed[i]:
+                if down[i]:
                     continue
                 if kind == "wake":
                     wakes_delivered += 1
@@ -525,7 +538,7 @@ def run(config: SimConfig) -> SimTranscript:
                             label = (d, (h, d.hex()[:16]), f"{h}:{d.hex()[:16]}")
                             labels.setdefault(h, label)
                         commits[i].append(label[1])
-                        last_commit_tick = tick
+                        last_commit_tick = patience_from = tick
                         new_commit = True
                         events.append((tick, i, "commit", label[2]))
                         # a node handling events is live
@@ -535,14 +548,19 @@ def run(config: SimConfig) -> SimTranscript:
                         head_left(h - 1)
             elif kind == "crash":
                 # a running node with no recovery left is down for good
-                if not crashed[payload] and not recoveries_left[payload]:
+                if not down[payload] and not recoveries_left[payload]:
                     head_left(nodes[payload].head)
-                crashed[payload] = True
+                down[payload] += 1
             elif kind == "recover":
-                crashed[payload] = False
+                down[payload] -= 1
                 recoveries_left[payload] -= 1
-                push(tick, payload, "wake", None)
-                send(tick, others[payload], ("sync_req", (payload, nodes[payload].head)))
+                if not down[payload]:
+                    patience_from = tick
+                    push(tick, payload, "wake", None)
+                    send(tick, others[payload], ("sync_req", (payload, nodes[payload].head)))
+                elif not recoveries_left[payload]:
+                    # another crash spec still covers it, and none ends
+                    head_left(nodes[payload].head)
             elif kind == "workload":
                 counter = payload
                 for j in range(cfg.txs_per_interval):

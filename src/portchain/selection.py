@@ -92,9 +92,8 @@ def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _
     if not 0 <= h < reduced:
         raise ValueError(f"selection number {h} outside [0, {reduced})")
     while not isinstance(node, _Leaf):
-        children = node.children
-        for nib in sorted(children):
-            child = children[nib]
+        # children are kept in ascending nibble order, the canonical order
+        for child in node.children.values():
             w = child.weight - sums.get(child, 0)
             if h < w:
                 node = child

@@ -9,6 +9,13 @@ writes at once, copying each branch on a touched path once per batch,
 and a `WriteSet` buffers the writes of a block in front of a snapshot so
 they land as one batch.
 
+An account's state is an `AccountState`, an immutable tuple-backed record
+that snapshots share.  Nibble paths are bytes, one nibble per byte.
+Every branch keeps its children in ascending nibble order: `_build`
+makes them so and `_update` puts a new nibble in its place, so hashing,
+listing the accounts and the selection descent walk the children as they
+are stored, in canonical order, without sorting them.
+
 Blacklist expiry is lazy: leaves cache the unconditional weight and the
 trie keeps a small side map of blacklisted addresses, subtracted at read
 time against the supplied current height (`selection.eligible_total_weight`).
@@ -18,8 +25,8 @@ weigh zero.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .crypto import ZERO_HASH, Address, Hash, digest
 
@@ -50,8 +57,10 @@ def maintainer_bits(selected: bool, voter: bool, height: int) -> int:
     return bits
 
 
-@dataclass(frozen=True, slots=True)
-class AccountState:
+class AccountState(NamedTuple):
+    """One account's state: an immutable record, so trie snapshots share
+    it, built as one tuple."""
+
     balance: int = 0
     nonce: int = 0
     tax: int = 0
@@ -73,22 +82,21 @@ class AccountState:
         maintainer_bits: int | None = None,
         blacklist_until: int | None = None,
     ) -> AccountState:
-        """This state with the given fields replaced: one direct
-        constructor call, about half the cost of `dataclasses.replace`
-        on this frozen class."""
-        return AccountState(
+        """This state with the given fields replaced."""
+        # what the generated constructor does, without its extra call
+        return _tuple_new(AccountState, (
             self.balance if balance is None else balance,
             self.nonce if nonce is None else nonce,
             self.tax if tax is None else tax,
             self.maintainer_bits if maintainer_bits is None else maintainer_bits,
             self.blacklist_until if blacklist_until is None else blacklist_until,
-        )
+        ))
 
     def encode(self) -> bytes:
-        return _ACCOUNT_ENCODING.pack(
-            self.balance, self.nonce, self.tax, self.maintainer_bits, self.blacklist_until
-        )
+        return _ACCOUNT_ENCODING.pack(*self)
 
+
+_tuple_new = tuple.__new__
 
 # five big-endian unsigned 8-byte fields, in declaration order
 _ACCOUNT_ENCODING = struct.Struct(">5Q")
@@ -98,19 +106,22 @@ EMPTY_ACCOUNT = AccountState()
 
 
 @lru_cache(maxsize=4096)
-def _nibbles(addr: Address) -> tuple[int, ...]:
-    out = []
+def _nibbles(addr: Address) -> bytes:
+    """The nibble path of addr, one nibble per byte."""
+    out = bytearray()
     for byte in addr:
         out.append(byte >> 4)
         out.append(byte & 0x0F)
-    return tuple(out)
+    return bytes(out)
 
 
 class _Leaf:
-    __slots__ = ("path", "addr", "state", "weight", "_hash")
+    __slots__ = ("head", "addr", "state", "weight", "_hash")
 
-    def __init__(self, path: tuple[int, ...], addr: Address, state: AccountState):
-        self.path = path  # nibble suffix below the parent branch
+    def __init__(self, head: bytes, addr: Address, state: AccountState):
+        # the hash input before the state: b"leaf", the nibble suffix
+        # below the parent branch, and the address
+        self.head = head
         self.addr = addr
         self.state = state
         self.weight = state.weight
@@ -119,17 +130,21 @@ class _Leaf:
     def node_hash(self) -> Hash:
         h = self._hash
         if h is None:
-            h = digest(b"leaf" + bytes(self.path) + self.addr + self.state.encode())
+            h = digest(self.head + self.state.encode())
             self._hash = h
         return h
+
+
+# the one-byte encoding of each nibble in a branch hash
+_NIBBLE_BYTES = tuple(bytes((nib,)) for nib in range(16))
 
 
 class _Branch:
     __slots__ = ("prefix", "children", "weight", "_hash")
 
-    def __init__(self, prefix: tuple[int, ...], children: dict, weight: int | None = None):
+    def __init__(self, prefix: bytes, children: dict, weight: int | None = None):
         self.prefix = prefix  # shared nibble run above the fan-out
-        self.children = children  # nibble -> node
+        self.children = children  # nibble -> node, in ascending nibble order
         # subtree weight; callers that replace one child pass it adjusted
         self.weight = sum(c.weight for c in children.values()) if weight is None else weight
         self._hash = None
@@ -137,10 +152,10 @@ class _Branch:
     def node_hash(self) -> Hash:
         h = self._hash
         if h is None:
-            parts = [b"branch", bytes(self.prefix)]
-            for nib in sorted(self.children):
-                parts.append(bytes((nib,)))
-                parts.append(self.children[nib].node_hash())
+            parts = [b"branch", self.prefix]
+            for nib, child in self.children.items():
+                parts.append(_NIBBLE_BYTES[nib])
+                parts.append(child.node_hash())
             h = digest(b"".join(parts))
             self._hash = h
         return h
@@ -166,7 +181,7 @@ def _build(items, depth: int):
     agreeing before `depth`."""
     path, addr, state = items[0]
     if len(items) == 1:
-        return _Leaf(path[depth:], addr, state)
+        return _Leaf(b"leaf" + path[depth:] + addr, addr, state)
     # a sorted run's first and last paths share the run's common prefix
     last = items[-1][0]
     cp = depth
@@ -178,7 +193,7 @@ def _build(items, depth: int):
 def _update(node, items, depth: int):
     """Copy of the subtree `node` at nibble depth `depth` with `items` (as
     for `_build`) written into it; every branch on a written path is
-    copied once."""
+    copied once, and keeps its children in ascending nibble order."""
     if node is None:
         return _build(items, depth)
     if isinstance(node, _Leaf):
@@ -200,28 +215,32 @@ def _update(node, items, depth: int):
         children = {prefix[keep]: _Branch(prefix[keep + 1 :], node.children, weight)}
     else:
         children = dict(node.children)
+    held = len(children)
     for nib, run in _runs(items, cp):
         old = children.get(nib)
         if len(run) == 1 and isinstance(old, _Leaf) and old.addr == run[0][1]:
             # a rewrite keeps the leaf's place and path
-            new = _Leaf(old.path, old.addr, run[0][2])
+            new = _Leaf(old.head, old.addr, run[0][2])
         else:
             new = _update(old, run, cp + 1)
         children[nib] = new
         weight += new.weight - (old.weight if old is not None else 0)
+    if len(children) > held:
+        # a new nibble went in last; put it in its place
+        children = dict(sorted(children.items()))
     return _Branch(prefix[:keep], children, weight)
 
 
-def _get(node, path: tuple[int, ...]):
-    while node is not None:
-        if isinstance(node, _Leaf):
-            return node.state if node.path == path else None
-        plen = len(node.prefix)
-        if path[:plen] != node.prefix:
-            return None
-        node = node.children.get(path[plen])
-        path = path[plen + 1 :]
-    return None
+def _get(node, addr: Address):
+    # only addr's own path can end at a leaf holding addr, so the walk
+    # follows its nibbles by index without checking branch prefixes
+    path = _nibbles(addr)
+    at = 0
+    while isinstance(node, _Branch):
+        at += len(node.prefix)
+        node = node.children.get(path[at])
+        at += 1
+    return node.state if node is not None and node.addr == addr else None
 
 
 def _leaves(node):
@@ -230,8 +249,8 @@ def _leaves(node):
     if isinstance(node, _Leaf):
         yield node
         return
-    for nib in sorted(node.children):
-        yield from _leaves(node.children[nib])
+    for child in node.children.values():
+        yield from _leaves(child)
 
 
 class StateTrie:
@@ -262,7 +281,7 @@ class StateTrie:
         return self.update({addr: state})
 
     def get_account(self, addr: Address) -> AccountState | None:
-        return _get(self._root, _nibbles(addr))
+        return _get(self._root, addr)
 
     def active_blacklist(self, current_height: int) -> list[Address]:
         return [a for a, until in self._blacklist.items() if until > current_height]

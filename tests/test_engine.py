@@ -181,7 +181,7 @@ def test_stale_mempool_entries_are_rejected_before_apply(monkeypatch):
     sender, receiver = ctx.addresses[0], ctx.addresses[1]
     # the pre-state has already applied the sender's first five transfers
     state = ctx.genesis_trie.get_account(sender)
-    pre_trie = ctx.genesis_trie.upsert_account(sender, dataclasses.replace(state, nonce=5))
+    pre_trie = ctx.genesis_trie.upsert_account(sender, state.changed(nonce=5))
 
     def tx(nonce):
         body = Transaction(sender=sender, receiver=receiver, value=7, nonce=nonce, signature=b"")

@@ -83,10 +83,11 @@ GOLDEN = [
     # more transactions than blocks take: stale mempool entries are rejected
     (SimConfig(seed=14, tx_interval=3, txs_per_interval=4, latency_max=2, run_height=30),
      "744efb6ffc3b399476fe1f88dbf905c1eef712fead813ccef3ee975a742d457c"),
-    # one node crashed twice: nested recovering crashes, a recovery and then
-    # a permanent crash, and two permanent crashes
+    # one node crashed twice: nested recovering crashes (the node stays
+    # down until the outer one ends), a recovery and then a permanent
+    # crash, and two permanent crashes
     (_crash_twice_config((60, 300), (150, 200)),
-     "4295d2660711eef6ca5760a9a6df0af664caadff19c58bf9d83b1f0faf3fbe86"),
+     "300f270c0c4274b8953dad3821befeef11963b17444cb1f0708ccf0fe2faa49e"),
     (_crash_twice_config((60, 150), (250, None)),
      "da8d2b12335ca3532a12d2dca493afd808a53a3b35fe641e94f2ec79d67497aa"),
     (_crash_twice_config((60, None), (90, None)),

@@ -236,6 +236,11 @@ _WINDOW_CONFIGS = {
     "recovery-then-permanent-crash": dataclasses.replace(_WINDOW_BASE, adversaries=(
         AdversarySpec(kind="crash", node=3, start_tick=60, recover_tick=150),
         AdversarySpec(kind="crash", node=3, start_tick=250))),
+    # the recovery at 300 leaves the node down for good, under the
+    # permanent crash that began inside the recovering one
+    "permanent-inside-recovering-crash": dataclasses.replace(_WINDOW_BASE, adversaries=(
+        AdversarySpec(kind="crash", node=3, start_tick=60, recover_tick=300),
+        AdversarySpec(kind="crash", node=3, start_tick=150))),
     "two-permanent-crashes": dataclasses.replace(_WINDOW_BASE, adversaries=(
         AdversarySpec(kind="crash", node=3, start_tick=60),
         AdversarySpec(kind="crash", node=3, start_tick=90))),
@@ -249,11 +254,19 @@ _WINDOW_CONFIGS = {
 
 
 def _down_for_good(cfg, tick):
-    """Nodes that crashed without a recovery and can no longer handle an
-    event at this tick (the crash event itself may run later in its tick,
-    so a node counts only from the next one)."""
-    return {adv.node for adv in cfg.adversaries
-            if adv.kind == "crash" and adv.recover_tick is None and tick > adv.start_tick}
+    """Nodes that are down at this tick with no recovery left, so they can
+    no longer handle an event (a crash or recovery event may run later in
+    its tick, so it counts only from the next one)."""
+    crashes = [adv for adv in cfg.adversaries if adv.kind == "crash"]
+    dead = set()
+    for node in {adv.node for adv in crashes}:
+        mine = [adv for adv in crashes if adv.node == node]
+        started = sum(adv.start_tick < tick for adv in mine)
+        ended = sum(adv.recover_tick is not None and adv.recover_tick < tick for adv in mine)
+        left = sum(adv.recover_tick is not None and adv.recover_tick >= tick for adv in mine)
+        if started > ended and not left:
+            dead.add(node)
+    return dead
 
 
 def _watch_window(monkeypatch, cfg):
@@ -399,13 +412,30 @@ def test_qualified_digests_leave_with_their_approvals(monkeypatch):
 def test_no_stall_while_a_recovery_is_pending():
     # half the nodes are down from tick 40 to 400, so commits stop; the
     # stall patience runs out long before, but a run is not called stalled
-    # while a crashed node can still come back
+    # while a crashed node can still come back, and the patience starts
+    # again when the nodes come back up
     cfg = SimConfig(seed=4, node_count=16, run_height=12, stall_patience=150,
                     adversaries=tuple(AdversarySpec(kind="crash", node=i, start_tick=40,
                                                     recover_tick=400) for i in range(0, 16, 2)))
     t = run(cfg)
-    last_commit = max(tick for tick, _, kind, _ in t.events if kind == "commit")
-    assert last_commit + cfg.stall_patience < 400 <= t.ticks
+    assert not t.stalled
+    assert all(head >= cfg.run_height for head in t.heads)
+    commit_ticks = [tick for tick, _, kind, _ in t.events if kind == "commit"]
+    before = max(tick for tick in commit_ticks if tick < 400)
+    after = min(tick for tick in commit_ticks if tick >= 400)
+    # the outage left a gap in the commits longer than the patience
+    assert before + cfg.stall_patience < 400 <= after
+
+
+def test_nested_crash_keeps_the_node_down_until_the_outer_recovery():
+    # node 3 is down from 60 to 300; the crash from 150 to 200 inside that
+    # span must not bring it back at 200
+    cfg = _WINDOW_CONFIGS["nested-recovering-crashes"]
+    t = run(cfg)
+    assert not t.stalled and t.heads[3] == cfg.run_height
+    node3 = [tick for tick, node, kind, _ in t.events if node == 3 and kind == "commit"]
+    assert node3 and not any(60 < tick < 300 for tick in node3)
+    assert any(tick >= 300 for tick in node3)
 
 
 def test_permanent_crash_does_not_hold_the_window(monkeypatch):

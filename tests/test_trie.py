@@ -1,11 +1,12 @@
 """State trie behavior against a flat-dict oracle."""
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from portchain.selection import eligible_total_weight
-from portchain.trie import AccountState, StateTrie, WriteSet
+from portchain.trie import AccountState, StateTrie, WriteSet, _Branch
 
 from conftest import addr_of, make_trie
 
@@ -33,6 +34,25 @@ def test_empty_trie():
     assert t.get_account(addr_of("a")) is None
     assert isinstance(t.root_commitment(), bytes)
     assert len(t.root_commitment()) == 32
+
+
+def test_account_state_is_an_immutable_record():
+    s = AccountState(balance=1, nonce=2, tax=3, maintainer_bits=4, blacklist_until=5)
+    for name in ("balance", "nonce", "tax", "maintainer_bits", "blacklist_until", "weight"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 9)
+    with pytest.raises(AttributeError):
+        s.extra = 9
+    assert s.weight == 4
+    # `changed` replaces exactly the fields given, zero included
+    assert s.changed() == s and type(s.changed()) is AccountState
+    assert s.changed(nonce=7) == AccountState(1, 7, 3, 4, 5)
+    assert s.changed(balance=0, tax=0, blacklist_until=0) == AccountState(0, 2, 0, 4, 0)
+    assert s.changed(maintainer_bits=0).maintainer_bits == 0
+    # five big-endian unsigned 8-byte fields, in declaration order
+    assert s.encode() == b"".join(v.to_bytes(8, "big") for v in (1, 2, 3, 4, 5))
+    assert AccountState().encode() == bytes(40)
+    assert AccountState(balance=2**64 - 1).encode() == b"\xff" * 8 + bytes(32)
 
 
 def test_snapshot_isolation():
@@ -128,6 +148,13 @@ def _at(*head):
     return bytes(head) + bytes(20 - len(head))
 
 
+def _branches(node):
+    if isinstance(node, _Branch):
+        yield node
+        for child in node.children.values():
+            yield from _branches(child)
+
+
 @settings(max_examples=150)
 @given(
     st.lists(st.tuples(addr_st, account_st), max_size=25),
@@ -155,6 +182,16 @@ def test_batched_update_equals_writes_one_at_a_time(base_writes, writes, height)
     # and both agree with a flat dict of the final states
     final = dict(base_writes) | dict(writes)
     assert list(batched.accounts()) == sorted(final.items())
+    # an address one bit away from a written one follows its path to the
+    # written leaf, and reads as absent unless it was written itself
+    near = [a[:-1] + bytes([a[-1] ^ 1]) for a in probe]
+    assert [batched.get_account(a) for a in near] == [final.get(a) for a in near]
+    # and with a trie built from it in one batch
+    assert batched.root_commitment() == StateTrie().update(final).root_commitment()
+    # every branch keeps its children in ascending nibble order
+    for t in (batched, one_by_one):
+        for branch in _branches(t.root_node):
+            assert list(branch.children) == sorted(branch.children)
     assert eligible_total_weight(batched, (), height) == sum(
         s.weight for s in final.values() if s.blacklist_until <= height
     )
