@@ -8,6 +8,7 @@ and conservation of balance plus tax under explicit issuance).
 """
 from __future__ import annotations
 
+import decimal
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,8 +33,8 @@ class TailResult:
 
     exact is the true binomial tail; coefficient_free drops the binomial
     coefficient from every term (a much smaller number that some
-    back-of-envelope treatments quote).  Both are exact rationals with
-    decimal renderings to `digits` significant digits.
+    back-of-envelope treatments quote).  Both are exact rationals;
+    render_fraction prints them.
     """
 
     n: int
@@ -41,37 +42,29 @@ class TailResult:
     p: Fraction
     exact: Fraction
     coefficient_free: Fraction
-    digits: int = 30
-
-    @property
-    def exact_str(self) -> str:
-        return render_fraction(self.exact, self.digits)
-
-    @property
-    def coefficient_free_str(self) -> str:
-        return render_fraction(self.coefficient_free, self.digits)
 
 
 def render_fraction(x: Fraction, digits: int = 30) -> str:
-    """Decimal string of an exact rational to `digits` significant digits."""
-    # imported here: tail is its only caller, and run and import then
-    # start without it
-    import mpmath
-
+    """x correctly rounded, half up, to `digits` >= 1 significant digits:
+    fixed notation for a leading digit at 10**e with
+    min(-(digits // 3), -5) < e < digits, otherwise d.ddde+N or d.ddde-N."""
     if x == 0:
         return "0"
-    # work at a precision comfortably beyond the requested digits so the
-    # two big-int -> float conversions cannot eat into them
-    with mpmath.workdps(digits + 15):
-        v = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
-        return mpmath.nstr(v, digits, strip_zeros=False)
+    context = decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_UP,
+                              Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)
+    q = context.divide(x.numerator, x.denominator)
+    negative, digit_tuple, _ = q.as_tuple()
+    sign, coefficient = "-" * negative, "".join(map(str, digit_tuple)).ljust(digits, "0")
+    e = q.adjusted()
+    if min(-(digits // 3), -5) < e < digits:
+        body, split = "0" * -e + coefficient, max(e, 0) + 1  # no zeros for e >= 0
+        return f"{sign}{body[:split]}.{body[split:]}"
+    return f"{sign}{coefficient[0]}.{coefficient[1:]}e{e:+d}"
 
 
-def byzantine_tail(n: int, p, m: int, digits: int = 30) -> TailResult:
+def byzantine_tail(n: int, p, m: int) -> TailResult:
     """Exact P[X >= m] for X ~ Binomial(n, p), plus the coefficient-free
     variant sum_{i=m}^{n} p^i (1-p)^(n-i)."""
-    if digits < 1:
-        raise AnalysisError(f"digits {digits} below 1")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise AnalysisError(f"probability {p} outside [0, 1]")
@@ -97,7 +90,7 @@ def byzantine_tail(n: int, p, m: int, digits: int = 30) -> TailResult:
     denominator = b**n
     return TailResult(
         n=n, m=m, p=p, exact=Fraction(exact_sum, denominator),
-        coefficient_free=Fraction(bare_sum, denominator), digits=digits,
+        coefficient_free=Fraction(bare_sum, denominator),
     )
 
 

@@ -90,12 +90,12 @@ class AdversarySpec:
     recover_tick: int | None = None
 
 
-NODE_BEHAVIOR_KINDS = {
-    "vote_withhold": engine.VOTE_WITHHOLD,
-    "vote_disapprove_all": engine.VOTE_DISAPPROVE_ALL,
-    "equivocate_creator": engine.EQUIVOCATE_CREATOR,
-    "forge_assignment": engine.FORGE_ASSIGNMENT,
-}
+NODE_BEHAVIOR_KINDS = (
+    engine.VOTE_WITHHOLD,
+    engine.VOTE_DISAPPROVE_ALL,
+    engine.EQUIVOCATE_CREATOR,
+    engine.FORGE_ASSIGNMENT,
+)
 
 
 # inclusive bounds of single integer fields (None: no upper bound)
@@ -223,8 +223,7 @@ class SimConfig:
                 if adv.node is None and adv.voter_slot is None:
                     raise SimConfigError(f"{adv.kind} needs a node or voter slot")
                 if adv.voter_slot is not None and adv.kind not in (
-                    "vote_withhold",
-                    "vote_disapprove_all",
+                    engine.VOTE_WITHHOLD, engine.VOTE_DISAPPROVE_ALL
                 ):
                     raise SimConfigError(f"{adv.kind} cannot be slot-scoped")
             else:
@@ -373,9 +372,9 @@ def run(config: SimConfig) -> SimTranscript:
         if adv.kind == "crash":
             crash_events.append(adv)
         elif adv.voter_slot is not None:
-            slot_behaviors[adv.voter_slot] = NODE_BEHAVIOR_KINDS[adv.kind]
+            slot_behaviors[adv.voter_slot] = adv.kind
         else:
-            node_behavior[adv.node] = NODE_BEHAVIOR_KINDS[adv.kind]
+            node_behavior[adv.node] = adv.kind
 
     executor = BlockExecutor(ctx.engine_cfg)
     n = cfg.node_count

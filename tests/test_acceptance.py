@@ -19,6 +19,7 @@ from portchain.analysis import (
     byzantine_tail,
     conservation_audit,
     fairness_from_draws,
+    render_fraction,
     replay_chain,
     schedule_audit,
 )
@@ -294,8 +295,8 @@ def test_criterion_8_byzantine_tail_oracle(capsys):
     claimed = "5.2e-53"
     with capsys.disabled():
         print(f"\n  quorum-failure tail, n=300 p=1/3 m=100:")
-        print(f"    exact binomial tail    = {r.exact_str}")
-        print(f"    coefficient-free sum   = {r.coefficient_free_str}")
+        print(f"    exact binomial tail    = {render_fraction(r.exact)}")
+        print(f"    coefficient-free sum   = {render_fraction(r.coefficient_free)}")
         print(f"    commonly quoted figure  = {claimed} (not reproduced by either form)")
     announce(capsys, True, "criterion 8: exhaustive tail enumeration oracle",
              "n<=20 exact; n=300 report printed above")

@@ -1,5 +1,7 @@
 """Statistical and audit tooling against enumeration oracles."""
 import dataclasses
+import decimal
+import math
 import random
 from fractions import Fraction
 
@@ -102,13 +104,114 @@ def test_coefficient_free_variant_is_smaller():
     r = byzantine_tail(30, Fraction(1, 3), 10)
     assert 0 < r.coefficient_free < r.exact
     # decimal renderings agree with the rationals they describe
-    assert float(r.exact_str) == pytest.approx(float(r.exact))
-    assert float(r.coefficient_free_str) == pytest.approx(float(r.coefficient_free))
+    assert float(render_fraction(r.exact)) == pytest.approx(float(r.exact))
+    assert float(render_fraction(r.coefficient_free)) == pytest.approx(float(r.coefficient_free))
 
 
 def test_render_fraction():
     assert render_fraction(Fraction(1, 2), digits=5).startswith("0.5")
     assert "e-" in render_fraction(Fraction(1, 10**40), digits=5)
+
+
+@pytest.mark.parametrize("x,digits,text", [
+    # exact decimal ties round half up; mpmath rounded its binary
+    # approximation and printed 0.1, 0.112, 0.999 and 6.2e+35 for the
+    # first three and the last
+    (Fraction(3, 20), 1, "0.2"),
+    (Fraction(9, 80), 3, "0.113"),
+    (Fraction(1999, 2000), 3, "1.00"),
+    (Fraction(1, 8), 2, "0.13"),
+    (Fraction(-1, 8), 2, "-0.13"),
+    (Fraction(625 * 10**33), 2, "6.3e+35"),
+    # the layout: a lone point, the fixed-notation window, zero
+    (Fraction(1), 1, "1."),
+    (Fraction(3, 10**32), 1, "3.e-32"),
+    (Fraction(123456), 6, "123456."),
+    (Fraction(1234567), 6, "1.23457e+6"),
+    (Fraction(-1, 10**4), 3, "-0.000100"),
+    (Fraction(-1, 10**5), 3, "-1.00e-5"),
+    (Fraction(1, 10**10), 33, "0.000000000100000000000000000000000000000000"),
+    (Fraction(1, 10**11), 33, "1.00000000000000000000000000000000e-11"),
+    (Fraction(0), 5, "0"),
+])
+def test_render_fraction_pinned(x, digits, text):
+    assert render_fraction(x, digits) == text
+
+
+def _mpmath_render(x: Fraction, digits: int) -> str:
+    """The mpmath body render_fraction had before it used decimal."""
+    import mpmath
+
+    if x == 0:
+        return "0"
+    with mpmath.workdps(digits + 15):
+        v = mpmath.mpf(x.numerator) / mpmath.mpf(x.denominator)
+        return mpmath.nstr(v, digits, strip_zeros=False)
+
+
+def _rounded_half_up(x: Fraction, digits: int):
+    """x rounded half away from zero to `digits` significant digits in
+    exact rational arithmetic, and whether x lies exactly halfway."""
+    a = abs(x)
+    # the power of ten of the leading digit: a bit-length estimate, then
+    # corrected exactly
+    e = math.floor((a.numerator.bit_length() - a.denominator.bit_length()) * math.log10(2))
+    while Fraction(10) ** e > a:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= a:
+        e += 1
+    unit = Fraction(10) ** (e + 1 - digits)
+    scaled = a / unit
+    rest = scaled - math.floor(scaled)
+    rounded = (math.floor(scaled) + (rest >= Fraction(1, 2))) * unit
+    return (rounded if x > 0 else -rounded), rest == Fraction(1, 2)
+
+
+def _render_corpus():
+    rng = random.Random(18)
+
+    def digits():
+        return rng.choice([rng.randint(1, 6), rng.randint(1, 40), rng.randint(1, 1000)])
+
+    def sign():
+        return rng.choice([1, -1])
+
+    cases = []
+    for _ in range(1600):
+        num, den = rng.randint(1, 10 ** rng.randint(1, 40)), rng.randint(1, 10 ** rng.randint(1, 40))
+        cases.append((Fraction(sign() * num, den), digits()))
+    for _ in range(1600):
+        cases.append((Fraction(sign() * rng.randint(1, 2**40), 2 ** rng.randint(0, 80)), digits()))
+    for _ in range(600):
+        cases.append((sign() * rng.randint(1, 999) * Fraction(10) ** rng.randint(-40, 40),
+                      rng.randint(1, 4)))
+    # exact ties, dyadic or not: a last significant digit 5 dropped
+    for _ in range(600):
+        tie = 10 * rng.randint(1, 10 ** rng.randint(1, 30)) + 5
+        cases.append((sign() * tie * Fraction(10) ** rng.randint(-40, 40), len(str(tie)) - 1))
+    for n in range(1, 301, 3):
+        for p in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 20), Fraction(9, 80)):
+            r = byzantine_tail(n, p, rng.randint(0, n))
+            cases += [(r.exact, digits()), (r.coefficient_free, digits())]
+    big = byzantine_tail(40_000, Fraction(1, 3), 13_334)
+    cases += [(x, d) for x in (big.exact, big.coefficient_free) for d in (1, 30, 1000)]
+    return cases
+
+
+def test_render_fraction_matches_mpmath_off_ties():
+    pytest.importorskip("mpmath")
+    ties = 0
+    for x, digits in _render_corpus():
+        text = render_fraction(x, digits)
+        value, tie = _rounded_half_up(x, digits)
+        assert Fraction(decimal.Decimal(text)) == value, (x, digits, text)
+        if tie:
+            ties += 1
+        else:
+            assert text == _mpmath_render(x, digits), (x, digits, text)
+    # the corpus holds ties, where render_fraction rounds exactly and
+    # mpmath need not
+    assert ties > 100
 
 
 def test_gini_known_values():

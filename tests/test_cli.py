@@ -172,6 +172,29 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     ok = _scenario(tmp_path)
     assert main(["run", "--config", str(ok), "--check", "nonsense"]) == 2
     capsys.readouterr()
+    # both raised out of load_scenario (UnicodeDecodeError, RecursionError)
+    not_utf8 = tmp_path / "utf16.json"
+    not_utf8.write_bytes(b"\xff\xfe" + '{"config": {}}'.encode("utf-16-le"))
+    too_deep = tmp_path / "deep.json"
+    too_deep.write_text('{"config": ' + "[" * 200_000 + "}")
+    for path, named in ((not_utf8, "not UTF-8"), (too_deep, "nests too deeply")):
+        for argv in (["run", "--config", str(path)],
+                     ["import", "--chain", str(tmp_path / "chain.bin"), "--config", str(path)]):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("option,target", [
+    ("--export-chain", lambda tmp_path: tmp_path / "missing-dir" / "c.bin"),
+    ("--out", lambda tmp_path: tmp_path / "scenario.json"),
+], ids=["export-chain-in-missing-dir", "out-is-a-file"])
+def test_unwritable_output_exits_2(tmp_path, capsys, option, target):
+    # FileNotFoundError from write_bytes and FileExistsError from mkdir
+    path = _scenario(tmp_path)
+    assert main(["run", "--config", str(path), option, str(target(tmp_path))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
 def test_failed_check_exits_1(tmp_path, capsys):
@@ -215,7 +238,8 @@ def test_tail_subcommand(capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert "--p" in err and "Traceback" not in err
-    # -5 raised IndexError in mpmath; 0 printed ".0e+0" and exited 0
+    # with mpmath as the printer, -5 raised IndexError and 0 printed
+    # ".0e+0" and exited 0
     for digits in ("-5", "0"):
         assert main(["tail", "--n", "5", "--p", "1/3", "--m", "1", "--digits", digits]) == 2
         err = capsys.readouterr().err
@@ -228,7 +252,8 @@ def test_tail_subcommand(capsys):
     (["--n", "40001", "--p", "1/3", "--m", "0"], "--n 40001"),
     # a 33-bit denominator makes every term 16 times longer
     (["--n", "2425", "--p", "2147483647/4294967296", "--m", "0"], "--n 2425"),
-    # rendered at digits + 15 places: still running after 20 s
+    # one decimal division per line at 10**7 places, time and memory
+    # growing with digits: 10**6 took 0.22 s and 78 MiB
     (["--n", "5", "--p", "1/3", "--m", "1", "--digits", "10000000"], "digits 10000000"),
 ], ids=["n-100000", "n-40001", "wide-denominator", "digits-10**7"])
 def test_tail_work_is_bounded(monkeypatch, capsys, argv, named):
@@ -260,9 +285,9 @@ def test_tail_bounds_admit_their_edge(monkeypatch, capsys):
     calls = []
     real = analysis.byzantine_tail
 
-    def small(n, p, m, digits):
+    def small(n, p, m):
         calls.append(n)
-        return real(5, p, 1, digits=digits)
+        return real(5, p, 1)
 
     monkeypatch.setattr(analysis, "byzantine_tail", small)
     for argv in (["--n", "40000", "--p", "1/3", "--m", "0", "--digits", "1000"],
@@ -535,10 +560,24 @@ def test_check_scenario_agrees_with_the_old_schema():
     agree()
 
 
-def test_cli_import_loads_neither_jsonschema_nor_mpmath():
+def _python(code: str) -> subprocess.CompletedProcess:
     src = str(Path(portchain.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_cli_import_loads_neither_jsonschema_nor_mpmath():
     probe = "import sys, portchain.cli; print(sorted({'jsonschema', 'mpmath'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out == "[]\n"
+    assert _python(probe).stdout == "[]\n"
+
+
+def test_tail_runs_without_mpmath():
+    # a None entry in sys.modules makes `import mpmath` raise ImportError
+    probe = ("import sys; sys.modules['mpmath'] = None; from portchain.cli import main; "
+             "sys.exit(main(['tail', '--n', '300', '--p', '1/3', '--m', '100']))")
+    done = _python(probe)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == ("n=300 m=100 p=1/3\n"
+                           "exact_binomial_tail=0.521702591093824221647907881901\n"
+                           "coefficient_free_sum=2.34775466714218875474692897385e-83\n")
