@@ -211,7 +211,6 @@ class ReplayStep:
     pre_trie: StateTrie
     post_trie: StateTrie
     issued: int
-    confiscated: int
     schedule: object  # MaintainerAssignment serving this height
 
 
@@ -236,7 +235,6 @@ def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engi
             pre_trie=genesis_trie,
             post_trie=genesis_trie,
             issued=0,
-            confiscated=0,
             schedule=chain[0].assignment,
         )
     ]
@@ -259,7 +257,6 @@ def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engi
                 pre_trie=trie,
                 post_trie=result.post_trie,
                 issued=result.issued,
-                confiscated=result.confiscated,
                 schedule=schedule,
             )
         )
@@ -378,9 +375,9 @@ def conservation_audit(transcript, context) -> dict:
     """Exact accounting of balance + tax over a run.
 
     The end-of-chain total must equal the genesis total plus logged
-    issuance (refund clamps mint the shortfall; rewards are minted on
-    refund) minus confiscations.  Returns the totals and the drift,
-    which is zero iff the books balance.
+    issuance (refund clamps mint the shortfall; reporter rewards are
+    minted).  Returns the totals and the drift, which is zero iff the
+    books balance.
     """
     return steps_conservation(replay_run(transcript, context), context.genesis_trie)
 
@@ -389,14 +386,12 @@ def steps_conservation(steps, genesis_trie: StateTrie) -> dict:
     """conservation_audit over the ReplaySteps of an already replayed chain."""
     start = _money_total(genesis_trie)
     issued = sum(s.issued for s in steps)
-    confiscated = sum(s.confiscated for s in steps)
     end = _money_total(steps[-1].post_trie) if steps else start
     return {
         "total_start": start,
         "total_end": end,
         "issued": issued,
-        "confiscated": confiscated,
-        "drift": end - (start + issued - confiscated),
+        "drift": end - start - issued,
     }
 
 

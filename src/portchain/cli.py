@@ -22,6 +22,7 @@ Start-up stays light: no subcommand loads a schema library.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import re
@@ -158,9 +159,9 @@ def scenario_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     return cfg
 
 
-def run_scenario(doc: dict, seed_override: int | None = None, checks=None, export_path=None):
-    """Execute one scenario.  Returns (report_text, exit_code); raises
-    ScenarioError when the chain cannot be written to export_path."""
+def run_scenario(doc: dict, seed_override: int | None = None, checks=None, chain_file=None):
+    """Execute one scenario.  Returns (report_text, exit_code), and writes
+    the committed chain to chain_file, a binary file, if one is given."""
     config = scenario_config(doc, seed_override)
     enabled = list(checks) if checks is not None else list(doc.get("checks", DEFAULT_CHECKS))
     allow_stall = bool(doc.get("allow_stall", False))
@@ -205,7 +206,6 @@ def run_scenario(doc: dict, seed_override: int | None = None, checks=None, expor
             ok = audit["drift"] == 0
             record("check_conservation", "pass" if ok else f"fail:drift={audit['drift']}")
             record("issued", audit["issued"])
-            record("confiscated", audit["confiscated"])
         else:
             ok = False
             record("check_conservation", f"fail:{replay_error}")
@@ -250,12 +250,8 @@ def run_scenario(doc: dict, seed_override: int | None = None, checks=None, expor
     }
     report = "\n".join(lines) + "\n" + json.dumps(summary, sort_keys=True, indent=2) + "\n"
 
-    if export_path is not None:
-        try:
-            Path(export_path).write_bytes(encode_chain(transcript.chain))
-        except OSError as exc:
-            raise ScenarioError(f"cannot write chain file: {exc}")
-
+    if chain_file is not None:
+        chain_file.write(encode_chain(transcript.chain))
     return report, 0 if all_pass else 1
 
 
@@ -330,21 +326,27 @@ def main(argv=None) -> int:
                 bad = [c for c in checks if c not in KNOWN_CHECKS]
                 if bad:
                     raise ScenarioError(f"unknown checks: {','.join(bad)}")
-            report, code = run_scenario(
-                doc, seed_override=args.seed, checks=checks, export_path=args.export_chain
-            )
+            # a bad config exits 2 before any output is touched, and every
+            # output is opened before the simulation, so a path that cannot
+            # be written exits 2 at once, with nothing on stdout
+            scenario_config(doc, args.seed)
+            with contextlib.ExitStack() as outputs:
+                report_file = chain_file = None
+                if args.out is not None:
+                    Path(args.out).mkdir(parents=True, exist_ok=True)
+                    report_file = outputs.enter_context(open(Path(args.out) / "report.txt", "w"))
+                if args.export_chain is not None:
+                    chain_file = outputs.enter_context(open(args.export_chain, "wb"))
+                report, code = run_scenario(doc, args.seed, checks, chain_file)
+                if report_file is not None:
+                    report_file.write(report)
         except (ScenarioError, SimConfigError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        except OSError as exc:
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+            return 2
         sys.stdout.write(report)
-        if args.out is not None:
-            out_dir = Path(args.out)
-            try:
-                out_dir.mkdir(parents=True, exist_ok=True)
-                (out_dir / "report.txt").write_text(report)
-            except OSError as exc:
-                print(f"error: cannot write report: {exc}", file=sys.stderr)
-                return 2
         return code
     if args.command == "import":
         try:

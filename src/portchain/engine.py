@@ -49,6 +49,7 @@ from .core import (
 from .crypto import Address, Hash, KeyPair, address_from_public, digest, sign, verify
 from .ledger import (
     LedgerConfig,
+    LedgerError,
     TxRejected,
     apply_fraud_verdict,
     apply_transaction,
@@ -124,7 +125,6 @@ class BlockResult:
     block: Block
     post_trie: StateTrie
     issued: int
-    confiscated: int
     rejected: list = field(default_factory=list)
 
 
@@ -146,18 +146,19 @@ def assemble_block(
 
     The child's height is the parent's plus one and its backward link the
     parent's digest.  Creator path: pass mempool (txs=None) and valid
-    transactions are picked in canonical order up to max_txs.  Validation
-    path: pass the candidate's exact transaction list; any rejection
-    raises BlockInvalid so a voter rejects the block rather than silently
-    repairing it.
+    transactions are picked in canonical order up to max_txs, and the
+    fraud reports that `apply_fraud_verdict` accepts are kept in order.
+    Validation path: pass the candidate's exact transaction list; any
+    rejected transaction or report raises BlockInvalid so a voter rejects
+    the block rather than silently repairing it.
     """
+    creating = txs is None
     height = prev_block.header.height + 1
     prev_digest = block_digest(prev_block.header)
     # every account write of the block collects in one write set and lands
     # in the trie as one batch before the selection
     writes = WriteSet(pre_trie)
     issued = 0
-    confiscated = 0
     rejected: list = []
 
     # refunds for the previous height's maintainers who completed duty:
@@ -169,7 +170,7 @@ def assemble_block(
             writes, extra = refund_reward(writes, voter, cfg.ledger.voter_reward)
             issued += extra
 
-    if txs is None:
+    if creating:
         chosen = []
         # permanently unpayable entries must not make proposals rescan the
         # whole pool forever, so attempts are capped alongside successes
@@ -203,15 +204,16 @@ def assemble_block(
             except TxRejected as exc:
                 raise BlockInvalid(f"invalid transaction: {exc.reason}")
 
+    kept = []
     for report in reports:
-        if report.reporter == report.accused:
-            raise BlockInvalid("self-accusation")
         try:
-            writes, extra, taken = apply_fraud_verdict(writes, report, height, cfg.ledger)
-        except ValueError as exc:
+            writes, extra = apply_fraud_verdict(writes, report, height, creator, cfg.ledger)
+        except LedgerError as exc:
+            if creating:
+                continue
             raise BlockInvalid(f"bad fraud report: {exc}")
         issued += extra
-        confiscated += taken
+        kept.append(report)
 
     # duty of height-1 maintainers is complete: clear their selection bits
     for addr in sorted(set(clear_members)):
@@ -244,8 +246,8 @@ def assemble_block(
         timestamp=timestamp,
         assignment_digest=core.assignment_digest(assignment),
     )
-    block = Block(header=header, transactions=tuple(txs), assignment=assignment, fraud_reports=tuple(reports))
-    return BlockResult(block=block, post_trie=trie, issued=issued, confiscated=confiscated, rejected=rejected)
+    block = Block(header=header, transactions=tuple(txs), assignment=assignment, fraud_reports=tuple(kept))
+    return BlockResult(block=block, post_trie=trie, issued=issued, rejected=rejected)
 
 
 @dataclass
@@ -254,7 +256,6 @@ class ExecResult:
     reason: str
     post_trie: StateTrie | None
     issued: int = 0
-    confiscated: int = 0
 
 
 class BlockExecutor:
@@ -356,7 +357,7 @@ class BlockExecutor:
         if reason:
             result = ExecResult(False, reason, None)
         else:
-            result = ExecResult(True, "", built.post_trie, built.issued, built.confiscated)
+            result = ExecResult(True, "", built.post_trie, built.issued)
         self._remember(d, built.block, result)
         return result
 
@@ -417,7 +418,7 @@ class BlockExecutor:
             return ExecResult(False, "assignment mismatch", None)
         if built.block.header != hdr:
             return ExecResult(False, "recomputed header mismatch", None)
-        return ExecResult(True, "", built.post_trie, built.issued, built.confiscated)
+        return ExecResult(True, "", built.post_trie, built.issued)
 
 
 # node behaviors (Byzantine / fault injection); honest nodes use HONEST
@@ -487,7 +488,10 @@ class Node:
 
     Each height above the head has one `Level` record in `levels`, which
     a commit drops whole.  Only `equivocations` outlives it, since fraud
-    reports cite a creator's two digests after their height commits.
+    reports cite a creator's two digests after their height commits.  A
+    proposal offers a report of every equivocation the node holds by
+    another creator; `assemble_block` keeps those the ledger's one fraud
+    rule accepts, so an offense already punished on the branch is dropped.
     Each candidate digest has one `Tally` record in `tallies`, which a
     commit drops for the losing siblings and for the block two below.
     """
@@ -530,20 +534,18 @@ class Node:
         # (height, creator) -> that level's digests from the creator, kept
         # once there are two and for good
         self.equivocations: dict[tuple, list[Hash]] = {}
-        self.reported: set[tuple] = set()
         self.last_head_change = 0
         self.counters = {"rejected_txs": 0, "bad_messages": 0, "frauds_detected": 0}
         self._sync_attempts = 0
         # one periodic sync timer: the first wake at or after this tick runs
         # the sync check and re-arms it; other wakes never arm a second one
         self._next_sync = 0
-        # pending wake ticks of every kind; deduped so a timer asked for on
-        # every pass until it is due is delivered once
-        self._wakes: set[int] = set()
         # ticks of this node's consensus timers (vote patience, proposal
         # delay), apart from the periodic sync wake; one at or before the
         # current wake's tick is due, also if it fell due while the node
-        # was down and its own wake was lost
+        # was down and its own wake was lost.  A wake is pending exactly
+        # at these ticks and at `_next_sync`, so a timer asked for on every
+        # pass until it is due is delivered once
         self._timers: set[int] = set()
         # progress passes run only when something that can unblock a
         # consensus step arrived (new candidate, quorum crossing, sync) or
@@ -575,7 +577,6 @@ class Node:
             for v in votes:
                 self._add_vote(v)
         elif kind == "wake":
-            self._wakes.discard(tick)
             # a wake past a missed periodic tick (the node was down) takes
             # over as the periodic one, so the timer restarts on recovery
             if tick >= self._next_sync:
@@ -589,7 +590,8 @@ class Node:
                     self._sync_attempts += 1
                     actions.append(("send", peer, ("sync_req", (self.index, self.head))))
                 self._next_sync = tick + self.cfg.sync_interval
-                self._schedule_wake(self._next_sync, actions)
+                if self._next_sync not in self._timers:
+                    actions.append(("wake", self._next_sync))
             # every timed condition (vote patience, proposal delay) arms a
             # timer, so a wake with no timer due finds nothing to do
             if any(t <= tick for t in self._timers):
@@ -600,14 +602,10 @@ class Node:
             self._progress(tick, actions)
         return actions
 
-    def _schedule_wake(self, at: int, actions: list) -> None:
-        if at not in self._wakes:
-            self._wakes.add(at)
-            actions.append(("wake", at))
-
     def _schedule_timer(self, at: int, actions: list) -> None:
+        if at not in self._timers and at != self._next_sync:
+            actions.append(("wake", at))
         self._timers.add(at)
-        self._schedule_wake(at, actions)
 
     # -- ingestion ---------------------------------------------------------
 
@@ -919,7 +917,6 @@ class Node:
         pre_trie = self._post_state_of(resolved)
         if pre_trie is None:
             return
-        reports = self._eligible_reports(k, pre_trie)
         try:
             built = assemble_block(
                 self.cfg,
@@ -932,9 +929,9 @@ class Node:
                 self._clear_members(k),
                 pre_trie,
                 mempool=self.mempool,
-                reports=reports,
+                reports=self._eligible_reports(),
             )
-        except (BlockInvalid, NoCandidatesError) as exc:
+        except NoCandidatesError as exc:
             actions.append(("log", "halt", f"cannot-propose@{k}:{exc}"))
             return
         self.counters["rejected_txs"] += len(built.rejected)
@@ -943,7 +940,7 @@ class Node:
             twin = assemble_block(
                 self.cfg, resolved, cert, self.addr, ci, tick + 1,
                 sched, self._clear_members(k), pre_trie,
-                txs=built.block.transactions, reports=reports,
+                txs=built.block.transactions, reports=built.block.fraud_reports,
             )
             blocks.append(twin.block)
         elif self.behavior == FORGE_ASSIGNMENT:
@@ -974,25 +971,18 @@ class Node:
         result = self.executor.validate(blk, parent, pre, sched, self._clear_members(h))
         return result.post_trie if result.valid else None
 
-    def _eligible_reports(self, height: int, trie: StateTrie):
-        reports = []
-        for key, seen in sorted(self.equivocations.items()):
-            offense_height, accused = key
-            if key in self.reported or accused == self.addr:
-                continue
-            state = trie.get_account(accused)
-            if state is None or state.blacklist_until > height:
-                continue
-            self.reported.add(key)
-            reports.append(
-                FraudReport(
-                    reporter=self.addr,
-                    accused=accused,
-                    evidence_hash=equivocation_evidence(offense_height, accused, seen),
-                    height_of_offense=offense_height,
-                )
+    def _eligible_reports(self):
+        """Reports of every equivocation this node holds by another creator."""
+        return tuple(
+            FraudReport(
+                reporter=self.addr,
+                accused=accused,
+                evidence_hash=equivocation_evidence(offense_height, accused, seen),
+                height_of_offense=offense_height,
             )
-        return tuple(reports)
+            for (offense_height, accused), seen in sorted(self.equivocations.items())
+            if accused != self.addr
+        )
 
     def _forge(self, blk: Block, pre_trie: StateTrie) -> Block:
         """Replace the last assigned voter with a crony; the header keeps

@@ -10,6 +10,10 @@ keep an exact conservation ledger.  The tax pool an account builds up
 here sets its lottery weight (`AccountState.weight`); a fraud verdict's
 blacklist term zeroes that weight for selection.
 
+`apply_fraud_verdict` is the one fraud rule, applied alike by a block's
+creator and by its validators: an offense is punished once, since a
+blacklist term covers every offense at or before the height it began at.
+
 Each rule reads and writes accounts only through `get_account` and
 `upsert_account`, and raises before its first write, so it runs alike on
 a `StateTrie` snapshot (returning a new snapshot) and on a block's
@@ -44,7 +48,6 @@ class LedgerConfig:
     voter_reward: int
     reporter_reward: int
     blacklist_duration: int
-    confiscate_on_fraud: bool = False
 
     def tax_amount(self, value: int) -> int:
         return value * self.tax_rate_numerator // self.tax_rate_denominator
@@ -112,24 +115,30 @@ def apply_fraud_verdict(
     trie: StateTrie | WriteSet,
     report: FraudReport,
     current_height: int,
+    creator: Address,
     cfg: LedgerConfig,
-) -> tuple[StateTrie | WriteSet, int, int]:
-    """Apply an approved fraud verdict: blacklist (and optionally strip)
-    the accused, reward the reporter.  Returns (trie, issued, confiscated)."""
+) -> tuple[StateTrie | WriteSet, int]:
+    """Blacklist the accused of a report in the block at current_height and
+    reward the reporter.  Returns (trie, issued); raises LedgerError unless
+    creator reports another account's offense at or below the block that
+    no blacklist term covers."""
+    if report.reporter == report.accused:
+        raise LedgerError("self-accusation")
+    if report.reporter != creator:
+        raise LedgerError("reporter is not the block's creator")
+    if report.height_of_offense > current_height:
+        raise LedgerError("offense above the block height")
     accused = trie.get_account(report.accused)
     if accused is None:
         raise LedgerError("accused account does not exist")
-    confiscated = 0
-    balance = accused.balance
-    if cfg.confiscate_on_fraud:
-        confiscated = balance
-        balance = 0
+    # a term begun at height p ends at p + blacklist_duration
+    if accused.blacklist_until >= report.height_of_offense + cfg.blacklist_duration:
+        raise LedgerError("offense already punished")
     trie = trie.upsert_account(
-        report.accused,
-        accused.changed(balance=balance, blacklist_until=current_height + cfg.blacklist_duration),
+        report.accused, accused.changed(blacklist_until=current_height + cfg.blacklist_duration)
     )
     reporter = trie.get_account(report.reporter) or EMPTY_ACCOUNT
     trie = trie.upsert_account(
         report.reporter, reporter.changed(balance=reporter.balance + cfg.reporter_reward)
     )
-    return trie, cfg.reporter_reward, confiscated
+    return trie, cfg.reporter_reward

@@ -75,9 +75,11 @@ class CounterRng:
 class AdversarySpec:
     """One fault to inject.
 
-    kind 'crash' needs node (recover_tick None means permanent).  Crash
-    specs on one node nest: the node runs again only once no crash spec
-    covers it, so a permanent one keeps it down for good.
+    kind 'crash' needs node and takes the ticks (recover_tick None means
+    permanent).  Crash specs on one node nest: the node runs again only
+    once no crash spec covers it, so a permanent one keeps it down for good.
+    The other kinds are behaviors that hold for the whole run, so they
+    take no ticks, and one node or voter slot has at most one of them.
     kinds 'vote_withhold'/'vote_disapprove_all' target either a fixed
     node or a voter slot index (whoever holds that slot each height).
     kinds 'equivocate_creator'/'forge_assignment' need node.
@@ -211,21 +213,35 @@ class SimConfig:
                 "genesis_balance/genesis_tax_max: genesis money supply "
                 f"node_count * (genesis_balance + genesis_tax_max + 1) = {supply} >= 2**63"
             )
+        behavior_targets = set()
         for adv in self.adversaries:
             if adv.kind == "crash":
-                if adv.node is None:
-                    raise SimConfigError("crash adversary needs a node")
+                if adv.node is None or adv.voter_slot is not None:
+                    raise SimConfigError("crash adversary needs a node and no voter_slot")
+                if adv.start_tick < 0:
+                    raise SimConfigError(f"crash adversary start_tick {adv.start_tick} is negative")
                 # recovering first would leave the node down for good while
                 # the run still waits for it to reach run_height
                 if adv.recover_tick is not None and adv.recover_tick < adv.start_tick:
                     raise SimConfigError("crash adversary recover_tick before start_tick")
             elif adv.kind in NODE_BEHAVIOR_KINDS:
-                if adv.node is None and adv.voter_slot is None:
-                    raise SimConfigError(f"{adv.kind} needs a node or voter slot")
+                if adv.start_tick != 0 or adv.recover_tick is not None:
+                    raise SimConfigError(
+                        f"{adv.kind} holds for the whole run and takes no start_tick "
+                        "or recover_tick"
+                    )
+                if (adv.node is None) == (adv.voter_slot is None):
+                    raise SimConfigError(f"{adv.kind} needs a node or a voter_slot, not both")
                 if adv.voter_slot is not None and adv.kind not in (
                     engine.VOTE_WITHHOLD, engine.VOTE_DISAPPROVE_ALL
                 ):
                     raise SimConfigError(f"{adv.kind} cannot be slot-scoped")
+                # a run keeps one behavior per node and one per voter slot
+                target = (("node", adv.node) if adv.voter_slot is None
+                          else ("voter_slot", adv.voter_slot))
+                if target in behavior_targets:
+                    raise SimConfigError(f"two behaviors on {target[0]} {target[1]}")
+                behavior_targets.add(target)
             else:
                 raise SimConfigError(f"unknown adversary kind {adv.kind!r}")
             if adv.node is not None and not 0 <= adv.node < self.node_count:

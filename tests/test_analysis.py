@@ -289,6 +289,12 @@ def test_replay_chain_rejects_mutation(sim):
     with pytest.raises(ChainInvalid) as e:
         replay_chain(bad, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
     assert e.value.height == h + 1
+    # a chain without its genesis block, and one missing a height
+    for bad, height, reason in [(t.chain[1:], 1, "chain does not start at genesis"),
+                                (t.chain[:h] + t.chain[h + 1:], h + 1, f"expected height {h}")]:
+        with pytest.raises(ChainInvalid) as e:
+            replay_chain(bad, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+        assert (e.value.height, e.value.reason) == (height, reason)
 
 
 def test_single_chain_and_mutation_detection(sim):
@@ -317,6 +323,44 @@ def test_schedule_audit_clean_and_dirty(sim):
     assert any(v[0] == h for v in found)
 
 
+def _tamper_certificate(blk, **changes):
+    cert = dataclasses.replace(blk.header.prev_certificate, **changes)
+    return dataclasses.replace(blk, header=dataclasses.replace(blk.header, prev_certificate=cert))
+
+
+@pytest.mark.parametrize("tamper,reason", [
+    (lambda blk: _tamper_certificate(blk, target_hash=b"\x00" * 32),
+     "certificate does not cover the previous block"),
+    (lambda blk: _tamper_certificate(blk, votes=(
+        dataclasses.replace(blk.header.prev_certificate.votes[0], voter=addr_of("intruder")),
+        *blk.header.prev_certificate.votes[1:])),
+     "certificate signed by a non-scheduled voter"),
+    (lambda blk: _tamper_certificate(blk, votes=blk.header.prev_certificate.votes[:1]),
+     "certificate below the 2/3 quorum"),
+], ids=["wrong-target", "non-scheduled-voter", "below-quorum"])
+def test_schedule_audit_names_a_tampered_certificate(sim, tamper, reason):
+    cfg, ctx, t = sim
+    h = len(t.chain) - 1  # no block certifies the last one
+    assert schedule_audit(t.chain[:h] + (tamper(t.chain[h]),), ctx.genesis_assignments) == [
+        (h, reason)
+    ]
+
+
+def test_schedule_audit_names_a_missing_or_mislabeled_schedule(sim):
+    cfg, ctx, t = sim
+    # without a genesis assignment for height 1, nothing schedules it
+    assert schedule_audit(t.chain, {2: ctx.genesis_assignments[2]}) == [
+        (1, "no schedule recorded two heights earlier")
+    ]
+    bad = list(t.chain)
+    asg = bad[3].assignment
+    bad[3] = dataclasses.replace(bad[3], assignment=dataclasses.replace(
+        asg, block_height=asg.block_height + 1))
+    assert schedule_audit(bad, ctx.genesis_assignments) == [
+        (5, "recorded assignment labeled for a different height")
+    ]
+
+
 def test_schedule_audit_checks_the_last_recorded_pair(sim):
     # block len-2 records the assignment of height len(chain), which no
     # block uses yet; repeating height len-1's maintainers there still
@@ -337,7 +381,7 @@ def test_conservation_audit_balances(sim):
     audit = conservation_audit(t, ctx)
     assert audit["drift"] == 0
     assert audit["issued"] >= 0
-    assert audit["total_end"] == audit["total_start"] + audit["issued"] - audit["confiscated"]
+    assert audit["total_end"] == audit["total_start"] + audit["issued"]
 
 
 def test_selection_fairness_over_chain(sim):

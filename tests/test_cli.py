@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import portchain
-from portchain import analysis
+from portchain import analysis, cli
 from portchain.cli import (
     DEFAULT_CHECKS,
     KNOWN_CHECKS,
@@ -92,6 +92,10 @@ def test_export_import_round_trip(tmp_path, capsys):
     assert main(["import", "--chain", str(chain_path), "--config", str(path)]) == 0
     out = capsys.readouterr().out
     assert "verified" in out
+    # the scenario of another seed has another genesis
+    other = _scenario(tmp_path, "other.json", config={"seed": 7})
+    assert main(["import", "--chain", str(chain_path), "--config", str(other)]) == 1
+    assert "genesis does not match the scenario config" in capsys.readouterr().err
 
 
 def test_import_rejects_corruption(tmp_path, capsys):
@@ -189,11 +193,19 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     ("--export-chain", lambda tmp_path: tmp_path / "missing-dir" / "c.bin"),
     ("--out", lambda tmp_path: tmp_path / "scenario.json"),
 ], ids=["export-chain-in-missing-dir", "out-is-a-file"])
-def test_unwritable_output_exits_2(tmp_path, capsys, option, target):
-    # FileNotFoundError from write_bytes and FileExistsError from mkdir
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, option, target):
+    # FileNotFoundError from open and FileExistsError from mkdir, both
+    # before the simulation: it once ran first, and the report of a failed
+    # run was already on stdout
     path = _scenario(tmp_path)
+
+    def no_run(config):
+        raise AssertionError("simulated before the outputs were opened")
+
+    monkeypatch.setattr(cli, "run", no_run)
     assert main(["run", "--config", str(path), option, str(target(tmp_path))]) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
@@ -403,10 +415,19 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, field, value):
     ({"stall_patience": -1}, "stall_patience"),
     # a header's one-byte creator_index overflowed at the first proposal
     ({"node_count": 774, "voter_count": 1, "creator_redundancy": 257}, "creator_redundancy"),
+    # ran with the field ignored (the withholding began at tick 0)
+    ({"adversaries": [{"kind": "vote_withhold", "voter_slot": 1, "start_tick": 500}]},
+     "takes no start_tick"),
+    ({"adversaries": [{"kind": "crash", "node": 3, "voter_slot": 1}]}, "no voter_slot"),
+    ({"adversaries": [{"kind": "vote_withhold", "node": 3, "voter_slot": 1}]}, "not both"),
+    # ran with the last behavior on the node
+    ({"adversaries": [{"kind": "vote_withhold", "node": 3},
+                      {"kind": "forge_assignment", "node": 3}]}, "two behaviors on node 3"),
 ], ids=["genesis-tax-2**62", "crash-node-99", "voter-slot-99", "withhold-node-99",
         "node-count-16.0", "run-height-3.0", "drop-probability-nan", "max-txs--1",
         "txs-per-interval--2", "proposal-delay--5", "max-ticks--1", "stall-patience--1",
-        "creator-redundancy-257"])
+        "creator-redundancy-257", "withhold-start-tick", "crash-voter-slot",
+        "withhold-node-and-slot", "two-behaviors-on-a-node"])
 def test_hostile_config_exits_2(tmp_path, capsys, config, named):
     path = _scenario(tmp_path, config=config)
     assert main(["run", "--config", str(path)]) == 2

@@ -6,6 +6,7 @@ import pytest
 
 from portchain import engine
 from portchain.core import (
+    FraudReport,
     Transaction,
     Vote,
     VoteCertificate,
@@ -320,6 +321,75 @@ def test_executor_rejects_tampering():
         ),
         "2/3 rule",
     )
+    # a certificate over another block
+    elsewhere = dataclasses.replace(good.header.prev_certificate, target_hash=digest(b"no"))
+    check(
+        dataclasses.replace(
+            good, header=dataclasses.replace(good.header, prev_certificate=elsewhere)
+        ),
+        "certificate targets wrong block",
+    )
+    # transaction lists the block may not carry: one past the cap, and an
+    # unsigned transfer
+    unsigned = Transaction(sender=ctx.addresses[0], receiver=ctx.addresses[1], value=7,
+                           nonce=1, signature=b"")
+    check(dataclasses.replace(good, transactions=(unsigned,) * (ctx.engine_cfg.max_txs + 1)),
+          "transaction cap exceeded")
+    check(dataclasses.replace(good, transactions=(unsigned,)),
+          "invalid transaction: bad signature")
+
+
+def test_fraud_reports_follow_the_ledger_rule():
+    ctx = _context()
+    a1 = ctx.genesis_assignments[1]
+    creator = a1.creators[0]
+    accused = next(a for a in ctx.addresses if a not in a1.members())
+    gdigest = block_digest(ctx.genesis_block.header)
+    cert = _certificate(ctx, gdigest, a1.voters)
+    duration = ctx.engine_cfg.ledger.blacklist_duration
+
+    def report(offense=1, by=creator, against=accused):
+        return FraudReport(reporter=by, accused=against, evidence_hash=digest(b"e"),
+                           height_of_offense=offense)
+
+    def assemble(reports, pre_trie=ctx.genesis_trie, txs=None):
+        return assemble_block(ctx.engine_cfg, ctx.genesis_block, cert, creator, 0, 5, a1, (),
+                              pre_trie, txs=txs, mempool={}, reports=reports)
+
+    # the accused already serves a term that began at height 1
+    state = ctx.genesis_trie.get_account(accused)
+    punished = ctx.genesis_trie.upsert_account(accused, state.changed(blacklist_until=1 + duration))
+    refused = [
+        (report(by=accused, against=accused), ctx.genesis_trie, "self-accusation"),
+        (report(by=a1.creators[1]), ctx.genesis_trie, "reporter is not the block's creator"),
+        (report(offense=2), ctx.genesis_trie, "offense above the block height"),
+        (report(against=digest(b"nobody")[:20]), ctx.genesis_trie,
+         "accused account does not exist"),
+        (report(), punished, "offense already punished"),
+    ]
+    good = report()
+    honest = assemble((good,))
+    assert honest.block.fraud_reports == (good,)
+    for bad, pre_trie, named in refused:
+        # the creator drops a refused report and still proposes
+        built = assemble((bad, good), pre_trie)
+        expected = () if pre_trie is punished else (good,)
+        assert built.block.fraud_reports == expected
+        assert built.post_trie.root_commitment() == assemble(expected, pre_trie).post_trie.root_commitment()
+        # a validator refuses a block that carries it
+        with pytest.raises(engine.BlockInvalid, match=f"bad fraud report: {named}"):
+            assemble((bad,), pre_trie, txs=())
+    # a second report of one offense, or of another offense at or below
+    # the block by the same accused, in one block: the first term covers it
+    other = report(offense=0)
+    assert assemble((good, good, other)).block.fraud_reports == (good,)
+    for twice in [(good, good), (good, other)]:
+        with pytest.raises(engine.BlockInvalid, match="bad fraud report: offense already punished"):
+            assemble(twice, txs=())
+    # the executor names the fault of a block that re-reports a covered offense
+    blk = dataclasses.replace(honest.block, fraud_reports=(good, good))
+    result = BlockExecutor(ctx.engine_cfg).validate(blk, ctx.genesis_block, ctx.genesis_trie, a1, ())
+    assert not result.valid and result.reason == "bad fraud report: offense already punished"
 
 
 def test_executor_memo_answers_only_for_the_validated_body():
@@ -576,14 +646,16 @@ def _spy_assemble(monkeypatch):
     return heights
 
 
-def _creator_at_height_one(ctx, behavior="honest"):
-    """A height-1 creator fed the genesis quorum and woken past its
-    proposal delay; returns the node and the actions of its proposal."""
+def _creator_at_height_one(ctx, behavior="honest", equivocations=()):
+    """A height-1 creator, holding the given equivocation records, fed the
+    genesis quorum and woken past its proposal delay; returns the node and
+    the actions of its proposal."""
     a1 = ctx.genesis_assignments[1]
     i = ctx.addresses.index(a1.creators[0])
     node = Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
                 ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments,
                 behavior=behavior)
+    node.equivocations.update(equivocations)
     gdigest = block_digest(ctx.genesis_block.header)
     key_of = dict(zip(ctx.addresses, ctx.keys))
     for v in a1.voters:
@@ -593,6 +665,20 @@ def _creator_at_height_one(ctx, behavior="honest"):
 
 def _broadcast_blocks(actions):
     return [a[1][1] for a in actions if a[0] == "broadcast" and a[1][0] == "block"]
+
+
+def test_creator_proposes_without_the_reports_the_ledger_refuses():
+    ctx = _context()
+    a1 = ctx.genesis_assignments[1]
+    other = next(a for a in ctx.addresses if a not in a1.members())
+    twins = [digest(b"x"), digest(b"y")]
+    # its own offense, one at the block's height and one above it
+    node, actions = _creator_at_height_one(ctx, equivocations={
+        (1, a1.creators[0]): twins, (1, other): twins, (2, other): twins,
+    })
+    [blk] = _broadcast_blocks(actions)
+    assert [(r.height_of_offense, r.accused) for r in blk.fraud_reports] == [(1, other)]
+    assert not [a for a in actions if a[0] == "log" and a[1] == "halt"]
 
 
 def test_forged_assignment_is_validated_independently(monkeypatch):
@@ -671,8 +757,7 @@ def test_recorded_assembly_equals_fresh_validation(monkeypatch):
         fresh = BlockExecutor(ctx.engine_cfg).validate(blk, prev_block, pre_trie, schedule, clear_members)
         assert fresh.valid and result.valid
         assert result.post_trie.root_commitment() == fresh.post_trie.root_commitment()
-        assert (result.issued, result.confiscated) == (fresh.issued, fresh.confiscated)
-    # refunds and the reporter's reward are issued; nothing is confiscated
-    # unless the ledger is configured to strip an accused creator
+        assert result.issued == fresh.issued
+    # refunds and the reporter's reward are issued
     assert any(r[-1].issued for r in recorded)
     assert any(r[0].fraud_reports for r in recorded)

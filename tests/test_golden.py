@@ -53,7 +53,7 @@ GOLDEN = [
     (_criterion_9_config(8), "2d2d04a33e8b547b114c1f8ba73416da013454930a99856355308cbbb5232c54"),
     (_criterion_9_config(9), "1c5e0e19e9db8be3b6b4950dd3257fd342c8caa623975b7d12a3bb5234d290d5"),
     (adversary_config("equivocate_creator"),
-     "fdb5dcb2e14da9bc2cd3ca74d2932ee8c922bd540d8ef3b0046e2f2602b10785"),
+     "2715abdde8b26cebf0d74e9f500e4dec370cbb3d896f1e1b6269e05eb02edd20"),
     (adversary_config("forge_assignment"),
      "8eb9d26d11b79cd33787a37705a557970f72c8d9a532b1c866b06391e03da4b6"),
     # node 19 holds voter slot 0 at height 1 (it votes on genesis)
@@ -125,7 +125,7 @@ def test_readme_scenario_report_pinned():
     assert code == 0
     assert "committed_head=200\n" in report
     assert hashlib.sha256(report.encode()).hexdigest() == (
-        "b2755980642cca55ba7e1ca122324e6e4f966684fb83425a842ec976b31c9bcb"
+        "e0344534237b4461f938326ee251eb350f1505e1e2bb88c7ee8a84148b6e1972"
     )
 
 

@@ -16,7 +16,7 @@ from portchain.ledger import (
 )
 from portchain.netsim import SimConfig
 from portchain.selection import eligible_total_weight
-from portchain.trie import AccountState, StateTrie
+from portchain.trie import AccountState, StateTrie, WriteSet
 
 from conftest import addr_of, make_keys
 
@@ -162,7 +162,7 @@ def test_effective_weight():
     report = FraudReport(reporter=reporter, accused=accused,
                          evidence_hash=digest(b"e"), height_of_offense=4)
     assert eligible_total_weight(trie, (), 10) == 6 + 1
-    out, _, _ = apply_fraud_verdict(trie, report, 10, CFG)
+    out, _ = apply_fraud_verdict(trie, report, 10, reporter, CFG)
     end = 10 + CFG.blacklist_duration
     assert eligible_total_weight(out, (), 10) == 1
     assert eligible_total_weight(out, (), end - 1) == 1
@@ -176,15 +176,41 @@ def test_fraud_verdict():
     trie = trie.upsert_account(reporter, AccountState(balance=10))
     report = FraudReport(reporter=reporter, accused=accused,
                          evidence_hash=digest(b"e"), height_of_offense=4)
-    out, issued, confiscated = apply_fraud_verdict(trie, report, 20, CFG)
+    out, issued = apply_fraud_verdict(trie, report, 20, reporter, CFG)
     a = out.get_account(accused)
     assert a.blacklist_until == 20 + CFG.blacklist_duration
-    assert a.balance == 777  # confiscation off by default
-    assert confiscated == 0
+    assert a.balance == 777
     assert issued == CFG.reporter_reward
     assert out.get_account(reporter).balance == 10 + CFG.reporter_reward
-    # with confiscation enabled the balance is stripped
-    strict = replace(CFG, confiscate_on_fraud=True)
-    out, issued, confiscated = apply_fraud_verdict(trie, report, 20, strict)
-    assert out.get_account(accused).balance == 0
-    assert confiscated == 777
+
+
+@pytest.mark.parametrize("duration", [0, 50])
+def test_fraud_verdict_refusals_leave_no_write(duration):
+    cfg = replace(CFG, blacklist_duration=duration)
+    accused, reporter = addr_of("bad"), addr_of("cop")
+    trie = StateTrie()
+    trie = trie.upsert_account(accused, AccountState(balance=777))
+    trie = trie.upsert_account(reporter, AccountState(balance=10))
+
+    def report(offense=4, by=reporter, against=accused):
+        return FraudReport(reporter=by, accused=against, evidence_hash=digest(b"e"),
+                           height_of_offense=offense)
+
+    # a term imposed at height 5 covers the offenses at or below 5, and
+    # only those, whatever its length
+    punished, _ = apply_fraud_verdict(trie, report(), 5, reporter, cfg)
+    for pre, bad, creator, named in [
+        (trie, report(by=accused), accused, "self-accusation"),
+        (trie, report(), addr_of("other"), "reporter is not the block's creator"),
+        (trie, report(offense=21), reporter, "offense above the block height"),
+        (trie, report(against=addr_of("nobody")), reporter, "accused account does not exist"),
+        (punished, report(), reporter, "offense already punished"),
+        (punished, report(offense=5), reporter, "offense already punished"),
+    ]:
+        writes = WriteSet(pre)
+        with pytest.raises(LedgerError, match=named):
+            apply_fraud_verdict(writes, bad, 20, creator, cfg)
+        assert writes.writes == {}
+    # an offense after the term began is punished again, at the block's height
+    out, _ = apply_fraud_verdict(punished, report(offense=6), 20, reporter, cfg)
+    assert out.get_account(accused).blacklist_until == 20 + duration

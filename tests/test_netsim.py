@@ -93,8 +93,8 @@ def test_crash_recovery_resumes():
         assert max(h for h, _ in t.commits[i]) >= cfg.run_height - 2
 
 
-def _adversary_run(kind):
-    cfg = adversary_config(kind)
+def _adversary_run(kind, **changes):
+    cfg = dataclasses.replace(adversary_config(kind), **changes)
     t = run(cfg)
     ctx = build_context(cfg)
     assert not t.stalled
@@ -107,9 +107,15 @@ def _adversary_run(kind):
 
 
 def test_equivocating_creator_is_reported_on_chain():
-    t, adversary, _ = _adversary_run("equivocate_creator")
-    reports = [r for blk in t.chain for r in blk.fraud_reports]
-    assert reports and all(r.accused == adversary for r in reports)
+    # each offense is punished once, also with no blacklist term to keep
+    # the adversary from creating again
+    for blacklist_duration in (50, 0):
+        t, adversary, _ = _adversary_run("equivocate_creator",
+                                         blacklist_duration=blacklist_duration)
+        reports = [r for blk in t.chain for r in blk.fraud_reports]
+        assert reports and all(r.accused == adversary for r in reports)
+        offenses = [r.height_of_offense for r in reports]
+        assert len(set(offenses)) == len(offenses)
 
 
 def test_forged_assignment_never_commits():
@@ -176,6 +182,16 @@ def test_config_validation_errors():
         dict(genesis_tax_min=5, genesis_tax_max=2),
         # node 3 stayed down for good and the run went on to max_ticks
         dict(adversaries=(AdversarySpec(kind="crash", node=3, start_tick=100, recover_tick=50),)),
+        # ran with the field ignored, or with the last behavior on a target
+        dict(adversaries=(AdversarySpec(kind="vote_withhold", node=3, start_tick=500),)),
+        dict(adversaries=(AdversarySpec(kind="vote_withhold", node=3, recover_tick=500),)),
+        dict(adversaries=(AdversarySpec(kind="crash", node=3, voter_slot=0),)),
+        dict(adversaries=(AdversarySpec(kind="vote_withhold", node=3, voter_slot=0),)),
+        dict(adversaries=(AdversarySpec(kind="crash", node=3, start_tick=-5),)),
+        dict(adversaries=(AdversarySpec(kind="vote_withhold", node=3),
+                          AdversarySpec(kind="equivocate_creator", node=3))),
+        dict(adversaries=(AdversarySpec(kind="vote_withhold", voter_slot=1),
+                          AdversarySpec(kind="vote_disapprove_all", voter_slot=1))),
     ):
         with pytest.raises(SimConfigError):
             SimConfig(**bad).validate()
