@@ -56,7 +56,7 @@ from .ledger import (
     refund_reward,
 )
 from .selection import NoCandidatesError, select_assignment
-from .trie import StateTrie, WriteSet, maintainer_bits
+from .trie import EMPTY_ACCOUNT, StateTrie, WriteSet, maintainer_bits
 
 
 class BlockInvalid(ValueError):
@@ -480,8 +480,9 @@ class Node:
     to the listed addresses other than its own, which is how a vote
     reaches the maintainers that consume it; ("gossip", message) to the
     next nodes on the ring, one hop on a block's first receipt; ("wake",
-    tick); ("commit", height, digest) when a block becomes final; and
-    ("log", kind, info).
+    tick); and, as data for the simulation to record, ("commit", height,
+    digest), ("propose", height, digest), ("halt", height, reason) and
+    ("violation", rule, height, detail or None).
     Messages are (kind, payload) tuples routed by the network simulation.
     A disapproval vote is verified (a bad one counts in `bad_messages`)
     but never tallied.
@@ -688,7 +689,7 @@ class Node:
             if x is None:
                 continue
             if x.header.prev_hash != self.head_digest:
-                actions.append(("log", "violation", f"fork-ancestry@{k - 2}"))
+                actions.append(("violation", "fork-ancestry", k - 2, None))
                 continue
             # voters of height k are recorded in block k-2 on this branch
             if not self.executor.certifies_parent(bk.header, x.assignment.voters):
@@ -704,7 +705,7 @@ class Node:
             blk, self.committed[-1], self.head_trie, self._schedule(j), self._clear_members(j)
         )
         if not result.valid:
-            actions.append(("log", "violation", f"committed-invalid@{j}:{result.reason}"))
+            actions.append(("violation", "committed-invalid", j, result.reason))
             return
         self.committed.append(blk)
         self.head_digest = d
@@ -720,6 +721,14 @@ class Node:
         # approvals are only needed to build certificates near the tip
         if j >= 2:
             self.tallies.pop(block_digest(self.committed[j - 2].header), None)
+        # a blacklist term only grows along a branch, so every candidate's
+        # ledger refuses a report of an offense the head state covers, and
+        # its record is no longer needed
+        term = self.cfg.ledger.blacklist_duration
+        self.equivocations = {
+            (h, accused): seen for (h, accused), seen in self.equivocations.items()
+            if (self.head_trie.get_account(accused) or EMPTY_ACCOUNT).blacklist_until < h + term
+        }
         actions.append(("commit", j, d))
 
     def _schedule(self, h: int) -> MaintainerAssignment | None:
@@ -932,7 +941,7 @@ class Node:
                 reports=self._eligible_reports(),
             )
         except NoCandidatesError as exc:
-            actions.append(("log", "halt", f"cannot-propose@{k}:{exc}"))
+            actions.append(("halt", k, str(exc)))
             return
         self.counters["rejected_txs"] += len(built.rejected)
         blocks = [built.block]
@@ -950,7 +959,7 @@ class Node:
                 self.executor.record(built, resolved, sched)
             self._add_candidate(blk, tick)
             actions.append(("broadcast", ("block", blk)))
-            actions.append(("log", "propose", f"{k}:{block_digest(blk.header).hex()[:16]}"))
+            actions.append(("propose", k, block_digest(blk.header)))
 
     def _post_state_of(self, blk: Block) -> StateTrie | None:
         h = blk.header.height

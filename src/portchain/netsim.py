@@ -15,9 +15,11 @@ run: each node keeps one `engine.Level` record per live height, and the
 nodes share one `BlockExecutor`; `run` tracks the lowest head over the
 nodes that can still handle events (a node down with no recovery left
 does not count) and has the executor forget every height at or below it.
-Each committed block gets one commit label, shared by every node's
-commits and commit events.  What still grows with the run is its output
-(the chain, the commits and the events) and the process-wide memo of
+A node hands each event to the run as data, and the transcript keeps it
+once, as one flat record that shares the block digest with every other
+node's record of the same block; its text, digest, per-node commits and
+events are renderings of those records.  What still grows with the run
+is its output (the chain and the records) and the process-wide memo of
 `crypto.verify`, one entry per distinct signature.  `crypto.sign`
 records each signature it makes in that memo, so a run verifies natively
 only the signatures it did not make.
@@ -107,7 +109,9 @@ _INT_BOUNDS = {
     # count exhausts memory instead of running; 1024 still holds the 771
     # nodes that the largest creator_redundancy (256, one voter) needs
     "node_count": (1, 1024),
-    "run_height": (1, None),
+    # a height takes at least a tick (see SimConfig.validate), so no run
+    # reaches a height above the bound of max_ticks
+    "run_height": (1, 2**20),
     # a header encodes its creator_index in one byte
     "creator_redundancy": (1, 256),
     # the seed is hashed as 8 unsigned big-endian bytes
@@ -131,8 +135,9 @@ _INT_BOUNDS = {
     "txs_per_interval": (0, None),
     # null picks the default delay derived from latency_max
     "proposal_delay": (0, None),
-    # zero would stop every run before its first commit
-    "max_ticks": (1, None),
+    # zero would stop every run before its first commit; every tick is
+    # work, so the bound bounds a run's length
+    "max_ticks": (1, 2**20),
     "stall_patience": (1, None),
 }
 
@@ -203,15 +208,30 @@ class SimConfig:
         if self.tax_rate_numerator > self.tax_rate_denominator:
             # the receiver's tax is withheld from the amount transferred
             raise SimConfigError("tax_rate_numerator above tax_rate_denominator")
-        # balances, taxes and the selection weight total (AccountState.weight
-        # per account) are encoded as 8 unsigned bytes; none exceeds the money
-        # supply plus node_count, and a genesis supply below 2**63 leaves
-        # the other half for rewards, each at most 2**32 per payment
+        # A height takes at least a tick: its creator waits proposal_delay
+        # ticks after it holds a quorum on the parent, and each of those
+        # votes left a voter latency_min or more ticks after the parent
+        # reached it (the parent's creator, its voters and the next creator
+        # are distinct accounts).  With both zero a whole run could fit in
+        # one tick, which neither max_ticks nor stall_patience would end.
+        if self.latency_min == 0 and self.proposal_delay == 0:
+            raise SimConfigError("proposal_delay 0 with latency_min 0 lets a height take no tick")
+        # A run handles no tick past max_ticks, so it builds no block above
+        # height max_ticks.  A block issues at most the refunds of its
+        # parent's creator and certificate voters and one reporter reward
+        # per accused account other than its creator (a verdict's term
+        # covers the accused's other offenses in the block).  Balances,
+        # taxes and the selection weight total (AccountState.weight per
+        # account) are encoded as 8 unsigned bytes, and none exceeds the
+        # genesis supply plus node_count plus what the run issues.
         supply = self.node_count * (self.genesis_balance + self.genesis_tax_max + 1)
-        if supply >= 2**63:
+        per_block = (self.creator_reward + self.voter_count * self.voter_reward
+                     + (self.node_count - 1) * self.reporter_reward)
+        if supply + self.max_ticks * per_block >= 2**64:
             raise SimConfigError(
-                "genesis_balance/genesis_tax_max: genesis money supply "
-                f"node_count * (genesis_balance + genesis_tax_max + 1) = {supply} >= 2**63"
+                "genesis_balance/genesis_tax_max/max_ticks/rewards: genesis money supply "
+                f"node_count * (genesis_balance + genesis_tax_max + 1) = {supply} plus "
+                f"max_ticks * {per_block} issued per block reaches 2**64"
             )
         behavior_targets = set()
         for adv in self.adversaries:
@@ -335,31 +355,77 @@ def build_context(config: SimConfig) -> SimContext:
     )
 
 
+def _short(d: bytes) -> str:
+    return d.hex()[:16]
+
+
+def _info(kind: str, *fields) -> str:
+    """The text of one record's event; with `_short`, the only code that
+    renders an event or cuts a digest to 16 hex digits."""
+    if kind == "commit" or kind == "propose":
+        return f"{fields[0]}:{_short(fields[1])}"
+    if kind == "halt":
+        return "cannot-propose@{}:{}".format(*fields)
+    if kind == "violation":
+        rule, height, detail = fields
+        return f"{rule}@{height}" if detail is None else f"{rule}@{height}:{detail}"
+    return "last_commit={}".format(*fields)  # stall
+
+
 @dataclass
 class SimTranscript:
     config_digest: str
     ticks: int
     stalled: bool
-    heads: tuple
-    commits: tuple  # per node: tuple of (height, digest hex)
-    events: tuple  # (tick, node, kind, info)
+    heads: tuple  # each node's head when the run ended
+    # (tick, node, *event) in event order: a Node's commit, propose, halt
+    # or violation, and last, if the run stalled, node -1's ("stall", tick
+    # of the last commit)
+    records: tuple
     counters: dict
     chain: tuple  # canonical committed blocks, genesis first
 
-    def text(self) -> str:
-        lines = [f"config={self.config_digest}", f"ticks={self.ticks}", f"stalled={int(self.stalled)}"]
-        lines.append("heads=" + ",".join(str(h) for h in self.heads))
-        for i, com in enumerate(self.commits):
-            lines.append(f"node{i}=" + ";".join(f"{h}:{d}" for h, d in com))
-        for tick, node, kind, info in self.events:
-            lines.append(f"{tick} n{node} {kind} {info}")
+    @property
+    def events(self) -> tuple:
+        """(tick, node, kind, info) per record."""
+        return tuple((tick, node, kind, _info(kind, *rest))
+                     for tick, node, kind, *rest in self.records)
+
+    def _commit_records(self) -> list:
+        per_node = [[] for _ in self.heads]
+        for rec in self.records:
+            if rec[2] == "commit":
+                per_node[rec[1]].append(rec)
+        return per_node
+
+    @property
+    def commits(self) -> tuple:
+        """Per node: (height, 16 hex digits of the digest) per commit."""
+        return tuple(tuple((h, _short(d)) for _, _, _, h, d in recs)
+                     for recs in self._commit_records())
+
+    def _lines(self):
+        yield f"config={self.config_digest}"
+        yield f"ticks={self.ticks}"
+        yield f"stalled={int(self.stalled)}"
+        yield "heads=" + ",".join(str(h) for h in self.heads)
+        for i, recs in enumerate(self._commit_records()):
+            yield f"node{i}=" + ";".join(_info(*rec[2:]) for rec in recs)
+        for tick, node, kind, *rest in self.records:
+            yield f"{tick} n{node} {kind} {_info(kind, *rest)}"
         for k in sorted(self.counters):
-            lines.append(f"{k}={self.counters[k]}")
-        lines.append("chain=" + ",".join(block_digest(b.header).hex()[:16] for b in self.chain))
-        return "\n".join(lines) + "\n"
+            yield f"{k}={self.counters[k]}"
+        yield "chain=" + ",".join(_short(block_digest(b.header)) for b in self.chain)
+
+    def text(self) -> str:
+        return "".join(f"{line}\n" for line in self._lines())
 
     def digest_hex(self) -> str:
-        return hashlib.sha256(self.text().encode() + encode_chain(self.chain)).hexdigest()
+        h = hashlib.sha256()
+        for line in self._lines():
+            h.update(f"{line}\n".encode())
+        h.update(encode_chain(self.chain))
+        return h.hexdigest()
 
 
 def below(getrandbits, n: int, bits: int) -> int:
@@ -455,9 +521,7 @@ def run(config: SimConfig) -> SimTranscript:
     ring = [tuple((i + step) % n for step in range(1, gossip_fanout + 1)) for i in everyone]
     addr_index = {a: i for i, a in enumerate(ctx.addresses)}
 
-    events: list = []
-    commits: list = [[] for _ in range(n)]
-    last_commit_tick = 0
+    records: list = []
     # stall patience runs from the later of the last commit and the last
     # tick at which a crashed node came back up
     patience_from = 0
@@ -468,10 +532,6 @@ def run(config: SimConfig) -> SimTranscript:
     # each height once the lowest head reaches it
     at_head = [n]
     lowest = 0
-    # one (height, digest16) pair and one "height:digest16" string per
-    # committed block, shared by every node's commits and commit events
-    # and dropped once the lowest head passes their height
-    labels: dict[int, tuple] = {}
 
     def head_left(h):
         """One live node left head h; advance the window past the heights
@@ -481,9 +541,7 @@ def run(config: SimConfig) -> SimTranscript:
         if h == lowest and not at_head[h]:
             top = len(at_head) - 1
             while lowest < top and not at_head[lowest]:
-                labels.pop(lowest, None)
                 lowest += 1
-            labels.pop(lowest, None)
             executor.forget_below(lowest + 1)
 
     # bootstrap: initial wakes, workload, fault schedule
@@ -544,23 +602,17 @@ def run(config: SimConfig) -> SimTranscript:
                         send(tick, ring[i], act[1])
                     elif op == "send":
                         send(tick, (act[1],), act[2])
-                    elif op == "log":
-                        events.append((tick, i, act[1], act[2]))
-                    elif op == "commit":
-                        h, d = act[1], act[2]
-                        label = labels.get(h)
-                        if label is None or label[0] != d:
-                            label = (d, (h, d.hex()[:16]), f"{h}:{d.hex()[:16]}")
-                            labels.setdefault(h, label)
-                        commits[i].append(label[1])
-                        last_commit_tick = patience_from = tick
-                        new_commit = True
-                        events.append((tick, i, "commit", label[2]))
-                        # a node handling events is live
-                        if h == len(at_head):
-                            at_head.append(0)
-                        at_head[h] += 1
-                        head_left(h - 1)
+                    else:  # an event: commit, propose, halt or violation
+                        records.append((tick, i, *act))
+                        if op == "commit":
+                            h = act[1]
+                            patience_from = tick
+                            new_commit = True
+                            # a node handling events is live
+                            if h == len(at_head):
+                                at_head.append(0)
+                            at_head[h] += 1
+                            head_left(h - 1)
             elif kind == "crash":
                 # a running node with no recovery left is down for good
                 if not down[payload] and not recoveries_left[payload]:
@@ -607,7 +659,8 @@ def run(config: SimConfig) -> SimTranscript:
         stalled = True
 
     if stalled:
-        events.append((final_tick, -1, "stall", f"last_commit={last_commit_tick}"))
+        last_commit = next((rec[0] for rec in reversed(records) if rec[2] == "commit"), 0)
+        records.append((final_tick, -1, "stall", last_commit))
 
     counters = {
         "msgs_sent": msgs_sent,
@@ -627,8 +680,7 @@ def run(config: SimConfig) -> SimTranscript:
         ticks=final_tick,
         stalled=stalled,
         heads=tuple(node.head for node in nodes),
-        commits=tuple(tuple(c) for c in commits),
-        events=tuple(events),
+        records=tuple(records),
         counters=counters,
         chain=chain,
     )

@@ -301,10 +301,12 @@ def test_single_chain_and_mutation_detection(sim):
     cfg, ctx, t = sim
     ok, violation = assert_single_chain(t)
     assert ok and violation is None
-    forged = list(list(c) for c in t.commits)
-    h, _ = forged[0][3]
-    forged[0][3] = (h, "ff" * 32)
-    bad = dataclasses.replace(t, commits=tuple(tuple(c) for c in forged))
+    # forge node 0's fourth commit record with another digest
+    records = list(t.records)
+    i = [k for k, rec in enumerate(records) if rec[1] == 0 and rec[2] == "commit"][3]
+    tick, node, kind, h, _ = records[i]
+    records[i] = (tick, node, kind, h, b"\xff" * 32)
+    bad = dataclasses.replace(t, records=tuple(records))
     ok, violation = assert_single_chain(bad)
     assert not ok
     assert violation[0] == h

@@ -25,7 +25,7 @@ from portchain.engine import (
     rehash_value,
     resolve_redundant,
 )
-from portchain.netsim import SimConfig, build_context, run
+from portchain.netsim import AdversarySpec, SimConfig, build_context, run
 from portchain.selection import NoCandidatesError
 
 from conftest import adversary_config, make_keys
@@ -678,7 +678,56 @@ def test_creator_proposes_without_the_reports_the_ledger_refuses():
     })
     [blk] = _broadcast_blocks(actions)
     assert [(r.height_of_offense, r.accused) for r in blk.fraud_reports] == [(1, other)]
-    assert not [a for a in actions if a[0] == "log" and a[1] == "halt"]
+    assert not [a for a in actions if a[0] == "halt"]
+
+
+def test_equivocations_end_once_the_head_state_covers_them(monkeypatch):
+    # node 3 equivocates; with every record kept for good, creators offer
+    # 1,165 reports over the run's 244 proposals, and the ledger keeps 20
+    cfg = SimConfig(seed=3, node_count=18, run_height=120, blacklist_duration=10,
+                    adversaries=(AdversarySpec(kind="equivocate_creator", node=3),))
+    offered, kept, covered = [], [], []
+    real_assemble, real_commit = engine.assemble_block, Node._commit
+
+    def assemble(*args, **kwargs):
+        built = real_assemble(*args, **kwargs)
+        if kwargs.get("mempool") is not None:  # the creator path
+            offered.append(len(kwargs["reports"]))
+            kept.append(len(built.block.fraud_reports))
+        return built
+
+    def commit(self, blk, tick, actions):
+        real_commit(self, blk, tick, actions)
+        covered.extend(
+            (self.index, h, accused) for h, accused in self.equivocations
+            if self.head_trie.get_account(accused).blacklist_until >= h + cfg.blacklist_duration
+        )
+
+    monkeypatch.setattr(engine, "assemble_block", assemble)
+    monkeypatch.setattr(Node, "_commit", commit)
+    t = run(cfg)
+    assert not t.stalled and t.counters["frauds_detected"] > 0
+    assert covered == []
+    assert len(offered) == 244 and sum(kept) == 20 and sum(offered) < 100
+
+
+def test_propose_and_halt_actions_are_data(monkeypatch):
+    # a proposal names its raw height and digest, and a halt its height and
+    # the selection's reason; the transcript renders their text
+    ctx = _context()
+    _, actions = _creator_at_height_one(ctx)
+    [blk] = _broadcast_blocks(actions)
+    assert [a for a in actions if a[0] == "propose"] == [("propose", 1, block_digest(blk.header))]
+
+    def no_candidates(*args, **kwargs):
+        raise NoCandidatesError("all candidates excluded")
+
+    monkeypatch.setattr(engine, "select_assignment", no_candidates)
+    _, actions = _creator_at_height_one(ctx)
+    assert not _broadcast_blocks(actions)
+    assert [a for a in actions if a[0] in ("propose", "halt")] == [
+        ("halt", 1, "all candidates excluded")
+    ]
 
 
 def test_forged_assignment_is_validated_independently(monkeypatch):

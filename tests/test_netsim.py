@@ -1,5 +1,6 @@
 """Simulated-network runs: liveness, fault tolerance, replayability."""
 import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -7,12 +8,13 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
 from portchain import engine, netsim
 from portchain.analysis import assert_single_chain, conservation_audit
-from portchain.core import block_digest
+from portchain.core import block_digest, encode_chain
 from portchain.netsim import (
     AdversarySpec,
     CounterRng,
     SimConfig,
     SimConfigError,
+    SimTranscript,
     below,
     build_context,
     run,
@@ -152,6 +154,49 @@ def test_replay_check_round_trip():
     assert run(dataclasses.replace(cfg, seed=14)).digest_hex() != t.digest_hex()
 
 
+@pytest.mark.parametrize("cfg", [
+    SimConfig(seed=21, node_count=15, run_height=10),
+    # two of three voter slots disapprove everything: the run stalls
+    SimConfig(seed=12, run_height=10, stall_patience=150,
+              adversaries=(AdversarySpec(kind="vote_disapprove_all", voter_slot=0),
+                           AdversarySpec(kind="vote_disapprove_all", voter_slot=1))),
+    SimConfig(seed=4, node_count=16, run_height=12, drop_probability=0.05,
+              adversaries=(AdversarySpec(kind="crash", node=3, start_tick=10, recover_tick=90),)),
+], ids=["normal", "stalled", "crash"])
+def test_digest_streams_the_text(cfg):
+    # digest_hex hashes the rendered lines one at a time; the digest is the
+    # one of the joined text followed by the encoded chain
+    t = run(cfg)
+    assert t.stalled == (cfg.seed == 12)
+    text = t.text()
+    assert hashlib.sha256(text.encode() + encode_chain(t.chain)).hexdigest() == t.digest_hex()
+    assert text.count("\n") == len(text.splitlines()) == 5 + len(t.heads) + len(t.records) + len(t.counters)
+
+
+def test_records_render_the_event_text():
+    d = bytes(range(32))
+    t = SimTranscript(
+        config_digest="c", ticks=9, stalled=True, heads=(2, 0),
+        records=((3, 0, "propose", 2, d), (5, 0, "commit", 2, d),
+                 (6, 1, "halt", 4, "all candidates excluded"),
+                 (7, 1, "violation", "fork-ancestry", 3, None),
+                 (8, 0, "violation", "committed-invalid", 3, "state root mismatch"),
+                 (9, -1, "stall", 5)),
+        counters={"msgs_sent": 4}, chain=())
+    assert t.commits == (((2, "0001020304050607"),), ())
+    assert t.text() == (
+        "config=c\nticks=9\nstalled=1\nheads=2,0\nnode0=2:0001020304050607\nnode1=\n"
+        "3 n0 propose 2:0001020304050607\n5 n0 commit 2:0001020304050607\n"
+        "6 n1 halt cannot-propose@4:all candidates excluded\n"
+        "7 n1 violation fork-ancestry@3\n"
+        "8 n0 violation committed-invalid@3:state root mismatch\n"
+        "9 n-1 stall last_commit=5\nmsgs_sent=4\nchain=\n"
+    )
+    assert t.events[2] == (6, 1, "halt", "cannot-propose@4:all candidates excluded")
+    assert [" ".join(map(str, (tick, f"n{node}", kind, info))) for tick, node, kind, info
+            in t.events] == t.text().splitlines()[6:12]
+
+
 def test_transcript_digest_deterministic():
     cfg = SimConfig(seed=21, node_count=15, run_height=10)
     assert run(cfg).digest_hex() == run(cfg).digest_hex()
@@ -195,6 +240,37 @@ def test_config_validation_errors():
     ):
         with pytest.raises(SimConfigError):
             SimConfig(**bad).validate()
+
+
+# the bounds below are checked by validate alone: none of these configs runs
+
+
+@pytest.mark.parametrize("name", ["run_height", "max_ticks"])
+def test_run_length_is_bounded(name):
+    SimConfig(**{name: 2**20}).validate()
+    with pytest.raises(SimConfigError, match=name):
+        SimConfig(**{name: 2**20 + 1}).validate()
+
+
+def test_a_height_takes_a_tick():
+    # with neither a latency nor a proposal delay a whole run could fit in
+    # one tick, which no tick bound would end
+    SimConfig(latency_min=0, proposal_delay=1).validate()
+    SimConfig(latency_min=1, proposal_delay=0).validate()
+    with pytest.raises(SimConfigError, match="latency_min 0"):
+        SimConfig(latency_min=0, proposal_delay=0).validate()
+
+
+def test_money_supply_is_bounded():
+    # the genesis supply plus max_ticks blocks of the most one block can
+    # issue stays below 2**64, and no further
+    rewards = dict(node_count=16, voter_count=3, max_ticks=2**20,
+                   creator_reward=2**32, voter_reward=2**32, reporter_reward=2**32)
+    issued = 2**20 * (1 + 3 + 15) * 2**32
+    balance = (2**64 - 1 - issued) // 16 - 1
+    SimConfig(genesis_balance=balance, **rewards).validate()
+    with pytest.raises(SimConfigError, match="reaches 2\\*\\*64"):
+        SimConfig(genesis_balance=balance + 1, **rewards).validate()
 
 
 @pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
@@ -320,20 +396,18 @@ def _watch_window(monkeypatch, cfg):
     return nodes, sizes
 
 
-def test_commit_labels_are_shared_across_nodes():
-    # one (height, digest) pair and one event text per committed block,
-    # not one copy per node, also for a node that commits long after the
-    # others (it recovers from a crash)
+def test_commit_records_share_the_block_digest():
+    # one flat (tick, node, "commit", height, digest) record per commit,
+    # holding the block's own digest object rather than a copy per node,
+    # also for a node that commits long after the others (it recovers
+    # from a crash)
     t = run(_WINDOW_CONFIGS["recovering-crash"])
-    pairs, texts = {}, {}
-    for per_node in t.commits:
-        for label in per_node:
-            pairs.setdefault(label[0], set()).add(id(label))
-    for _, _, kind, info in t.events:
-        if kind == "commit":
-            texts.setdefault(info, set()).add(id(info))
-    assert len(pairs) >= 30 and all(len(ids) == 1 for ids in pairs.values())
-    assert len(texts) == len(pairs) and all(len(ids) == 1 for ids in texts.values())
+    digests = {}
+    for rec in t.records:
+        if rec[2] == "commit":
+            _, _, _, h, d = rec
+            digests.setdefault(h, set()).add(id(d))
+    assert len(digests) >= 30 and all(len(ids) == 1 for ids in digests.values())
 
 
 @pytest.mark.parametrize("name", sorted(_WINDOW_CONFIGS))
