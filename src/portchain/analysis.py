@@ -16,6 +16,7 @@ from fractions import Fraction
 from .core import Block, block_digest, schedule_for
 from .crypto import Address
 from .engine import BlockExecutor, EngineConfig, quorum_threshold
+from .selection import draw_exclusions
 from .trie import StateTrie
 
 
@@ -208,7 +209,6 @@ class ChainInvalid(ValueError):
 @dataclass
 class ReplayStep:
     block: Block
-    pre_trie: StateTrie
     post_trie: StateTrie
     issued: int
     schedule: object  # MaintainerAssignment serving this height
@@ -232,7 +232,6 @@ def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engi
     steps = [
         ReplayStep(
             block=chain[0],
-            pre_trie=genesis_trie,
             post_trie=genesis_trie,
             issued=0,
             schedule=chain[0].assignment,
@@ -254,7 +253,6 @@ def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engi
         steps.append(
             ReplayStep(
                 block=blk,
-                pre_trie=trie,
                 post_trie=result.post_trie,
                 issued=result.issued,
                 schedule=schedule,
@@ -262,14 +260,6 @@ def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engi
         )
         trie = result.post_trie
     return steps
-
-
-def replay_run(transcript, context):
-    """replay_chain over a simulation's committed chain, from the genesis
-    state of the run's context."""
-    return replay_chain(
-        transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
-    )
 
 
 def steps_fairness(steps, window) -> FairnessReport:
@@ -294,18 +284,14 @@ def steps_fairness(steps, window) -> FairnessReport:
 
 
 def _assignment_draws(step: ReplayStep, prev_step: ReplayStep):
-    """Per-slot (weights, chosen) records for the selection a block performed.
-
-    The exclusion set mirrors the selection routine: the maintainers
-    serving this height, the already-assigned maintainers of the next
-    height (the parent block's recorded assignment), active blacklist
-    entries, and each pick in slot order.
-    """
+    """Per-slot (weights, chosen) records for the selection a block
+    performed: the draw of `select_assignment` on the maintainers serving
+    the height and, as its extra exclusions, the parent block's recorded
+    assignment, with each pick excluded from the later slots."""
     trie = step.post_trie
     h = step.block.header.height
-    excluded = set(step.schedule.members())
-    excluded.update(prev_step.block.assignment.members())
-    excluded.update(trie.active_blacklist(h))
+    serving, next_members = step.schedule.members(), prev_step.block.assignment.members()
+    excluded = draw_exclusions(trie, serving + next_members, h)
     accounts = [(addr, state.weight) for addr, state in trie.accounts()]
     records = []
     for chosen in step.block.assignment.members():
@@ -316,20 +302,21 @@ def _assignment_draws(step: ReplayStep, prev_step: ReplayStep):
 
 
 def assert_single_chain(transcript):
-    """True iff all nodes committed identical digests at every height and
-    no node committed a height twice.  Returns (ok, first_violation)."""
-    by_height: dict[int, str] = {}
-    for node_idx, commits in enumerate(transcript.commits):
-        seen_heights = set()
-        for h, dhex in commits:
-            if h in seen_heights:
-                return False, (h, f"node {node_idx} committed height {h} twice")
-            seen_heights.add(h)
-            other = by_height.get(h)
-            if other is None:
-                by_height[h] = dhex
-            elif other != dhex:
-                return False, (h, f"conflicting digests at height {h}: {other} vs {dhex}")
+    """True iff all nodes committed identical full digests at every height
+    and no node committed a height twice, judged on the transcript's
+    commit records.  Returns (ok, first_violation)."""
+    by_height: dict[int, bytes] = {}
+    committed = set()
+    for _, node, kind, *rest in transcript.records:
+        if kind != "commit":
+            continue
+        h, d = rest
+        if (node, h) in committed:
+            return False, (h, f"node {node} committed height {h} twice")
+        committed.add((node, h))
+        other = by_height.setdefault(h, d)
+        if other != d:
+            return False, (h, f"conflicting digests at height {h}: {other.hex()} vs {d.hex()}")
     return True, None
 
 
@@ -379,7 +366,10 @@ def conservation_audit(transcript, context) -> dict:
     minted).  Returns the totals and the drift, which is zero iff the
     books balance.
     """
-    return steps_conservation(replay_run(transcript, context), context.genesis_trie)
+    steps = replay_chain(
+        transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
+    )
+    return steps_conservation(steps, context.genesis_trie)
 
 
 def steps_conservation(steps, genesis_trie: StateTrie) -> dict:

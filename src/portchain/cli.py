@@ -159,11 +159,11 @@ def scenario_config(doc: dict, seed_override: int | None = None) -> SimConfig:
     return cfg
 
 
-def run_scenario(doc: dict, seed_override: int | None = None, checks=None, chain_file=None):
+def run_scenario(doc: dict, seed_override: int | None = None, chain_file=None):
     """Execute one scenario.  Returns (report_text, exit_code), and writes
     the committed chain to chain_file, a binary file, if one is given."""
     config = scenario_config(doc, seed_override)
-    enabled = list(checks) if checks is not None else list(doc.get("checks", DEFAULT_CHECKS))
+    enabled = doc.get("checks", DEFAULT_CHECKS)
     allow_stall = bool(doc.get("allow_stall", False))
 
     transcript = run(config)
@@ -195,7 +195,9 @@ def run_scenario(doc: dict, seed_override: int | None = None, checks=None, chain
         record("check_schedule", "pass" if ok else f"fail:{violations[0]}")
     # one independent replay serves conservation, fairness and Gini
     try:
-        steps = analysis.replay_run(transcript, context)
+        steps = analysis.replay_chain(
+            transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
+        )
         replay_error = None
     except analysis.ChainInvalid as exc:
         steps, replay_error = [], exc
@@ -301,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True, help="scenario JSON file")
     p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--out", default=None, help="directory for report.txt")
-    p_run.add_argument("--check", default=None, help="comma-separated checks to run")
     p_run.add_argument("--export-chain", default=None, help="write the committed chain here")
 
     p_imp = sub.add_parser("import", help="verify an exported chain file")
@@ -321,11 +322,6 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             doc = load_scenario(args.config)
-            checks = args.check.split(",") if args.check else None
-            if checks is not None:
-                bad = [c for c in checks if c not in KNOWN_CHECKS]
-                if bad:
-                    raise ScenarioError(f"unknown checks: {','.join(bad)}")
             # a bad config exits 2 before any output is touched, and every
             # output is opened before the simulation, so a path that cannot
             # be written exits 2 at once, with nothing on stdout
@@ -337,7 +333,7 @@ def main(argv=None) -> int:
                     report_file = outputs.enter_context(open(Path(args.out) / "report.txt", "w"))
                 if args.export_chain is not None:
                     chain_file = outputs.enter_context(open(args.export_chain, "wb"))
-                report, code = run_scenario(doc, args.seed, checks, chain_file)
+                report, code = run_scenario(doc, args.seed, chain_file)
                 if report_file is not None:
                     report_file.write(report)
         except (ScenarioError, SimConfigError) as exc:

@@ -495,6 +495,8 @@ class Node:
     rule accepts, so an offense already punished on the branch is dropped.
     Each candidate digest has one `Tally` record in `tallies`, which a
     commit drops for the losing siblings and for the block two below.
+    `_blocks` answers for the head with the committed block, so only the
+    two vote rules that hold at the head alone special-case it.
     """
 
     def __init__(
@@ -640,6 +642,10 @@ class Node:
         return level
 
     def _blocks(self, h: int) -> dict[Hash, Block]:
+        """The blocks this node holds at height h by digest: the committed
+        block at the head, the candidates above it, none below it."""
+        if h == self.head:
+            return {self.head_digest: self.committed[-1]}
         level = self.levels.get(h)
         return level.blocks if level is not None else {}
 
@@ -782,6 +788,8 @@ class Node:
     def _consider_vote(self, k: int, level: Level, d: Hash, actions: list) -> None:
         blk = level.blocks[d]
         if k == self.head + 1:
+            # judged on the head, a block that links elsewhere is
+            # disapproved by `_resolution_matches`, not deferred for good
             parent = self.committed[-1]
         else:
             parent = self._blocks(k - 1).get(blk.header.prev_hash)
@@ -829,6 +837,7 @@ class Node:
         Certificate evidence, unlike raw vote tallies, is identical for
         every node holding the same candidate set, so honest locks agree."""
         if k == self.head + 1:
+            # the committed head wins whatever its rank
             return blk.header.prev_hash == self.head_digest
         parents = {blk.header.prev_hash}  # proven by blk's own certificate
         sched = self._schedule(k)
@@ -895,12 +904,7 @@ class Node:
     def _resolve_parent(self, k: int):
         """Largest-rehash candidate at k-1 holding a 2/3 approval tally,
         together with the schedule for height k on its branch."""
-        if k - 1 == self.head:
-            pool = {self.head_digest: self.committed[-1]}
-        elif k - 1 < self.head:
-            return None
-        else:
-            pool = self._blocks(k - 1)
+        pool = self._blocks(k - 1)
         qualified = []
         for pd in sorted(pool):
             blk = pool[pd]
@@ -946,12 +950,11 @@ class Node:
         self.counters["rejected_txs"] += len(built.rejected)
         blocks = [built.block]
         if self.behavior == EQUIVOCATE_CREATOR:
-            twin = assemble_block(
-                self.cfg, resolved, cert, self.addr, ci, tick + 1,
-                sched, self._clear_members(k), pre_trie,
-                txs=built.block.transactions, reports=built.block.fraud_reports,
-            )
-            blocks.append(twin.block)
+            # the timestamp enters only the header, so the twin's body and
+            # post-state are the proposal's; `replace` leaves the digest
+            # cached on the proposal's header behind
+            header = replace(built.block.header, timestamp=tick + 1)
+            blocks.append(replace(built.block, header=header))
         elif self.behavior == FORGE_ASSIGNMENT:
             blocks = [self._forge(built.block, pre_trie)]
         for blk in blocks:
@@ -962,17 +965,14 @@ class Node:
             actions.append(("propose", k, block_digest(blk.header)))
 
     def _post_state_of(self, blk: Block) -> StateTrie | None:
+        """The state after blk, validated down to the head along its
+        branch, or None if a block of the branch is missing or invalid."""
         h = blk.header.height
         if h == self.head:
             return self.head_trie
-        if h - 1 == self.head:
-            parent = self.committed[-1]
-            if blk.header.prev_hash != self.head_digest:
-                return None
-        else:
-            parent = self._blocks(h - 1).get(blk.header.prev_hash)
-            if parent is None:
-                return None
+        parent = self._blocks(h - 1).get(blk.header.prev_hash)
+        if parent is None:
+            return None
         pre = self._post_state_of(parent)
         sched = self._branch_schedule(h, parent)
         if pre is None or sched is None:

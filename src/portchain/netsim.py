@@ -17,12 +17,13 @@ nodes that can still handle events (a node down with no recovery left
 does not count) and has the executor forget every height at or below it.
 A node hands each event to the run as data, and the transcript keeps it
 once, as one flat record that shares the block digest with every other
-node's record of the same block; its text, digest, per-node commits and
-events are renderings of those records.  What still grows with the run
-is its output (the chain and the records) and the process-wide memo of
-`crypto.verify`, one entry per distinct signature.  `crypto.sign`
-records each signature it makes in that memo, so a run verifies natively
-only the signatures it did not make.
+node's record of the same block; its text, digest and events are
+renderings of those records, and the single-chain audit reads their full
+digests.  What still grows with the run is its output (the chain and the
+records) and the process-wide memo of `crypto.verify`, one entry per
+distinct signature.  `crypto.sign` records each signature it makes in
+that memo, so a run verifies natively only the signatures it did not
+make.
 
 A node is down while any crash spec covers it: crash specs nest.  A run
 is called stalled once no recovery is still to come and `stall_patience`
@@ -281,7 +282,6 @@ class SimConfig:
 
 @dataclass
 class SimContext:
-    config: SimConfig
     engine_cfg: EngineConfig
     keys: list
     addresses: list
@@ -345,7 +345,6 @@ def build_context(config: SimConfig) -> SimContext:
         vote_patience=delay + 2 * config.latency_max + 2,
     )
     return SimContext(
-        config=config,
         engine_cfg=engine_cfg,
         keys=keys,
         addresses=addresses,
@@ -391,28 +390,22 @@ class SimTranscript:
         return tuple((tick, node, kind, _info(kind, *rest))
                      for tick, node, kind, *rest in self.records)
 
-    def _commit_records(self) -> list:
-        per_node = [[] for _ in self.heads]
-        for rec in self.records:
-            if rec[2] == "commit":
-                per_node[rec[1]].append(rec)
-        return per_node
-
-    @property
-    def commits(self) -> tuple:
-        """Per node: (height, 16 hex digits of the digest) per commit."""
-        return tuple(tuple((h, _short(d)) for _, _, _, h, d in recs)
-                     for recs in self._commit_records())
-
     def _lines(self):
         yield f"config={self.config_digest}"
         yield f"ticks={self.ticks}"
         yield f"stalled={int(self.stalled)}"
         yield "heads=" + ",".join(str(h) for h in self.heads)
-        for i, recs in enumerate(self._commit_records()):
-            yield f"node{i}=" + ";".join(_info(*rec[2:]) for rec in recs)
-        for tick, node, kind, *rest in self.records:
-            yield f"{tick} n{node} {kind} {_info(kind, *rest)}"
+        # each record's text is rendered once; a commit's also goes into
+        # its node's line
+        texts = [_info(kind, *rest) for _, _, kind, *rest in self.records]
+        per_node = [[] for _ in self.heads]
+        for (_, node, kind, *_), text in zip(self.records, texts):
+            if kind == "commit":
+                per_node[node].append(text)
+        for i, node_texts in enumerate(per_node):
+            yield f"node{i}=" + ";".join(node_texts)
+        for (tick, node, kind, *_), text in zip(self.records, texts):
+            yield f"{tick} n{node} {kind} {text}"
         for k in sorted(self.counters):
             yield f"{k}={self.counters[k]}"
         yield "chain=" + ",".join(_short(block_digest(b.header)) for b in self.chain)
@@ -439,9 +432,8 @@ def below(getrandbits, n: int, bits: int) -> int:
     return r
 
 
-def run(config: SimConfig) -> SimTranscript:
-    ctx = build_context(config)
-    cfg = ctx.config
+def run(cfg: SimConfig) -> SimTranscript:
+    ctx = build_context(cfg)
     rng = CounterRng(cfg.seed)
     # per-delivery latency/drop draws happen in deterministic event order,
     # so a fast sequential generator replays identically

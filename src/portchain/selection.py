@@ -53,11 +53,17 @@ def _exclude(sums: dict, root, addr: Address) -> None:
             sums[n] = sums.get(n, 0) + w
 
 
+def draw_exclusions(trie: StateTrie, exclusions, current_height: int) -> set:
+    """The accounts a draw at current_height gives no weight: the
+    exclusions and the accounts blacklisted at that height."""
+    return set(exclusions).union(trie.active_blacklist(current_height))
+
+
 def _exclusion_sums(trie: StateTrie, exclusions, current_height: int) -> dict:
-    """Excluded weight under each trie node, keyed by node: the excluded
-    accounts and the actively blacklisted ones each count once."""
+    """Excluded weight under each trie node, keyed by node: each account
+    of `draw_exclusions` counts once."""
     sums: dict = {}
-    for addr in set(exclusions).union(trie.active_blacklist(current_height)):
+    for addr in draw_exclusions(trie, exclusions, current_height):
         _exclude(sums, trie.root_node, addr)
     return sums
 
@@ -115,10 +121,11 @@ def select_assignment(
 
     schedule is the assignment serving the current block, and the new
     one has its shape: as many creator and voter slots.  Slot k is seeded
-    by `schedule.members()[k]` with sequence number k.  Exclusions cover
-    the current maintainers, any extra exclusions supplied by the caller
-    (the already-assigned maintainers of height+1, so no address serves
-    two consecutive heights), and inheritors picked so far.
+    by `schedule.members()[k]` with sequence number k.  The draw excludes
+    `draw_exclusions` of the current maintainers and the caller's extra
+    exclusions (the already-assigned maintainers of height+1, so no
+    address serves two consecutive heights), and each inheritor picked so
+    far.
     """
     seeds = schedule.members()
     creator_slots = len(schedule.creators)

@@ -342,7 +342,7 @@ def test_criterion_10_refund_damping(capsys):
 
         def tax_of(addr):
             if addr not in running:
-                running[addr] = step.pre_trie.get_account(addr).tax
+                running[addr] = steps[i - 1].post_trie.get_account(addr).tax
             return running[addr]
 
         recipients = []

@@ -18,7 +18,6 @@ from portchain.analysis import (
     gini,
     render_fraction,
     replay_chain,
-    replay_run,
     schedule_audit,
     steps_fairness,
 )
@@ -301,15 +300,20 @@ def test_single_chain_and_mutation_detection(sim):
     cfg, ctx, t = sim
     ok, violation = assert_single_chain(t)
     assert ok and violation is None
-    # forge node 0's fourth commit record with another digest
+    # forge node 0's fourth commit record with another digest that shares
+    # its first 8 bytes, all that a 16-hex-digit label shows
     records = list(t.records)
     i = [k for k, rec in enumerate(records) if rec[1] == 0 and rec[2] == "commit"][3]
-    tick, node, kind, h, _ = records[i]
-    records[i] = (tick, node, kind, h, b"\xff" * 32)
+    tick, node, kind, h, d = records[i]
+    forged = d[:8] + bytes(x ^ 0xFF for x in d[8:])
+    records[i] = (tick, node, kind, h, forged)
     bad = dataclasses.replace(t, records=tuple(records))
     ok, violation = assert_single_chain(bad)
     assert not ok
-    assert violation[0] == h
+    assert violation[0] == h and forged.hex() in violation[1] and d.hex() in violation[1]
+    # a node that commits a height again
+    again = dataclasses.replace(t, records=t.records + (t.records[i],))
+    assert assert_single_chain(again) == (False, (h, f"node 0 committed height {h} twice"))
 
 
 def test_schedule_audit_clean_and_dirty(sim):
@@ -389,7 +393,8 @@ def test_conservation_audit_balances(sim):
 def test_selection_fairness_over_chain(sim):
     cfg, ctx, t = sim
     top = t.chain[-1].header.height
-    rep = steps_fairness(replay_run(t, ctx), (1, top))
+    steps = replay_chain(t.chain, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+    rep = steps_fairness(steps, (1, top))
     assert rep.draws > 0
     assert sum(rep.expected_share.values()) == pytest.approx(1.0)
     assert rep.chi_square < 10 * max(rep.degrees_of_freedom, 1)

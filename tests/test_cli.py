@@ -174,7 +174,10 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     infeasible = _scenario(tmp_path, "small.json", config={"node_count": 14, "voter_count": 4})
     assert main(["run", "--config", str(infeasible)]) == 2
     ok = _scenario(tmp_path)
-    assert main(["run", "--config", str(ok), "--check", "nonsense"]) == 2
+    # checks are chosen in the scenario file only
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(ok), "--check", "nonsense"])
+    assert exc.value.code == 2
     capsys.readouterr()
     # both raised out of load_scenario (UnicodeDecodeError, RecursionError)
     not_utf8 = tmp_path / "utf16.json"
@@ -344,7 +347,7 @@ def test_run_replays_the_chain_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(analysis, "replay_chain", counting)
     doc = json.loads(_scenario(tmp_path).read_text())
-    report, code = run_scenario(doc, checks=ALL_CHECKS)
+    report, code = run_scenario({**doc, "checks": ALL_CHECKS})
     assert code == 0
     assert "check_conservation=pass" in report and "check_fairness=pass" in report
     assert "gini_final=" in report
@@ -357,7 +360,7 @@ def test_invalid_replay_fails_conservation_and_fairness(tmp_path, monkeypatch):
 
     monkeypatch.setattr(analysis, "replay_chain", invalid)
     doc = json.loads(_scenario(tmp_path).read_text())
-    report, code = run_scenario(doc, checks=ALL_CHECKS)
+    report, code = run_scenario({**doc, "checks": ALL_CHECKS})
     assert code == 1
     lines = report.splitlines()
     start = lines.index("check_schedule=pass") + 1

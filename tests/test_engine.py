@@ -646,16 +646,18 @@ def _spy_assemble(monkeypatch):
     return heights
 
 
-def _creator_at_height_one(ctx, behavior="honest", equivocations=()):
-    """A height-1 creator, holding the given equivocation records, fed the
-    genesis quorum and woken past its proposal delay; returns the node and
-    the actions of its proposal."""
+def _creator_at_height_one(ctx, behavior="honest", equivocations=(), txs=()):
+    """A height-1 creator, holding the given equivocation records and
+    transactions, fed the genesis quorum and woken past its proposal delay;
+    returns the node and the actions of its proposal."""
     a1 = ctx.genesis_assignments[1]
     i = ctx.addresses.index(a1.creators[0])
     node = Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
                 ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments,
                 behavior=behavior)
     node.equivocations.update(equivocations)
+    for tx in txs:
+        node.handle("tx", tx, 1)
     gdigest = block_digest(ctx.genesis_block.header)
     key_of = dict(zip(ctx.addresses, ctx.keys))
     for v in a1.voters:
@@ -709,6 +711,107 @@ def test_equivocations_end_once_the_head_state_covers_them(monkeypatch):
     assert not t.stalled and t.counters["frauds_detected"] > 0
     assert covered == []
     assert len(offered) == 244 and sum(kept) == 20 and sum(offered) < 100
+
+
+def test_equivocation_twin_copies_the_proposal(monkeypatch):
+    # the twin is the proposal under a header one tick later: the block a
+    # fresh assembly from the same inputs gives, with a digest of its own,
+    # and it costs no assembly of its own
+    ctx = _context()
+    a1 = ctx.genesis_assignments[1]
+    other = next(a for a in ctx.addresses if a not in a1.members())
+    sender, receiver = ctx.addresses[0], ctx.addresses[1]
+    body = Transaction(sender=sender, receiver=receiver, value=7, nonce=1, signature=b"")
+    tx = dataclasses.replace(body, signature=sign(ctx.keys[0], body.signing_bytes()))
+    calls = _spy_assemble(monkeypatch)
+    _, actions = _creator_at_height_one(ctx, behavior="equivocate_creator", txs=(tx,),
+                                        equivocations={(1, other): [digest(b"x"), digest(b"y")]})
+    block, twin = _broadcast_blocks(actions)
+    assert calls == [1]
+    assert block.transactions == (tx,) and len(block.fraud_reports) == 1
+    reference = assemble_block(
+        ctx.engine_cfg, ctx.genesis_block, block.header.prev_certificate, a1.creators[0], 0,
+        block.header.timestamp + 1, a1, (), ctx.genesis_trie,
+        txs=block.transactions, reports=block.fraud_reports,
+    ).block
+    assert twin == reference
+    assert block_digest(block.header) != block_digest(twin.header) == block_digest(reference.header)
+    assert [a[2] for a in actions if a[0] == "propose"] == [
+        block_digest(block.header), block_digest(twin.header)
+    ]
+    # a header's cached digest does not survive `replace`
+    assert "_cached_digest" in vars(block.header)
+    copy = dataclasses.replace(block.header, timestamp=block.header.timestamp + 1)
+    assert block_digest(copy) == block_digest(reference.header)
+
+
+def _reference_resolve_parent(node, k):
+    """`Node._resolve_parent` as written with a head case of its own."""
+    if k - 1 == node.head:
+        pool = {node.head_digest: node.committed[-1]}
+    elif k - 1 < node.head:
+        return None
+    else:
+        pool = node.levels[k - 1].blocks if k - 1 in node.levels else {}
+    qualified = []
+    for pd in sorted(pool):
+        sched = node._branch_schedule(k, pool[pd])
+        if sched is not None and sched.block_height == k and node._is_qualified(pd, sched.voters):
+            qualified.append(pool[pd])
+    if not qualified:
+        return None
+    winner = resolve_redundant(qualified)
+    return winner, node._branch_schedule(k, winner)
+
+
+def _reference_post_state(node, blk):
+    """`Node._post_state_of` as written with a head case of its own."""
+    h = blk.header.height
+    if h == node.head:
+        return node.head_trie
+    if h - 1 == node.head:
+        parent = node.committed[-1]
+        if blk.header.prev_hash != node.head_digest:
+            return None
+    else:
+        level = node.levels.get(h - 1)
+        parent = level.blocks.get(blk.header.prev_hash) if level is not None else None
+        if parent is None:
+            return None
+    pre = _reference_post_state(node, parent)
+    sched = node._branch_schedule(h, parent)
+    if pre is None or sched is None:
+        return None
+    result = node.executor.validate(blk, parent, pre, sched, node._clear_members(h))
+    return result.post_trie if result.valid else None
+
+
+def test_head_is_looked_up_like_any_height(monkeypatch):
+    # `_blocks` gives the committed block at the head, so parent resolution
+    # and post-states look the head up like any height, with the answers of
+    # a head case of their own
+    real_resolve, real_post = Node._resolve_parent, Node._post_state_of
+    heads = []
+
+    def resolve(self, k):
+        assert self._blocks(self.head) == {self.head_digest: self.committed[-1]}
+        got = real_resolve(self, k)
+        assert got == _reference_resolve_parent(self, k)
+        if got is not None and k - 1 == self.head:
+            heads.append(k)
+        return got
+
+    def post(self, blk):
+        got = real_post(self, blk)
+        reference = _reference_post_state(self, blk)
+        assert (got is None) == (reference is None)
+        assert got is None or got.root_commitment() == reference.root_commitment()
+        return got
+
+    monkeypatch.setattr(Node, "_resolve_parent", resolve)
+    monkeypatch.setattr(Node, "_post_state_of", post)
+    assert not run(adversary_config("equivocate_creator")).stalled
+    assert heads
 
 
 def test_propose_and_halt_actions_are_data(monkeypatch):

@@ -135,3 +135,14 @@ def test_readme_scenario_report_pinned():
 def test_readme_scenario_is_live_on_lock_split_seeds(seed):
     report, _ = run_scenario(README_SCENARIO, seed_override=seed)
     assert "check_liveness=pass" in report
+
+
+@pytest.mark.xfail(strict=True, reason="no approvable candidate: the only honest creator "
+                   "linked the lower-ranked qualified sibling and the twins are refused, "
+                   "so nothing proposes at the height again (ROADMAP item 1)")
+def test_equivocation_run_is_live_with_a_one_height_blacklist():
+    cfg = SimConfig(seed=5, node_count=18, voter_count=3, run_height=120, blacklist_duration=1,
+                    drop_probability=0.04,
+                    adversaries=(AdversarySpec(kind="equivocate_creator", node=5),))
+    t = run(cfg)
+    assert not t.stalled and t.chain[-1].header.height >= cfg.run_height
