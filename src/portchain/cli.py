@@ -143,6 +143,9 @@ def load_scenario(path: str) -> dict:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}")
+    except ValueError as exc:
+        # an integer longer than sys.get_int_max_str_digits() allows
+        raise ScenarioError(f"scenario file has a number too long to read: {exc}")
     except RecursionError:
         raise ScenarioError("scenario file nests too deeply")
     check_scenario(doc)

@@ -5,31 +5,23 @@ keyed off the config seed, and events at one tick run in the order they
 were scheduled, so a run is a pure function of its config.  Transcripts
 render to text so two runs can be compared byte for byte.
 
-The event queue keeps tick buckets, after Brown's calendar queue: one
-FIFO list per tick and a heap that holds only the distinct ticks.
-Nothing is ever scheduled before the current tick, so appending to a
-bucket gives the order of one heap keyed by (tick, insertion sequence).
+Each rule of a run has one owner: `Network` the links, `_Faults` the
+crashes and what hangs on them (stall patience, the executor's window),
+`_workload_txs` the signed transfers, and `run` the event queue
+(`_Calendar`), the bootstrap, each event's dispatch and the transcript.
 
 Live state follows the window of live heights, not the length of the
 run: each node keeps one `engine.Level` record per live height, and the
-nodes share one `BlockExecutor`; `run` tracks the lowest head over the
-nodes that can still handle events (a node down with no recovery left
-does not count) and has the executor forget every height at or below it.
-A node hands each event to the run as data, and the transcript keeps it
-once, as one flat record that shares the block digest with every other
-node's record of the same block; its text, digest and events are
-renderings of those records, and the single-chain audit reads their full
-digests.  What still grows with the run is its output (the chain and the
-records) and the process-wide memo of `crypto.verify`, one entry per
-distinct signature.  `crypto.sign` records each signature it makes in
-that memo, so a run verifies natively only the signatures it did not
-make.
-
-A node is down while any crash spec covers it: crash specs nest.  A run
-is called stalled once no recovery is still to come and `stall_patience`
-ticks have passed since the later of the last commit and the last tick
-at which a crashed node came back up, so the patience starts again when
-a node comes back.
+nodes share one `BlockExecutor`, which forgets every height that each
+node still able to handle events has committed.  A node hands each
+event to the run as data, and the transcript keeps it once, as one flat
+record that shares the block digest with every other node's record of
+the same block; its text, digest and events are renderings of those
+records, and the single-chain audit reads their full digests.  What
+still grows with the run is its output (the chain and the records) and
+the process-wide memo of `crypto.verify`, one entry per distinct
+signature.  `crypto.sign` records each signature it makes in that memo,
+so a run verifies natively only the signatures it did not make.
 """
 from __future__ import annotations
 
@@ -43,12 +35,7 @@ from dataclasses import dataclass, field
 from . import core, engine
 from .core import Block, MaintainerAssignment, Transaction, block_digest, encode_chain
 from .crypto import address_from_public, digest, keypair_from_seed, sign
-from .engine import (
-    BlockExecutor,
-    EngineConfig,
-    HONEST,
-    Node,
-)
+from .engine import HONEST, BlockExecutor, EngineConfig, Node
 from .ledger import LedgerConfig
 from .trie import AccountState, StateTrie, maintainer_bits
 
@@ -432,146 +419,212 @@ def below(getrandbits, n: int, bits: int) -> int:
     return r
 
 
-def run(cfg: SimConfig) -> SimTranscript:
-    ctx = build_context(cfg)
-    rng = CounterRng(cfg.seed)
-    # per-delivery latency/drop draws happen in deterministic event order,
-    # so a fast sequential generator replays identically
-    net_rng = random.Random(digest(cfg.seed.to_bytes(8, "big") + b"net"))
+class _Calendar:
+    """The event queue keeps tick buckets, after Brown's calendar queue:
+    one FIFO list of (target node or -1, kind, payload) per tick and a
+    heap that holds only the distinct ticks.  Nothing is ever scheduled
+    before the current tick, so appending to a bucket gives the order of
+    one heap keyed by (tick, insertion sequence)."""
 
-    node_behavior = {i: HONEST for i in range(cfg.node_count)}
-    slot_behaviors: dict[int, str] = {}
-    crash_events = []
-    for adv in cfg.adversaries:
-        if adv.kind == "crash":
-            crash_events.append(adv)
-        elif adv.voter_slot is not None:
-            slot_behaviors[adv.voter_slot] = adv.kind
-        else:
-            node_behavior[adv.node] = adv.kind
+    def __init__(self):
+        self._buckets: dict[int, list] = {}
+        self._ticks: list[int] = []
 
-    executor = BlockExecutor(ctx.engine_cfg)
-    n = cfg.node_count
-    nodes = [
-        Node(
-            i,
-            ctx.keys[i],
-            ctx.engine_cfg,
-            executor,
-            ctx.genesis_block,
-            ctx.genesis_trie,
-            ctx.genesis_assignments,
-            behavior=node_behavior[i],
-            slot_behaviors=slot_behaviors,
-        )
-        for i in range(n)
-    ]
-
-    # crash specs that cover each node now: a node runs only at zero, so
-    # crash specs nest
-    down = [0] * n
-    # recovery events still to come, per node: a node that is down with
-    # none pending never handles another event
-    recoveries_left = [0] * n
-    # events are (target node or -1, kind, payload), one FIFO list per tick
-    buckets: dict[int, list] = {}
-    ticks: list[int] = []  # heap of the ticks that hold a bucket
-
-    def push(tick, target, kind, payload):
-        bucket = buckets.get(tick)
+    def push(self, tick, target, kind, payload):
+        bucket = self._buckets.get(tick)
         if bucket is None:
-            buckets[tick] = [(target, kind, payload)]
-            heapq.heappush(ticks, tick)
+            self._buckets[tick] = [(target, kind, payload)]
+            heapq.heappush(self._ticks, tick)
         else:
             bucket.append((target, kind, payload))
 
-    msgs_sent = msgs_dropped = msgs_delivered = wakes_delivered = txs_injected = 0
-    drop_p = cfg.drop_probability
-    net_random = net_rng.random
-    getrandbits = net_rng.getrandbits
-    lat_min = cfg.latency_min
-    lat_span = cfg.latency_max - lat_min + 1
-    lat_bits = lat_span.bit_length()
+    def drain(self):
+        """Yield (tick, bucket) in tick order; a push at the tick being read appends to it."""
+        while self._ticks:
+            tick = heapq.heappop(self._ticks)
+            yield tick, self._buckets[tick]
+            del self._buckets[tick]
 
-    def send(tick, targets, message):
-        """Deliver message to each target after a drop and a latency draw."""
-        nonlocal msgs_sent, msgs_dropped
-        kind, payload = message
-        msgs_sent += len(targets)
+
+class Network:
+    """The link model.  A broadcast reaches every node but its sender (so
+    the workload, sender -1, reaches all), gossip the next four on the
+    ring (all others when fewer), and a multicast the listed addresses
+    that are nodes other than the sender, in list order.  Each target
+    takes a drop draw (none at drop_probability 0), then a latency draw;
+    draws follow event order, so a fast sequential generator replays them."""
+
+    def __init__(self, cfg: SimConfig, addresses, push):
+        net_rng = random.Random(digest(cfg.seed.to_bytes(8, "big") + b"net"))
+        self._random, self._getrandbits = net_rng.random, net_rng.getrandbits
+        self._push = push
+        self._drop_p = cfg.drop_probability
+        self._lat_min = cfg.latency_min
+        self._lat_span = cfg.latency_max - cfg.latency_min + 1
+        self._lat_bits = self._lat_span.bit_length()
+        n = len(addresses)
+        # one row per sender; the last, others[-1], is the workload's
+        self._others = [tuple(j for j in range(n) if j != i) for i in (*range(n), -1)]
+        self._ring = [tuple((i + step) % n for step in range(1, min(5, n))) for i in range(n)]
+        self._addr_index = {a: i for i, a in enumerate(addresses)}
+        self.sent = self.dropped = 0
+
+    def route(self, tick, i, act) -> bool:
+        """Deliver the message of sender i's action, if it is a routing
+        action, to each of its targets after a drop and a latency draw."""
+        op = act[0]
+        if op == "broadcast":
+            targets, (kind, payload) = self._others[i], act[1]
+        elif op == "gossip":
+            targets, (kind, payload) = self._ring[i], act[1]
+        elif op == "multicast":
+            targets = [j for j in map(self._addr_index.get, act[1]) if j is not None and j != i]
+            kind, payload = act[2]
+        elif op == "send":
+            targets, (kind, payload) = (act[1],), act[2]
+        else:
+            return False
+        self.sent += len(targets)
+        drop_p, net_random, push = self._drop_p, self._random, self._push
+        getrandbits, lat_span, lat_bits = self._getrandbits, self._lat_span, self._lat_bits
+        tick += self._lat_min
         for j in targets:
             if drop_p and net_random() < drop_p:
-                msgs_dropped += 1
+                self.dropped += 1
                 continue
-            push(tick + lat_min + below(getrandbits, lat_span, lat_bits), j, kind, payload)
+            push(tick + below(getrandbits, lat_span, lat_bits), j, kind, payload)
+        return True
 
-    # recipient lists: a broadcast reaches every other node (the workload,
-    # sender -1, reaches all), gossip the next few nodes on the ring, and a
-    # multicast the listed addresses that are nodes, in list order
-    everyone = tuple(range(n))
-    others = [tuple(j for j in everyone if j != i) for i in everyone]
-    gossip_fanout = min(4, n - 1)
-    ring = [tuple((i + step) % n for step in range(1, gossip_fanout + 1)) for i in everyone]
-    addr_index = {a: i for i, a in enumerate(ctx.addresses)}
 
-    records: list = []
-    # stall patience runs from the later of the last commit and the last
-    # tick at which a crashed node came back up
-    patience_from = 0
+class _Faults:
+    """A node is down while any crash spec covers it: crash specs nest.  A
+    run is called stalled once no recovery is still to come and
+    `stall_patience` ticks have passed since `patience_from`, the later of
+    the last commit and the last tick at which a crashed node came back
+    up, so the patience starts again when a node comes back."""
 
-    # the lowest head over the nodes that can still handle events, kept
-    # with a count of those nodes per head height; every executor lookup
-    # is for a header above its caller's head, so the executor forgets
-    # each height once the lowest head reaches it
-    at_head = [n]
-    lowest = 0
+    def __init__(self, nodes, adversaries, executor, push):
+        n = len(nodes)
+        self.down = [0] * n  # crash specs that cover each node now
+        # recoveries still to come per node: down with none left is for good
+        self.recoveries_left = [0] * n
+        for adv in adversaries:
+            if adv.kind == "crash":
+                push(adv.start_tick, -1, "crash", adv.node)
+                if adv.recover_tick is not None:
+                    push(adv.recover_tick, -1, "recover", adv.node)
+                    self.recoveries_left[adv.node] += 1
+        self.patience_from = 0
+        # the lowest head over the nodes that can still handle events (not
+        # one down for good), and their count per head; every executor
+        # lookup is for a header above its caller's head, so the executor
+        # forgets each height once the lowest head reaches it
+        self._nodes, self._executor = nodes, executor
+        self._at_head = [n]
+        self._lowest = 0
 
-    def head_left(h):
+    def committed(self, tick, h):
+        """A running node, so a live one, reached head h."""
+        self.patience_from = tick
+        if h == len(self._at_head):
+            self._at_head.append(0)
+        self._at_head[h] += 1
+        self._head_left(h - 1)
+
+    def crash(self, i):
+        # a running node with no recovery left is down for good
+        if not self.down[i] and not self.recoveries_left[i]:
+            self._head_left(self._nodes[i].head)
+        self.down[i] += 1
+
+    def recover(self, tick, i) -> bool:
+        """One crash spec on node i ended; whether the node runs again."""
+        self.down[i] -= 1
+        self.recoveries_left[i] -= 1
+        if not self.down[i]:
+            self.patience_from = tick
+            return True
+        if not self.recoveries_left[i]:
+            # another crash spec still covers it, and none ends
+            self._head_left(self._nodes[i].head)
+        return False
+
+    def _head_left(self, h):
         """One live node left head h; advance the window past the heights
         no live node holds."""
-        nonlocal lowest
+        at_head = self._at_head
         at_head[h] -= 1
-        if h == lowest and not at_head[h]:
-            top = len(at_head) - 1
-            while lowest < top and not at_head[lowest]:
-                lowest += 1
-            executor.forget_below(lowest + 1)
+        if h == self._lowest and not at_head[h]:
+            while self._lowest < len(at_head) - 1 and not at_head[self._lowest]:
+                self._lowest += 1
+            self._executor.forget_below(self._lowest + 1)
+
+
+def _workload_txs(cfg: SimConfig, ctx: SimContext, nonces, counter):
+    """Sign the transfers of workload interval `counter`, each between two
+    distinct nodes drawn from the keyed stream."""
+    rng = CounterRng(cfg.seed)
+    for j in range(cfg.txs_per_interval):
+        key = f"tx/{counter}/{j}"
+        s = rng.randint(0, cfg.node_count - 1, key + "/s")
+        r = rng.randint(0, cfg.node_count - 2, key + "/r")
+        if r >= s:
+            r += 1
+        value = rng.randint(cfg.tx_value_min, cfg.tx_value_max, key + "/v")
+        nonces[s] += 1
+        body = Transaction(sender=ctx.addresses[s], receiver=ctx.addresses[r],
+                           value=value, nonce=nonces[s], signature=b"")
+        yield dataclasses.replace(body, signature=sign(ctx.keys[s], body.signing_bytes()))
+
+
+def run(cfg: SimConfig) -> SimTranscript:
+    ctx = build_context(cfg)
+    n = cfg.node_count
+    behavior = {adv.node: adv.kind for adv in cfg.adversaries
+                if adv.kind != "crash" and adv.voter_slot is None}
+    slot_behaviors = {adv.voter_slot: adv.kind for adv in cfg.adversaries
+                      if adv.voter_slot is not None}
+    executor = BlockExecutor(ctx.engine_cfg)
+    nodes = [
+        Node(i, ctx.keys[i], ctx.engine_cfg, executor, ctx.genesis_block, ctx.genesis_trie,
+             ctx.genesis_assignments, behavior=behavior.get(i, HONEST),
+             slot_behaviors=slot_behaviors)
+        for i in range(n)
+    ]
 
     # bootstrap: initial wakes, workload, fault schedule
-    for i in everyone:
+    queue = _Calendar()
+    push = queue.push
+    net = Network(cfg, ctx.addresses, push)
+    route = net.route
+    for i in range(n):
         push(0, i, "wake", None)
     if cfg.txs_per_interval > 0:
         push(cfg.tx_interval, -1, "workload", 0)
-    for adv in crash_events:
-        push(adv.start_tick, -1, "crash", adv.node)
-        if adv.recover_tick is not None:
-            push(adv.recover_tick, -1, "recover", adv.node)
-            recoveries_left[adv.node] += 1
+    faults = _Faults(nodes, cfg.adversaries, executor, push)
+    down, recoveries_left = faults.down, faults.recoveries_left
 
-    down_for_good = {adv.node for adv in crash_events if adv.recover_tick is None}
-    required = [i for i in everyone if node_behavior[i] == HONEST and i not in down_for_good]
+    down_for_good = {adv.node for adv in cfg.adversaries
+                     if adv.kind == "crash" and adv.recover_tick is None}
+    required = [i for i in range(n) if i not in behavior and i not in down_for_good]
     nonces = [0] * n
+    records: list = []
+    msgs_delivered = wakes_delivered = 0
     stalled = False
-    final_tick = 0
     # a commit since the last check of whether the run is done
     new_commit = False
-    max_ticks = cfg.max_ticks
     stall_patience = cfg.stall_patience
 
-    while ticks:
-        tick = heapq.heappop(ticks)
-        final_tick = tick
-        if tick > max_ticks:
+    for tick, events in queue.drain():
+        if tick > cfg.max_ticks:
             stalled = True
             break
-        # pushes during the tick land at it or later (latency >= 0, timers
-        # ahead, the recovery wake now), so appending to this bucket keeps
-        # the order of one heap keyed by (tick, insertion sequence)
-        for i, kind, payload in buckets[tick]:
+        for i, kind, payload in events:
             if new_commit:
                 new_commit = False
                 if all(nodes[r].head >= cfg.run_height for r in required):
                     break
-            if tick - patience_from > stall_patience and not any(recoveries_left):
+            if tick - faults.patience_from > stall_patience and not any(recoveries_left):
                 stalled = True
                 break
             if i >= 0:
@@ -582,97 +635,43 @@ def run(cfg: SimConfig) -> SimTranscript:
                 else:
                     msgs_delivered += 1
                 for act in nodes[i].handle(kind, payload, tick):
-                    op = act[0]
-                    if op == "multicast":
-                        send(tick, [j for j in map(addr_index.get, act[1])
-                                    if j is not None and j != i], act[2])
-                    elif op == "wake":
+                    if act[0] == "wake":
                         push(act[1], i, "wake", None)
-                    elif op == "broadcast":
-                        send(tick, others[i], act[1])
-                    elif op == "gossip":
-                        send(tick, ring[i], act[1])
-                    elif op == "send":
-                        send(tick, (act[1],), act[2])
-                    else:  # an event: commit, propose, halt or violation
+                    elif not route(tick, i, act):  # an event: commit, propose, halt or violation
                         records.append((tick, i, *act))
-                        if op == "commit":
-                            h = act[1]
-                            patience_from = tick
+                        if act[0] == "commit":
                             new_commit = True
-                            # a node handling events is live
-                            if h == len(at_head):
-                                at_head.append(0)
-                            at_head[h] += 1
-                            head_left(h - 1)
+                            faults.committed(tick, act[1])
             elif kind == "crash":
-                # a running node with no recovery left is down for good
-                if not down[payload] and not recoveries_left[payload]:
-                    head_left(nodes[payload].head)
-                down[payload] += 1
-            elif kind == "recover":
-                down[payload] -= 1
-                recoveries_left[payload] -= 1
-                if not down[payload]:
-                    patience_from = tick
-                    push(tick, payload, "wake", None)
-                    send(tick, others[payload], ("sync_req", (payload, nodes[payload].head)))
-                elif not recoveries_left[payload]:
-                    # another crash spec still covers it, and none ends
-                    head_left(nodes[payload].head)
+                faults.crash(payload)
+            elif kind == "recover" and faults.recover(tick, payload):  # node payload is back up
+                push(tick, payload, "wake", None)
+                route(tick, payload, ("broadcast", ("sync_req", (payload, nodes[payload].head))))
             elif kind == "workload":
-                counter = payload
-                for j in range(cfg.txs_per_interval):
-                    key = f"tx/{counter}/{j}"
-                    s = rng.randint(0, n - 1, key + "/s")
-                    r = rng.randint(0, n - 2, key + "/r")
-                    if r >= s:
-                        r += 1
-                    value = rng.randint(cfg.tx_value_min, cfg.tx_value_max, key + "/v")
-                    nonces[s] += 1
-                    tx_body = Transaction(
-                        sender=ctx.addresses[s],
-                        receiver=ctx.addresses[r],
-                        value=value,
-                        nonce=nonces[s],
-                        signature=b"",
-                    )
-                    tx = dataclasses.replace(
-                        tx_body, signature=sign(ctx.keys[s], tx_body.signing_bytes())
-                    )
-                    txs_injected += 1
-                    send(tick, everyone, ("tx", tx))
-                push(tick + cfg.tx_interval, -1, "workload", counter + 1)
+                for tx in _workload_txs(cfg, ctx, nonces, payload):
+                    route(tick, -1, ("broadcast", ("tx", tx)))
+                push(tick + cfg.tx_interval, -1, "workload", payload + 1)
         else:
-            del buckets[tick]
             continue
         break
     else:
-        stalled = True
+        stalled = True  # the queue ran dry
 
+    # `tick` is the last tick popped: the wakes at 0 keep the queue from starting empty
     if stalled:
         last_commit = next((rec[0] for rec in reversed(records) if rec[2] == "commit"), 0)
-        records.append((final_tick, -1, "stall", last_commit))
-
-    counters = {
-        "msgs_sent": msgs_sent,
-        "msgs_dropped": msgs_dropped,
-        "msgs_delivered": msgs_delivered,
-        "wakes_delivered": wakes_delivered,
-        "txs_injected": txs_injected,
-    }
+        records.append((tick, -1, "stall", last_commit))
+    # each transfer takes its sender's next nonce
+    counters = {"msgs_sent": net.sent, "msgs_dropped": net.dropped,
+                "msgs_delivered": msgs_delivered, "wakes_delivered": wakes_delivered,
+                "txs_injected": sum(nonces)}
     for node in nodes:
         for k, v in node.counters.items():
             counters[k] = counters.get(k, 0) + v
 
     best = max(range(n), key=lambda i: (nodes[i].head, -i))
-    chain = tuple(nodes[best].committed)
     return SimTranscript(
-        config_digest=cfg.digest_hex(),
-        ticks=final_tick,
-        stalled=stalled,
-        heads=tuple(node.head for node in nodes),
-        records=tuple(records),
-        counters=counters,
-        chain=chain,
+        config_digest=cfg.digest_hex(), ticks=tick, stalled=stalled,
+        heads=tuple(node.head for node in nodes), records=tuple(records),
+        counters=counters, chain=tuple(nodes[best].committed),
     )

@@ -179,12 +179,16 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         main(["run", "--config", str(ok), "--check", "nonsense"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # both raised out of load_scenario (UnicodeDecodeError, RecursionError)
+    # each raised out of load_scenario (UnicodeDecodeError, RecursionError,
+    # and ValueError past Python's limit on integer-string conversion)
     not_utf8 = tmp_path / "utf16.json"
     not_utf8.write_bytes(b"\xff\xfe" + '{"config": {}}'.encode("utf-16-le"))
     too_deep = tmp_path / "deep.json"
     too_deep.write_text('{"config": ' + "[" * 200_000 + "}")
-    for path, named in ((not_utf8, "not UTF-8"), (too_deep, "nests too deeply")):
+    long_int = tmp_path / "long-int.json"
+    long_int.write_text('{"config": {"seed": ' + "9" * 5_000 + "}}")
+    for path, named in ((not_utf8, "not UTF-8"), (too_deep, "nests too deeply"),
+                        (long_int, "number too long")):
         for argv in (["run", "--config", str(path)],
                      ["import", "--chain", str(tmp_path / "chain.bin"), "--config", str(path)]):
             assert main(argv) == 2

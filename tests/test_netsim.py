@@ -9,9 +9,11 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 from portchain import engine, netsim
 from portchain.analysis import assert_single_chain, conservation_audit
 from portchain.core import block_digest, encode_chain
+from portchain.crypto import digest
 from portchain.netsim import (
     AdversarySpec,
     CounterRng,
+    Network,
     SimConfig,
     SimConfigError,
     SimTranscript,
@@ -319,6 +321,46 @@ def test_latency_draw_replays_randint(lo, span):
         if i % 3:
             assert ref.random() == fast.random()  # a drop draw
         assert ref.randint(lo, lo + span - 1) == lo + below(fast.getrandbits, span, bits)
+
+
+@pytest.mark.parametrize("drop_p", [0.0, 0.3])
+def test_network_routes_and_draws_per_target(drop_p):
+    # the link model alone, with no Node and no run: whom each routing
+    # action reaches, and per target one drop draw (none at probability 0)
+    # and then one latency draw, the stream of a seeded randint
+    cfg = SimConfig(seed=11, node_count=6, latency_min=1, latency_max=4,
+                    drop_probability=drop_p)
+    addresses = [bytes([a]) * 20 for a in range(6)]
+    pushed = []
+    net = Network(cfg, addresses, lambda *delivery: pushed.append(delivery))
+    msg = ("tx", "payload")
+    routes = [
+        (2, ("broadcast", msg), (0, 1, 3, 4, 5)),
+        (-1, ("broadcast", msg), (0, 1, 2, 3, 4, 5)),  # the workload reaches all
+        (4, ("gossip", msg), (5, 0, 1, 2)),  # four ring successors, wrapping
+        (1, ("multicast", (addresses[3], addresses[1], b"not a node", addresses[0]), msg), (3, 0)),
+        (0, ("send", 5, msg), (5,)),
+    ] * 10
+    ref = random.Random(digest(cfg.seed.to_bytes(8, "big") + b"net"))
+    expected, dropped = [], 0
+    for tick, (sender, act, targets) in enumerate(routes):
+        assert net.route(tick, sender, act)
+        for j in targets:
+            if drop_p and ref.random() < drop_p:
+                dropped += 1
+            else:
+                expected.append((tick + ref.randint(1, 4), j, *msg))
+    assert not net.route(0, 0, ("wake", 3)) and not net.route(0, 0, ("commit", 1, b"d"))
+    assert pushed == expected
+    assert net.sent == sum(len(targets) for *_, targets in routes)
+    assert net.dropped == dropped and (dropped > 0) == (drop_p > 0)
+    # with fewer than five nodes gossip reaches all the others
+    pushed.clear()
+    small = Network(dataclasses.replace(cfg, drop_probability=0.0), addresses[:3],
+                    lambda *delivery: pushed.append(delivery[1]))
+    for sender in range(3):
+        small.route(0, sender, ("gossip", msg))
+    assert pushed == [1, 2, 2, 0, 0, 1]
 
 
 # --- the executor's window of live heights ---------------------------------
