@@ -94,15 +94,6 @@ def sibling_order(block_hash: Hash) -> tuple:
     return rehash_value(block_hash), -int.from_bytes(block_hash, "big")
 
 
-def resolve_redundant(candidates) -> Block:
-    """Pick the qualified sibling block whose digest ranks first by
-    `sibling_order`."""
-    best = max(candidates, key=lambda blk: sibling_order(block_digest(blk.header)), default=None)
-    if best is None:
-        raise NoCandidatesError("no qualified candidate to resolve")
-    return best
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     voter_count: int
@@ -164,11 +155,9 @@ def assemble_block(
     # refunds for the previous height's maintainers who completed duty:
     # the linked creator plus every voter whose approval is in the cert
     if prev_block.header.height >= 1:
-        writes, extra = refund_reward(writes, prev_block.header.creator, cfg.ledger.creator_reward)
-        issued += extra
+        issued += refund_reward(writes, prev_block.header.creator, cfg.ledger.creator_reward)
         for voter in prev_block.header.prev_certificate.voters():
-            writes, extra = refund_reward(writes, voter, cfg.ledger.voter_reward)
-            issued += extra
+            issued += refund_reward(writes, voter, cfg.ledger.voter_reward)
 
     if creating:
         chosen = []
@@ -189,7 +178,7 @@ def assemble_block(
                 continue
             # a rejection is raised before any write, so it leaves none
             try:
-                writes = apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
+                apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
             except TxRejected as exc:
                 rejected.append((tx, exc.reason))
                 continue
@@ -200,23 +189,22 @@ def assemble_block(
             raise BlockInvalid("transaction cap exceeded")
         for tx in txs:
             try:
-                writes = apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
+                apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
             except TxRejected as exc:
                 raise BlockInvalid(f"invalid transaction: {exc.reason}")
 
     kept = []
     for report in reports:
         try:
-            writes, extra = apply_fraud_verdict(writes, report, height, creator, cfg.ledger)
+            issued += apply_fraud_verdict(writes, report, height, creator, cfg.ledger)
         except LedgerError as exc:
             if creating:
                 continue
             raise BlockInvalid(f"bad fraud report: {exc}")
-        issued += extra
         kept.append(report)
 
     # duty of height-1 maintainers is complete: clear their selection bits
-    for addr in sorted(set(clear_members)):
+    for addr in clear_members:
         account = writes.get_account(addr)
         if account is not None and account.maintainer_bits:
             writes.upsert_account(addr, account.changed(maintainer_bits=0))
@@ -285,10 +273,9 @@ class BlockExecutor:
     Both memos are kept per header height, and `forget_below` drops whole
     heights.  Every lookup a node makes is for a header above its own
     head: `_commit` validates head+1, `_commit_pass` checks the
-    certificate of a head+3 header, `_consider_vote` judges heights from
-    head+1 up and `_resolution_matches` from head+2 up, `_post_state_of`
-    stops its descent at the head, and `record` sees a proposal at most
-    at head+3.  `_add_candidate` refuses every height at or below the
+    certificate of a head+3 header, `_resolution_matches` those from
+    head+2 up, `_post_state_of` (also a vote's last test) stops its
+    descent at the head, and `record` sees a proposal at most at head+3.  `_add_candidate` refuses every height at or below the
     head, sync responses included, so no older header reaches these
     paths.  A caller that forgets every height at or below the lowest
     head of the nodes that can still handle events (`netsim.run`)
@@ -605,6 +592,11 @@ class Node:
             self._progress(tick, actions)
         return actions
 
+    def recover(self, tick: int) -> list:
+        """Actions of a node back up at tick: a wake, and a sync request
+        to every other node for the blocks above its head."""
+        return [("wake", tick), ("broadcast", ("sync_req", (self.index, self.head)))]
+
     def _schedule_timer(self, at: int, actions: list) -> None:
         if at not in self._timers and at != self._next_sync:
             actions.append(("wake", at))
@@ -806,16 +798,14 @@ class Node:
         behavior = self._voter_behavior(voter_schedule)
         if behavior == VOTE_WITHHOLD:
             return
-        parent_trie = self._post_state_of(parent)
+        # blk and its branch validate down to the head: judged last, as the
+        # costliest test
         approve = (
-            parent_trie is not None
-            and len(level.by_creator[blk.header.creator]) < 2  # no equivocation
+            len(level.by_creator[blk.header.creator]) < 2  # no equivocation
             and self._resolution_matches(k, level, blk)
             and level.locked_parent in (None, blk.header.prev_hash)
             and self._reports_substantiated(blk)
-            and self.executor.validate(
-                blk, parent, parent_trie, self._schedule(k), self._clear_members(k)
-            ).valid
+            and self._post_state_of(blk) is not None
         )
         if behavior == VOTE_DISAPPROVE_ALL:
             approve = False
@@ -840,11 +830,11 @@ class Node:
             # the committed head wins whatever its rank
             return blk.header.prev_hash == self.head_digest
         parents = {blk.header.prev_hash}  # proven by blk's own certificate
-        sched = self._schedule(k)
-        if sched is not None:
-            for sib in level.blocks.values():
-                if sib is not blk and self.executor.certifies_parent(sib.header, sched.voters):
-                    parents.add(sib.header.prev_hash)
+        # k is head+2, so block k-2 is the head and records k's voters
+        voters = self._schedule(k).voters
+        for sib in level.blocks.values():
+            if sib is not blk and self.executor.certifies_parent(sib.header, voters):
+                parents.add(sib.header.prev_hash)
         return max(parents, key=sibling_order) == blk.header.prev_hash
 
     def _reports_substantiated(self, blk: Block) -> bool:
@@ -904,19 +894,15 @@ class Node:
     def _resolve_parent(self, k: int):
         """Largest-rehash candidate at k-1 holding a 2/3 approval tally,
         together with the schedule for height k on its branch."""
-        pool = self._blocks(k - 1)
         qualified = []
-        for pd in sorted(pool):
-            blk = pool[pd]
+        for pd, blk in self._blocks(k - 1).items():
             sched = self._branch_schedule(k, blk)
-            if sched is None or sched.block_height != k:
-                continue
-            if self._is_qualified(pd, sched.voters):
-                qualified.append(blk)
+            if sched is not None and sched.block_height == k and self._is_qualified(pd, sched.voters):
+                qualified.append((pd, blk, sched))
         if not qualified:
             return None
-        winner = resolve_redundant(qualified)
-        return winner, self._branch_schedule(k, winner)
+        _, winner, sched = max(qualified, key=lambda q: sibling_order(q[0]))
+        return winner, sched
 
     def _propose(self, k: int, ci: int, resolved: Block, sched, tick: int, actions: list) -> None:
         prev_digest = block_digest(resolved.header)

@@ -14,10 +14,9 @@ blacklist term zeroes that weight for selection.
 creator and by its validators: an offense is punished once, since a
 blacklist term covers every offense at or before the height it began at.
 
-Each rule reads and writes accounts only through `get_account` and
-`upsert_account`, and raises before its first write, so it runs alike on
-a `StateTrie` snapshot (returning a new snapshot) and on a block's
-`WriteSet` (recording the writes in it).
+Each rule reads and writes accounts through a block's `WriteSet`, and
+raises before its first write, so a refused transaction, refund or
+report leaves the block's writes as they were.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 from .core import FraudReport, Transaction
 from .crypto import Address, verify
-from .trie import EMPTY_ACCOUNT, StateTrie, WriteSet
+from .trie import EMPTY_ACCOUNT, WriteSet
 
 
 class TxRejected(ValueError):
@@ -54,17 +53,17 @@ class LedgerConfig:
 
 
 def apply_transaction(
-    trie: StateTrie | WriteSet,
+    writes: WriteSet,
     tx: Transaction,
     cfg: LedgerConfig,
     current_height: int,
     public_keys,
-) -> StateTrie | WriteSet:
+) -> None:
     """Apply one transfer with dual-sided taxation; raises TxRejected on
-    any precondition failure, leaving the trie untouched."""
+    any precondition failure, before any write."""
     if tx.value < 0:
         raise TxRejected("negative value")
-    sender = trie.get_account(tx.sender)
+    sender = writes.get_account(tx.sender)
     if sender is None:
         raise TxRejected("unknown sender")
     pub = public_keys.get(tx.sender)
@@ -74,7 +73,7 @@ def apply_transaction(
         raise TxRejected("bad nonce")
     if sender.blacklist_until > current_height:
         raise TxRejected("sender blacklisted")
-    receiver = trie.get_account(tx.receiver) or EMPTY_ACCOUNT
+    receiver = writes.get_account(tx.receiver) or EMPTY_ACCOUNT
     if receiver.blacklist_until > current_height:
         raise TxRejected("receiver blacklisted")
     tax = cfg.tax_amount(tx.value)
@@ -82,44 +81,41 @@ def apply_transaction(
         raise TxRejected("insufficient balance")
     if tx.sender == tx.receiver:
         # self-transfer: both tax sides land on the same account
-        merged = sender.changed(balance=sender.balance - 2 * tax,
-                                nonce=sender.nonce + 1, tax=sender.tax + 2 * tax)
-        return trie.upsert_account(tx.sender, merged)
-    paid = sender.changed(balance=sender.balance - tx.value - tax,
-                          nonce=sender.nonce + 1, tax=sender.tax + tax)
-    received = receiver.changed(balance=receiver.balance + tx.value - tax, tax=receiver.tax + tax)
-    return trie.upsert_account(tx.sender, paid).upsert_account(tx.receiver, received)
+        writes.upsert_account(tx.sender, sender.changed(
+            balance=sender.balance - 2 * tax, nonce=sender.nonce + 1, tax=sender.tax + 2 * tax))
+    else:
+        writes.upsert_account(tx.sender, sender.changed(
+            balance=sender.balance - tx.value - tax, nonce=sender.nonce + 1, tax=sender.tax + tax))
+        writes.upsert_account(tx.receiver, receiver.changed(
+            balance=receiver.balance + tx.value - tax, tax=receiver.tax + tax))
 
 
-def refund_reward(
-    trie: StateTrie | WriteSet, addr: Address, reward: int
-) -> tuple[StateTrie | WriteSet, int]:
+def refund_reward(writes: WriteSet, addr: Address, reward: int) -> int:
     """Pay a duty reward and deduct it from the refundable tax, clamping
-    at zero.  Returns (new trie, issued amount), where issued is the part
-    of the reward not covered by accumulated tax (bootstrap issuance)."""
+    at zero.  Returns the issued amount: the part of the reward not
+    covered by accumulated tax (bootstrap issuance)."""
     if reward < 0:
         raise LedgerError("negative reward")
-    state = trie.get_account(addr)
+    state = writes.get_account(addr)
     if state is None:
         raise LedgerError("refund target account does not exist")
     if reward == 0:
-        return trie, 0
-    issued = max(0, reward - state.tax)
-    trie = trie.upsert_account(
+        return 0
+    writes.upsert_account(
         addr, state.changed(balance=state.balance + reward, tax=max(0, state.tax - reward))
     )
-    return trie, issued
+    return max(0, reward - state.tax)
 
 
 def apply_fraud_verdict(
-    trie: StateTrie | WriteSet,
+    writes: WriteSet,
     report: FraudReport,
     current_height: int,
     creator: Address,
     cfg: LedgerConfig,
-) -> tuple[StateTrie | WriteSet, int]:
+) -> int:
     """Blacklist the accused of a report in the block at current_height and
-    reward the reporter.  Returns (trie, issued); raises LedgerError unless
+    reward the reporter.  Returns the issued amount; raises LedgerError unless
     creator reports another account's offense at or below the block that
     no blacklist term covers."""
     if report.reporter == report.accused:
@@ -128,17 +124,17 @@ def apply_fraud_verdict(
         raise LedgerError("reporter is not the block's creator")
     if report.height_of_offense > current_height:
         raise LedgerError("offense above the block height")
-    accused = trie.get_account(report.accused)
+    accused = writes.get_account(report.accused)
     if accused is None:
         raise LedgerError("accused account does not exist")
     # a term begun at height p ends at p + blacklist_duration
     if accused.blacklist_until >= report.height_of_offense + cfg.blacklist_duration:
         raise LedgerError("offense already punished")
-    trie = trie.upsert_account(
+    writes.upsert_account(
         report.accused, accused.changed(blacklist_until=current_height + cfg.blacklist_duration)
     )
-    reporter = trie.get_account(report.reporter) or EMPTY_ACCOUNT
-    trie = trie.upsert_account(
+    reporter = writes.get_account(report.reporter) or EMPTY_ACCOUNT
+    writes.upsert_account(
         report.reporter, reporter.changed(balance=reporter.balance + cfg.reporter_reward)
     )
-    return trie, cfg.reporter_reward
+    return cfg.reporter_reward

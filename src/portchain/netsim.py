@@ -120,11 +120,13 @@ _INT_BOUNDS = {
     "blacklist_duration": (0, 2**32),
     # zero transactions per block or per interval is a run without them
     "max_txs": (0, None),
-    "txs_per_interval": (0, None),
+    # one workload interval signs this many transfers and broadcasts each
+    # to every node within a tick; no scenario needs more than a few
+    "txs_per_interval": (0, 1024),
     # null picks the default delay derived from latency_max
     "proposal_delay": (0, None),
-    # zero would stop every run before its first commit; every tick is
-    # work, so the bound bounds a run's length
+    # zero would stop every run before its first commit; the bound caps
+    # how many ticks a run handles, not the work of one tick
     "max_ticks": (1, 2**20),
     "stall_patience": (1, None),
 }
@@ -293,10 +295,8 @@ def build_context(config: SimConfig) -> SimContext:
     a2 = MaintainerAssignment(block_height=2, creators=tuple(ordered[m : m + c]), voters=tuple(ordered[m + c : 2 * m]))
 
     trie = StateTrie()
-    initial = {}
     for rank, addr in enumerate(ordered):
         tax = rng.randint(config.genesis_tax_min, config.genesis_tax_max, f"gtax/{rank}")
-        initial[addr] = tax
         trie = trie.upsert_account(addr, AccountState(balance=config.genesis_balance, tax=tax))
     for asg in (a1, a2):
         for slot, addr in enumerate(asg.members()):
@@ -645,8 +645,11 @@ def run(cfg: SimConfig) -> SimTranscript:
             elif kind == "crash":
                 faults.crash(payload)
             elif kind == "recover" and faults.recover(tick, payload):  # node payload is back up
-                push(tick, payload, "wake", None)
-                route(tick, payload, ("broadcast", ("sync_req", (payload, nodes[payload].head))))
+                for act in nodes[payload].recover(tick):
+                    if act[0] == "wake":
+                        push(act[1], payload, "wake", None)
+                    else:
+                        route(tick, payload, act)
             elif kind == "workload":
                 for tx in _workload_txs(cfg, ctx, nonces, payload):
                     route(tick, -1, ("broadcast", ("tx", tx)))

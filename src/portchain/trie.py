@@ -305,10 +305,8 @@ class StateTrie:
 class WriteSet:
     """Account writes buffered in front of a trie snapshot.
 
-    Reads see the buffered writes first.  `upsert_account` records a write
-    and returns the write set itself, so code written for
-    `trie = trie.upsert_account(...)` (the `ledger` rules) runs unchanged
-    on it; `commit` lands every write in one `StateTrie.update`.  The
+    Reads see the buffered writes first.  `upsert_account` records a
+    write, and `commit` lands every write in one `StateTrie.update`.  The
     snapshot itself is never changed.
     """
 
@@ -322,9 +320,8 @@ class WriteSet:
         state = self.writes.get(addr)
         return self.base.get_account(addr) if state is None else state
 
-    def upsert_account(self, addr: Address, state: AccountState) -> "WriteSet":
+    def upsert_account(self, addr: Address, state: AccountState) -> None:
         self.writes[addr] = state
-        return self
 
     def commit(self) -> StateTrie:
         return self.base.update(self.writes)

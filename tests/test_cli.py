@@ -173,6 +173,10 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad_schema)]) == 2
     infeasible = _scenario(tmp_path, "small.json", config={"node_count": 14, "voter_count": 4})
     assert main(["run", "--config", str(infeasible)]) == 2
+    # each tick of this workload would sign and broadcast 100,000 transfers
+    flood = _scenario(tmp_path, "flood.json", config={
+        "node_count": 16, "tx_interval": 1, "txs_per_interval": 100_000, "run_height": 5})
+    assert main(["run", "--config", str(flood)]) == 2
     ok = _scenario(tmp_path)
     # checks are chosen in the scenario file only
     with pytest.raises(SystemExit) as exc:

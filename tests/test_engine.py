@@ -23,7 +23,7 @@ from portchain.engine import (
     equivocation_evidence,
     quorum_threshold,
     rehash_value,
-    resolve_redundant,
+    sibling_order,
 )
 from portchain.netsim import AdversarySpec, SimConfig, build_context, run
 from portchain.selection import NoCandidatesError
@@ -123,12 +123,13 @@ def test_resolve_redundant_matches_oracle():
                 best = (r, d, b)
         return best[2]
 
+    def rank(blk):
+        return sibling_order(block_digest(blk.header))
+
     for size in (1, 2, 5, 12):
         cands = blocks[:size]
-        assert resolve_redundant(cands) == oracle(cands)
-        assert resolve_redundant(list(reversed(cands))) == oracle(cands)
-    with pytest.raises(NoCandidatesError):
-        resolve_redundant([])
+        assert max(cands, key=rank) == oracle(cands)
+        assert max(reversed(cands), key=rank) == oracle(cands)
 
 
 def test_rehash_value_stable():
@@ -192,9 +193,9 @@ def test_stale_mempool_entries_are_rejected_before_apply(monkeypatch):
     applied = []
     real_apply = engine.apply_transaction
 
-    def apply(trie, t, *args):
+    def apply(writes, t, *args):
         applied.append(t.nonce)
-        return real_apply(trie, t, *args)
+        real_apply(writes, t, *args)
 
     monkeypatch.setattr(engine, "apply_transaction", apply)
     gdigest = block_digest(ctx.genesis_block.header)
@@ -760,7 +761,7 @@ def _reference_resolve_parent(node, k):
             qualified.append(pool[pd])
     if not qualified:
         return None
-    winner = resolve_redundant(qualified)
+    winner = max(qualified, key=lambda blk: sibling_order(block_digest(blk.header)))
     return winner, node._branch_schedule(k, winner)
 
 
@@ -812,6 +813,64 @@ def test_head_is_looked_up_like_any_height(monkeypatch):
     monkeypatch.setattr(Node, "_post_state_of", post)
     assert not run(adversary_config("equivocate_creator")).stalled
     assert heads
+
+
+def _reference_vote(node, k, level, d):
+    """The approval `Node._consider_vote` emits on candidate d at height
+    k, as written with the parent's post-state and a validation of its
+    own; None where it emits no vote."""
+    blk = level.blocks[d]
+    if k == node.head + 1:
+        parent = node.committed[-1]
+    else:
+        parent = node._blocks(k - 1).get(blk.header.prev_hash)
+        if parent is None:
+            return None
+    voter_schedule = parent.assignment
+    if voter_schedule.block_height != k + 1 or node.addr not in voter_schedule.voters:
+        return None
+    behavior = node._voter_behavior(voter_schedule)
+    if behavior == engine.VOTE_WITHHOLD:
+        return None
+    parent_trie = node._post_state_of(parent)
+    approve = (
+        parent_trie is not None
+        and len(level.by_creator[blk.header.creator]) < 2
+        and node._resolution_matches(k, level, blk)
+        and level.locked_parent in (None, blk.header.prev_hash)
+        and node._reports_substantiated(blk)
+        and node.executor.validate(
+            blk, parent, parent_trie, node._schedule(k), node._clear_members(k)
+        ).valid
+    )
+    return approve and behavior != engine.VOTE_DISAPPROVE_ALL
+
+
+@pytest.mark.parametrize("cfg", [
+    adversary_config("equivocate_creator"),
+    adversary_config("forge_assignment"),
+    # crash recovery on a lossy network (test_golden's crash-drops case)
+    SimConfig(seed=4, node_count=16, run_height=30, drop_probability=0.05,
+              adversaries=(AdversarySpec(kind="crash", node=3, start_tick=10, recover_tick=120),
+                           AdversarySpec(kind="crash", node=7, start_tick=40, recover_tick=200))),
+], ids=["equivocate", "forge", "crash-drops"])
+def test_vote_reads_validity_from_the_post_state(monkeypatch, cfg):
+    # a voter approves a valid candidate through `_post_state_of(blk)`,
+    # with the answer of validating it on its parent's post-state
+    real_consider = Node._consider_vote
+    decisions = []
+
+    def consider(self, k, level, d, actions):
+        expected = _reference_vote(self, k, level, d)
+        start = len(actions)
+        real_consider(self, k, level, d, actions)
+        emitted = [a[2][1].approve for a in actions[start:] if a[0] == "multicast"]
+        assert emitted == ([] if expected is None else [expected])
+        decisions.append(expected)
+
+    monkeypatch.setattr(Node, "_consider_vote", consider)
+    run(cfg)
+    assert True in decisions and False in decisions
 
 
 def test_propose_and_halt_actions_are_data(monkeypatch):

@@ -39,9 +39,16 @@ def _tx(pairs, i, j, value, nonce=1):
     return Transaction(sender_addr, pairs[j][0], value, nonce, sig)
 
 
+def _applied(trie, tx, pubkeys, cfg=CFG, height=0):
+    """The block write set after tx, on top of trie."""
+    writes = WriteSet(trie)
+    apply_transaction(writes, tx, cfg, height, pubkeys)
+    return writes
+
+
 def test_dual_sided_tax_arithmetic():
     pairs, pubkeys, trie = _setup()
-    out = apply_transaction(trie, _tx(pairs, 0, 1, 1000), CFG, 0, pubkeys)
+    out = _applied(trie, _tx(pairs, 0, 1, 1000), pubkeys)
     s = out.get_account(pairs[0][0])
     r = out.get_account(pairs[1][0])
     # 1% of 1000 is 10 on each side
@@ -55,10 +62,10 @@ def test_dual_sided_tax_arithmetic():
 
 def test_zero_value_and_zero_rate():
     pairs, pubkeys, trie = _setup()
-    out = apply_transaction(trie, _tx(pairs, 0, 1, 0), CFG, 0, pubkeys)
+    out = _applied(trie, _tx(pairs, 0, 1, 0), pubkeys)
     assert out.get_account(pairs[0][0]).tax == 0
     free = replace(CFG, tax_rate_numerator=0)
-    out = apply_transaction(trie, _tx(pairs, 0, 1, 1000), free, 0, pubkeys)
+    out = _applied(trie, _tx(pairs, 0, 1, 1000), pubkeys, free)
     assert out.get_account(pairs[0][0]).balance == 99_000
     assert out.get_account(pairs[1][0]).balance == 101_000
 
@@ -66,14 +73,14 @@ def test_zero_value_and_zero_rate():
 def test_tax_floor_rounding():
     # 1% of 150 floors to 1
     pairs, pubkeys, trie = _setup()
-    out = apply_transaction(trie, _tx(pairs, 0, 1, 150), CFG, 0, pubkeys)
+    out = _applied(trie, _tx(pairs, 0, 1, 150), pubkeys)
     assert out.get_account(pairs[0][0]).tax == 1
     assert out.get_account(pairs[1][0]).tax == 1
 
 
 def test_self_transfer_merges_both_sides():
     pairs, pubkeys, trie = _setup()
-    out = apply_transaction(trie, _tx(pairs, 0, 0, 1000), CFG, 0, pubkeys)
+    out = _applied(trie, _tx(pairs, 0, 0, 1000), pubkeys)
     s = out.get_account(pairs[0][0])
     assert s.balance == 100_000 - 20
     assert s.tax == 20
@@ -82,21 +89,30 @@ def test_self_transfer_merges_both_sides():
 
 def test_rejections_leave_trie_untouched():
     pairs, pubkeys, trie = _setup(balance=500)
+    blacklisted = {i: trie.update({pairs[i][0]: AccountState(balance=500, blacklist_until=50)})
+                   for i in (0, 1)}
     cases = [
-        (_tx(pairs, 0, 1, 497), "insufficient balance"),  # 497 + 4 tax > 500
-        (_tx(pairs, 0, 1, 100, nonce=2), "bad nonce"),
-        (
-            Transaction(pairs[0][0], pairs[1][0], 10, 1, b"\x00" * 64),
-            "bad signature",
-        ),
+        (trie, Transaction(pairs[0][0], pairs[1][0], -1, 1, b""), "negative value"),
+        (trie, _tx(make_keys(2, tag=b"x"), 0, 1, 1), "unknown sender"),
+        (trie, Transaction(pairs[0][0], pairs[1][0], 10, 1, b"\x00" * 64), "bad signature"),
+        (trie, _tx(pairs, 0, 1, 100, nonce=2), "bad nonce"),
+        (blacklisted[0], _tx(pairs, 0, 1, 10), "sender blacklisted"),
+        (blacklisted[1], _tx(pairs, 0, 1, 10), "receiver blacklisted"),
+        (trie, _tx(pairs, 0, 1, 497), "insufficient balance"),  # 497 + 4 tax > 500
     ]
-    for tx, reason in cases:
+    for pre, tx, reason in cases:
+        writes = WriteSet(pre)
         with pytest.raises(TxRejected) as e:
-            apply_transaction(trie, tx, CFG, 0, pubkeys)
+            apply_transaction(writes, tx, CFG, 10, pubkeys)
         assert e.value.reason == reason
-    # unknown sender
-    with pytest.raises(TxRejected):
-        apply_transaction(trie, _tx(make_keys(2, tag=b"x"), 0, 1, 1), CFG, 0, pubkeys)
+        assert writes.writes == {}
+    # refused refunds write nothing either
+    for reward, target, named in [(-1, pairs[0][0], "negative reward"),
+                                  (5, addr_of("nobody"), "does not exist")]:
+        writes = WriteSet(trie)
+        with pytest.raises(LedgerError, match=named):
+            refund_reward(writes, target, reward)
+        assert writes.writes == {}
 
 
 def test_blacklisted_parties_rejected():
@@ -105,14 +121,14 @@ def test_blacklisted_parties_rejected():
         pairs[0][0], AccountState(balance=100_000, blacklist_until=50)
     )
     with pytest.raises(TxRejected, match="sender blacklisted"):
-        apply_transaction(trie_bl, _tx(pairs, 0, 1, 10), CFG, 10, pubkeys)
+        _applied(trie_bl, _tx(pairs, 0, 1, 10), pubkeys, height=10)
     # expired term is fine again
-    apply_transaction(trie_bl, _tx(pairs, 0, 1, 10), CFG, 50, pubkeys)
+    _applied(trie_bl, _tx(pairs, 0, 1, 10), pubkeys, height=50)
     trie_bl = trie.upsert_account(
         pairs[1][0], AccountState(balance=100_000, blacklist_until=50)
     )
     with pytest.raises(TxRejected, match="receiver blacklisted"):
-        apply_transaction(trie_bl, _tx(pairs, 0, 1, 10), CFG, 10, pubkeys)
+        _applied(trie_bl, _tx(pairs, 0, 1, 10), pubkeys, height=10)
 
 
 @settings(max_examples=60)
@@ -124,7 +140,7 @@ def test_transfer_conserves_money(value, rate):
     pairs, pubkeys, trie = _setup()
     cfg = replace(CFG, tax_rate_numerator=rate)
     before = sum(s.balance + s.tax for _, s in trie.accounts())
-    out = apply_transaction(trie, _tx(pairs, 0, 1, value), cfg, 0, pubkeys)
+    out = _applied(trie, _tx(pairs, 0, 1, value), pubkeys, cfg).commit()
     after = sum(s.balance + s.tax for _, s in out.accounts())
     assert after == before
 
@@ -132,23 +148,19 @@ def test_transfer_conserves_money(value, rate):
 def test_refund_clamps_at_zero():
     addr = addr_of("m")
     trie = StateTrie().upsert_account(addr, AccountState(balance=100, tax=10))
-    out, issued = refund_reward(trie, addr, 20)
+    out = WriteSet(trie)
+    assert refund_reward(out, addr, 20) == 10
     s = out.get_account(addr)
     assert s.balance == 120
     assert s.tax == 0
-    assert issued == 10
     # fully covered refund issues nothing
-    out, issued = refund_reward(trie, addr, 7)
+    out = WriteSet(trie)
+    assert refund_reward(out, addr, 7) == 0
     assert out.get_account(addr).tax == 3
-    assert issued == 0
-    # zero reward is the identity
-    out, issued = refund_reward(trie, addr, 0)
-    assert out.get_account(addr) == trie.get_account(addr)
-    assert issued == 0
-    with pytest.raises(LedgerError):
-        refund_reward(trie, addr, -1)
-    with pytest.raises(LedgerError):
-        refund_reward(trie, addr_of("nobody"), 5)
+    # zero reward writes nothing
+    out = WriteSet(trie)
+    assert refund_reward(out, addr, 0) == 0
+    assert out.writes == {}
 
 
 def test_effective_weight():
@@ -162,7 +174,9 @@ def test_effective_weight():
     report = FraudReport(reporter=reporter, accused=accused,
                          evidence_hash=digest(b"e"), height_of_offense=4)
     assert eligible_total_weight(trie, (), 10) == 6 + 1
-    out, _ = apply_fraud_verdict(trie, report, 10, reporter, CFG)
+    writes = WriteSet(trie)
+    apply_fraud_verdict(writes, report, 10, reporter, CFG)
+    out = writes.commit()
     end = 10 + CFG.blacklist_duration
     assert eligible_total_weight(out, (), 10) == 1
     assert eligible_total_weight(out, (), end - 1) == 1
@@ -176,7 +190,8 @@ def test_fraud_verdict():
     trie = trie.upsert_account(reporter, AccountState(balance=10))
     report = FraudReport(reporter=reporter, accused=accused,
                          evidence_hash=digest(b"e"), height_of_offense=4)
-    out, issued = apply_fraud_verdict(trie, report, 20, reporter, CFG)
+    out = WriteSet(trie)
+    issued = apply_fraud_verdict(out, report, 20, reporter, CFG)
     a = out.get_account(accused)
     assert a.blacklist_until == 20 + CFG.blacklist_duration
     assert a.balance == 777
@@ -198,7 +213,9 @@ def test_fraud_verdict_refusals_leave_no_write(duration):
 
     # a term imposed at height 5 covers the offenses at or below 5, and
     # only those, whatever its length
-    punished, _ = apply_fraud_verdict(trie, report(), 5, reporter, cfg)
+    writes = WriteSet(trie)
+    apply_fraud_verdict(writes, report(), 5, reporter, cfg)
+    punished = writes.commit()
     for pre, bad, creator, named in [
         (trie, report(by=accused), accused, "self-accusation"),
         (trie, report(), addr_of("other"), "reporter is not the block's creator"),
@@ -212,5 +229,6 @@ def test_fraud_verdict_refusals_leave_no_write(duration):
             apply_fraud_verdict(writes, bad, 20, creator, cfg)
         assert writes.writes == {}
     # an offense after the term began is punished again, at the block's height
-    out, _ = apply_fraud_verdict(punished, report(offense=6), 20, reporter, cfg)
+    out = WriteSet(punished)
+    apply_fraud_verdict(out, report(offense=6), 20, reporter, cfg)
     assert out.get_account(accused).blacklist_until == 20 + duration

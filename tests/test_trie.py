@@ -201,7 +201,7 @@ def test_batched_update_equals_writes_one_at_a_time(base_writes, writes, height)
     # so does a block's write set, which reads its own writes first
     ws = WriteSet(base)
     for addr, state in writes:
-        ws = ws.upsert_account(addr, state)
+        ws.upsert_account(addr, state)
         assert ws.get_account(addr) == state
     assert _snapshot(ws.commit(), probe, height) == _snapshot(one_by_one, probe, height)
     # the snapshot written over stays as it was
