@@ -8,6 +8,7 @@ a seeded discrete-event harness; analysis and cli audit the results.
 """
 
 __all__ = [
+    "adversary",
     "analysis",
     "cli",
     "core",

@@ -31,9 +31,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import analysis
+from .adversary import KINDS
 from .core import block_digest, decode_chain, encode_chain
 from .netsim import (
-    NODE_BEHAVIOR_KINDS,
     AdversarySpec,
     SimConfig,
     SimConfigError,
@@ -120,7 +120,7 @@ def check_scenario(doc) -> None:
     for i, adv in enumerate(config.get("adversaries", [])):
         where = f"config.adversaries[{i}]"
         _check_object(adv, _ADVERSARY_FIELDS, _ADVERSARY_REQUIRED, where)
-        if adv["kind"] != "crash" and adv["kind"] not in NODE_BEHAVIOR_KINDS:
+        if adv["kind"] != "crash" and adv["kind"] not in KINDS:
             raise _violation(f"{where}.kind {adv['kind']!r} is not an adversary kind")
         if adv.get("start_tick", 0) < 0:
             raise _violation(f"{where}.start_tick {adv['start_tick']} is negative")

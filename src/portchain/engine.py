@@ -29,7 +29,7 @@ keys, so a simulation transcript is a pure function of its config.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from . import core
@@ -408,14 +408,6 @@ class BlockExecutor:
         return ExecResult(True, "", built.post_trie, built.issued)
 
 
-# node behaviors (Byzantine / fault injection); honest nodes use HONEST
-HONEST = "honest"
-VOTE_WITHHOLD = "vote_withhold"
-VOTE_DISAPPROVE_ALL = "vote_disapprove_all"
-EQUIVOCATE_CREATOR = "equivocate_creator"
-FORGE_ASSIGNMENT = "forge_assignment"
-
-
 def equivocation_evidence(height: int, creator: Address, digests) -> Hash:
     pair = b"".join(sorted(digests)[:2])
     return digest(b"equiv" + height.to_bytes(8, "big") + creator + pair)
@@ -484,27 +476,19 @@ class Node:
     commit drops for the losing siblings and for the block two below.
     `_blocks` answers for the head with the committed block, so only the
     two vote rules that hold at the head alone special-case it.
+
+    A node decides in two places, which `adversary.ByzantineNode`
+    overrides: `_cast_vote` sends its judgement of a candidate, and
+    `_proposals` the blocks it makes of its assembled proposal.
     """
 
-    def __init__(
-        self,
-        index: int,
-        keys: KeyPair,
-        cfg: EngineConfig,
-        executor: BlockExecutor,
-        genesis_block: Block,
-        genesis_trie: StateTrie,
-        genesis_assignments: dict,
-        behavior: str = HONEST,
-        slot_behaviors: dict | None = None,
-    ):
+    def __init__(self, index: int, keys: KeyPair, cfg: EngineConfig, executor: BlockExecutor,
+                 genesis_block: Block, genesis_trie: StateTrie, genesis_assignments: dict):
         self.index = index
         self.keys = keys
         self.addr = address_from_public(keys.public)
         self.cfg = cfg
         self.executor = executor
-        self.behavior = behavior
-        self.slot_behaviors = slot_behaviors or {}
 
         gd = block_digest(genesis_block.header)
         # the committed chain, indexed by height; with the genesis
@@ -741,8 +725,12 @@ class Node:
     # -- voting --------------------------------------------------------------
 
     def _vote_pass(self, tick: int, actions: list) -> None:
-        if self.head == 0:
-            self._maybe_vote_genesis(actions)
+        if self.head == 0 and not self._genesis_voted:
+            # the voters of height 1 judge the genesis block
+            self._genesis_voted = True
+            sched = self._schedule(1)
+            if self.addr in sched.voters:
+                self._cast_vote(sched, self.head_digest, True, None, actions)
         for k in (self.head + 1, self.head + 2):
             level = self.levels.get(k)
             if level is None or not level.unvoted:
@@ -758,25 +746,6 @@ class Node:
             for d in sorted(level.unvoted):
                 self._consider_vote(k, level, d, actions)
 
-    def _maybe_vote_genesis(self, actions: list) -> None:
-        sched = self._schedule(1)
-        if self._genesis_voted or self.addr not in sched.voters:
-            return
-        self._genesis_voted = True
-        behavior = self._voter_behavior(sched)
-        if behavior != VOTE_WITHHOLD:
-            approve = behavior != VOTE_DISAPPROVE_ALL
-            self._emit_vote(self.head_digest, approve, sched.members(), actions)
-
-    def _voter_behavior(self, voter_schedule) -> str:
-        if self.behavior in (VOTE_WITHHOLD, VOTE_DISAPPROVE_ALL):
-            return self.behavior
-        try:
-            slot = voter_schedule.voters.index(self.addr)
-        except ValueError:
-            return HONEST
-        return self.slot_behaviors.get(slot, HONEST)
-
     def _consider_vote(self, k: int, level: Level, d: Hash, actions: list) -> None:
         blk = level.blocks[d]
         if k == self.head + 1:
@@ -788,15 +757,12 @@ class Node:
             if parent is None:
                 return  # defer until the parent candidate arrives
         # the decision is made now: membership is fixed once the parent is
-        # known, and every path below withholds or votes
+        # known, and every path below casts its vote or none
         level.unvoted.discard(d)
         # the voters for height k+1 (who judge candidates at k) are the
         # assignment recorded in the parent block
         voter_schedule = parent.assignment
         if voter_schedule.block_height != k + 1 or self.addr not in voter_schedule.voters:
-            return
-        behavior = self._voter_behavior(voter_schedule)
-        if behavior == VOTE_WITHHOLD:
             return
         # blk and its branch validate down to the head: judged last, as the
         # costliest test
@@ -807,11 +773,19 @@ class Node:
             and self._reports_substantiated(blk)
             and self._post_state_of(blk) is not None
         )
-        if behavior == VOTE_DISAPPROVE_ALL:
-            approve = False
-        if approve and level.locked_parent is None:
-            level.locked_parent = blk.header.prev_hash
-        self._emit_vote(d, approve, voter_schedule.members(), actions)
+        self._cast_vote(voter_schedule, d, approve, level, actions)
+
+    def _cast_vote(self, voter_schedule, target: Hash, approve: bool, level, actions: list) -> None:
+        """Decision point: cast this node's judgement of target under
+        voter_schedule.  An approval locks the level's parent (the genesis
+        vote has no level); the vote is signed, tallied here and sent to
+        the schedule's members, the next height's maintainers."""
+        if approve and level is not None and level.locked_parent is None:
+            level.locked_parent = level.blocks[target].header.prev_hash
+        vote = Vote(self.addr, target, approve,
+                    sign(self.keys, core.vote_signing_bytes(target, approve)))
+        self._add_vote(vote)
+        actions.append(("multicast", voter_schedule.members(), ("vote", vote)))
 
     def _is_qualified(self, d: Hash, voters) -> bool:
         tally = self.tallies.get(d)
@@ -845,17 +819,6 @@ class Node:
             ):
                 return False
         return True
-
-    def _emit_vote(self, target: Hash, approve: bool, recipients, actions: list) -> None:
-        vote = Vote(
-            voter=self.addr,
-            target_hash=target,
-            approve=approve,
-            signature=sign(self.keys, core.vote_signing_bytes(target, approve)),
-        )
-        self._add_vote(vote)
-        # only the next height's maintainers consume votes directly
-        actions.append(("multicast", tuple(recipients), ("vote", vote)))
 
     # -- proposing -------------------------------------------------------------
 
@@ -934,21 +897,17 @@ class Node:
             actions.append(("halt", k, str(exc)))
             return
         self.counters["rejected_txs"] += len(built.rejected)
-        blocks = [built.block]
-        if self.behavior == EQUIVOCATE_CREATOR:
-            # the timestamp enters only the header, so the twin's body and
-            # post-state are the proposal's; `replace` leaves the digest
-            # cached on the proposal's header behind
-            header = replace(built.block.header, timestamp=tick + 1)
-            blocks.append(replace(built.block, header=header))
-        elif self.behavior == FORGE_ASSIGNMENT:
-            blocks = [self._forge(built.block, pre_trie)]
-        for blk in blocks:
+        for blk in self._proposals(built.block, pre_trie):
             if blk is built.block:
                 self.executor.record(built, resolved, sched)
             self._add_candidate(blk, tick)
             actions.append(("broadcast", ("block", blk)))
             actions.append(("propose", k, block_digest(blk.header)))
+
+    def _proposals(self, block: Block, pre_trie: StateTrie) -> list:
+        """Decision point: the blocks to broadcast for the proposal this
+        node assembled on pre_trie; an honest node sends just that one."""
+        return [block]
 
     def _post_state_of(self, blk: Block) -> StateTrie | None:
         """The state after blk, validated down to the head along its
@@ -978,24 +937,3 @@ class Node:
             for (offense_height, accused), seen in sorted(self.equivocations.items())
             if accused != self.addr
         )
-
-    def _forge(self, blk: Block, pre_trie: StateTrie) -> Block:
-        """Replace the last assigned voter with a crony; the header keeps
-        the forged assignment digest so the forgery is internally
-        consistent but fails independent re-selection."""
-        members = set(blk.assignment.members())
-        crony = None
-        for addr, _state in pre_trie.accounts():
-            if addr not in members and addr != self.addr:
-                crony = addr
-                break
-        if crony is None:
-            return blk
-        forged = MaintainerAssignment(
-            block_height=blk.assignment.block_height,
-            creators=blk.assignment.creators,
-            voters=blk.assignment.voters[:-1] + (crony,),
-        )
-        header = replace(blk.header, assignment_digest=core.assignment_digest(forged))
-        return Block(header=header, transactions=blk.transactions,
-                     assignment=forged, fraud_reports=blk.fraud_reports)

@@ -32,10 +32,11 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from . import core, engine
+from . import core
+from .adversary import KINDS, ByzantineNode
 from .core import Block, MaintainerAssignment, Transaction, block_digest, encode_chain
 from .crypto import address_from_public, digest, keypair_from_seed, sign
-from .engine import HONEST, BlockExecutor, EngineConfig, Node
+from .engine import BlockExecutor, EngineConfig, Node
 from .ledger import LedgerConfig
 from .trie import AccountState, StateTrie, maintainer_bits
 
@@ -68,11 +69,11 @@ class AdversarySpec:
     kind 'crash' needs node and takes the ticks (recover_tick None means
     permanent).  Crash specs on one node nest: the node runs again only
     once no crash spec covers it, so a permanent one keeps it down for good.
-    The other kinds are behaviors that hold for the whole run, so they
-    take no ticks, and one node or voter slot has at most one of them.
-    kinds 'vote_withhold'/'vote_disapprove_all' target either a fixed
-    node or a voter slot index (whoever holds that slot each height).
-    kinds 'equivocate_creator'/'forge_assignment' need node.
+    The other kinds are the Byzantine ones of `adversary.KINDS`, which
+    names the scopes each allows: a fixed node, or for the vote kinds also
+    a voter slot index (whoever holds that slot each height), not both.
+    They hold for the whole run, so they take no ticks, and one node or
+    voter slot has at most one of them.
     """
 
     kind: str
@@ -80,14 +81,6 @@ class AdversarySpec:
     voter_slot: int | None = None
     start_tick: int = 0
     recover_tick: int | None = None
-
-
-NODE_BEHAVIOR_KINDS = (
-    engine.VOTE_WITHHOLD,
-    engine.VOTE_DISAPPROVE_ALL,
-    engine.EQUIVOCATE_CREATOR,
-    engine.FORGE_ASSIGNMENT,
-)
 
 
 # inclusive bounds of single integer fields (None: no upper bound)
@@ -234,7 +227,7 @@ class SimConfig:
                 # the run still waits for it to reach run_height
                 if adv.recover_tick is not None and adv.recover_tick < adv.start_tick:
                     raise SimConfigError("crash adversary recover_tick before start_tick")
-            elif adv.kind in NODE_BEHAVIOR_KINDS:
+            elif adv.kind in KINDS:
                 if adv.start_tick != 0 or adv.recover_tick is not None:
                     raise SimConfigError(
                         f"{adv.kind} holds for the whole run and takes no start_tick "
@@ -242,13 +235,11 @@ class SimConfig:
                     )
                 if (adv.node is None) == (adv.voter_slot is None):
                     raise SimConfigError(f"{adv.kind} needs a node or a voter_slot, not both")
-                if adv.voter_slot is not None and adv.kind not in (
-                    engine.VOTE_WITHHOLD, engine.VOTE_DISAPPROVE_ALL
-                ):
-                    raise SimConfigError(f"{adv.kind} cannot be slot-scoped")
+                scope = "node" if adv.voter_slot is None else "voter_slot"
+                if scope not in KINDS[adv.kind].scopes:
+                    raise SimConfigError(f"{adv.kind} cannot target a {scope}")
                 # a run keeps one behavior per node and one per voter slot
-                target = (("node", adv.node) if adv.voter_slot is None
-                          else ("voter_slot", adv.voter_slot))
+                target = (scope, getattr(adv, scope))
                 if target in behavior_targets:
                     raise SimConfigError(f"two behaviors on {target[0]} {target[1]}")
                 behavior_targets.add(target)
@@ -580,17 +571,15 @@ def _workload_txs(cfg: SimConfig, ctx: SimContext, nonces, counter):
 def run(cfg: SimConfig) -> SimTranscript:
     ctx = build_context(cfg)
     n = cfg.node_count
-    behavior = {adv.node: adv.kind for adv in cfg.adversaries
-                if adv.kind != "crash" and adv.voter_slot is None}
-    slot_behaviors = {adv.voter_slot: adv.kind for adv in cfg.adversaries
-                      if adv.voter_slot is not None}
+    node_kinds = {adv.node: adv.kind for adv in cfg.adversaries
+                  if adv.kind != "crash" and adv.voter_slot is None}
+    slot_kinds = {adv.voter_slot: adv.kind for adv in cfg.adversaries
+                  if adv.voter_slot is not None}
     executor = BlockExecutor(ctx.engine_cfg)
-    nodes = [
-        Node(i, ctx.keys[i], ctx.engine_cfg, executor, ctx.genesis_block, ctx.genesis_trie,
-             ctx.genesis_assignments, behavior=behavior.get(i, HONEST),
-             slot_behaviors=slot_behaviors)
-        for i in range(n)
-    ]
+    shared = (ctx.engine_cfg, executor, ctx.genesis_block, ctx.genesis_trie,
+              ctx.genesis_assignments)
+    nodes = [ByzantineNode(i, ctx.keys[i], *shared, kind=node_kinds.get(i), slot_kinds=slot_kinds)
+             if i in node_kinds or slot_kinds else Node(i, ctx.keys[i], *shared) for i in range(n)]
 
     # bootstrap: initial wakes, workload, fault schedule
     queue = _Calendar()
@@ -606,7 +595,7 @@ def run(cfg: SimConfig) -> SimTranscript:
 
     down_for_good = {adv.node for adv in cfg.adversaries
                      if adv.kind == "crash" and adv.recover_tick is None}
-    required = [i for i in range(n) if i not in behavior and i not in down_for_good]
+    required = [i for i in range(n) if i not in node_kinds and i not in down_for_good]
     nonces = [0] * n
     records: list = []
     msgs_delivered = wakes_delivered = 0

@@ -30,7 +30,8 @@ from portchain.core import (
     encode_vote,
 )
 from portchain.crypto import ADDRESS_SIZE, HASH_SIZE
-from portchain.netsim import NODE_BEHAVIOR_KINDS, SimConfig
+from portchain.adversary import KINDS
+from portchain.netsim import SimConfig
 
 from conftest import pad_nested_blob
 from test_golden import README_SCENARIO
@@ -452,7 +453,7 @@ def test_hostile_config_exits_2(tmp_path, capsys, config, named):
 _OLD_ADVERSARY_SCHEMA = {
     "type": "object",
     "properties": {
-        "kind": {"enum": ["crash", *NODE_BEHAVIOR_KINDS]},
+        "kind": {"enum": ["crash", *KINDS]},
         "node": {"type": ["integer", "null"]},
         "voter_slot": {"type": ["integer", "null"]},
         "start_tick": {"type": "integer", "minimum": 0},
@@ -543,7 +544,7 @@ def _objects(values: dict, required=()):
 
 
 _adversaries = _objects({
-    "kind": _mostly(st.sampled_from(["crash", *NODE_BEHAVIOR_KINDS, "bogus"])),
+    "kind": _mostly(st.sampled_from(["crash", *KINDS, "bogus"])),
     "node": _mostly(_ints | st.none()),
     "voter_slot": _mostly(_ints | st.none()),
     "start_tick": _mostly(_ints),

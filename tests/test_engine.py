@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from portchain import engine
+from portchain.adversary import ByzantineNode
 from portchain.core import (
     FraudReport,
     Transaction,
@@ -647,15 +648,16 @@ def _spy_assemble(monkeypatch):
     return heights
 
 
-def _creator_at_height_one(ctx, behavior="honest", equivocations=(), txs=()):
-    """A height-1 creator, holding the given equivocation records and
-    transactions, fed the genesis quorum and woken past its proposal delay;
-    returns the node and the actions of its proposal."""
+def _creator_at_height_one(ctx, kind=None, equivocations=(), txs=()):
+    """A height-1 creator, playing the given adversary kind if any and
+    holding the given equivocation records and transactions, fed the
+    genesis quorum and woken past its proposal delay; returns the node and
+    the actions of its proposal."""
     a1 = ctx.genesis_assignments[1]
     i = ctx.addresses.index(a1.creators[0])
-    node = Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
-                ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments,
-                behavior=behavior)
+    args = (i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
+            ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+    node = ByzantineNode(*args, kind=kind, slot_kinds={}) if kind else Node(*args)
     node.equivocations.update(equivocations)
     for tx in txs:
         node.handle("tx", tx, 1)
@@ -725,7 +727,7 @@ def test_equivocation_twin_copies_the_proposal(monkeypatch):
     body = Transaction(sender=sender, receiver=receiver, value=7, nonce=1, signature=b"")
     tx = dataclasses.replace(body, signature=sign(ctx.keys[0], body.signing_bytes()))
     calls = _spy_assemble(monkeypatch)
-    _, actions = _creator_at_height_one(ctx, behavior="equivocate_creator", txs=(tx,),
+    _, actions = _creator_at_height_one(ctx, kind="equivocate_creator", txs=(tx,),
                                         equivocations={(1, other): [digest(b"x"), digest(b"y")]})
     block, twin = _broadcast_blocks(actions)
     assert calls == [1]
@@ -818,7 +820,8 @@ def test_head_is_looked_up_like_any_height(monkeypatch):
 def _reference_vote(node, k, level, d):
     """The approval `Node._consider_vote` emits on candidate d at height
     k, as written with the parent's post-state and a validation of its
-    own; None where it emits no vote."""
+    own and with the vote rewrite of a Byzantine node applied last; None
+    where it emits no vote."""
     blk = level.blocks[d]
     if k == node.head + 1:
         parent = node.committed[-1]
@@ -829,9 +832,7 @@ def _reference_vote(node, k, level, d):
     voter_schedule = parent.assignment
     if voter_schedule.block_height != k + 1 or node.addr not in voter_schedule.voters:
         return None
-    behavior = node._voter_behavior(voter_schedule)
-    if behavior == engine.VOTE_WITHHOLD:
-        return None
+    rule = node._vote_rule(voter_schedule) if isinstance(node, ByzantineNode) else None
     parent_trie = node._post_state_of(parent)
     approve = (
         parent_trie is not None
@@ -843,7 +844,7 @@ def _reference_vote(node, k, level, d):
             blk, parent, parent_trie, node._schedule(k), node._clear_members(k)
         ).valid
     )
-    return approve and behavior != engine.VOTE_DISAPPROVE_ALL
+    return approve if rule is None else rule(approve)
 
 
 @pytest.mark.parametrize("cfg", [
@@ -853,7 +854,12 @@ def _reference_vote(node, k, level, d):
     SimConfig(seed=4, node_count=16, run_height=30, drop_probability=0.05,
               adversaries=(AdversarySpec(kind="crash", node=3, start_tick=10, recover_tick=120),
                            AdversarySpec(kind="crash", node=7, start_tick=40, recover_tick=200))),
-], ids=["equivocate", "forge", "crash-drops"])
+    # with a voter-slot kind every node is a ByzantineNode, and whoever
+    # holds slot 1 casts no vote
+    dataclasses.replace(adversary_config("equivocate_creator"), adversaries=(
+        AdversarySpec(kind="equivocate_creator", node=2),
+        AdversarySpec(kind="vote_withhold", voter_slot=1))),
+], ids=["equivocate", "forge", "crash-drops", "equivocate-withhold-slot"])
 def test_vote_reads_validity_from_the_post_state(monkeypatch, cfg):
     # a voter approves a valid candidate through `_post_state_of(blk)`,
     # with the answer of validating it on its parent's post-state
@@ -894,7 +900,7 @@ def test_propose_and_halt_actions_are_data(monkeypatch):
 
 def test_forged_assignment_is_validated_independently(monkeypatch):
     ctx = _context()
-    node, actions = _creator_at_height_one(ctx, behavior="forge_assignment")
+    node, actions = _creator_at_height_one(ctx, kind="forge_assignment")
     [forged] = _broadcast_blocks(actions)
     honest = _block_one(ctx, timestamp=forged.header.timestamp).block
     assert forged.assignment != honest.assignment

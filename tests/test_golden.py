@@ -2,8 +2,9 @@
 
 Each transcript digest was recorded before the build-once and idle-wake
 changes to the engine (the last four before the tick-bucket event queue,
-and the two node-scoped vote adversaries before the Node's consensus
-state was cut to one copy of each fact), and the README scenario's
+the two node-scoped vote adversaries before the Node's consensus
+state was cut to one copy of each fact, and the two mixed-kind runs
+before Byzantine behaviour moved out of the Node), and the README scenario's
 report digest before the single-replay and integer chi-square changes to
 the audits; a change that
 alters any simulated event, counter, block or report line shows up here.
@@ -39,6 +40,12 @@ def _crash_twice_config(*spans):
                          AdversarySpec(kind="crash", node=3, start_tick=start, recover_tick=end)
                          for start, end in spans
                      ))
+
+
+def _mixed_config(*adversaries):
+    # the adversary_config run with more than one kind
+    return SimConfig(seed=1, node_count=24, voter_count=4, run_height=60,
+                     adversaries=adversaries)
 
 
 GOLDEN = [
@@ -92,6 +99,15 @@ GOLDEN = [
      "da8d2b12335ca3532a12d2dca493afd808a53a3b35fe641e94f2ec79d67497aa"),
     (_crash_twice_config((60, None), (90, None)),
      "64496bb6d761517ecb359afc1aa1aaa1f1cda169ac516769c3fda1ac8ead343b"),
+    # a node-scoped proposal kind with a voter-slot vote kind: the slot's
+    # kind also rewrites the votes of the node that plays the proposal kind
+    # (node 2 holds voter slot 0 at three committed heights)
+    (_mixed_config(AdversarySpec(kind="forge_assignment", node=2),
+                   AdversarySpec(kind="vote_disapprove_all", voter_slot=0)),
+     "0f4d52ddba22705e4df3da4a24638c7631a5d3942af90b06a2bc9d10bc5bf921"),
+    (_mixed_config(AdversarySpec(kind="equivocate_creator", node=2),
+                   AdversarySpec(kind="vote_withhold", voter_slot=1)),
+     "042fd1719730ce8c1e4298880a648115a150a7959a0afa051a09391dc69b3e5a"),
 ]
 
 
@@ -99,7 +115,8 @@ GOLDEN = [
     "cfg,expected", GOLDEN,
     ids=[f"c9-{s}" for s in range(10)]
     + ["equivocate", "forge", "withhold-node", "disapprove-node", "crash-drops", "same-tick", "stall-patience", "max-ticks",
-       "stale-mempool", "crash-nested", "crash-recover-then-permanent", "crash-two-permanent"],
+       "stale-mempool", "crash-nested", "crash-recover-then-permanent", "crash-two-permanent",
+       "forge-node-disapprove-slot", "equivocate-node-withhold-slot"],
 )
 def test_transcript_digest_pinned(cfg, expected):
     assert run(cfg).digest_hex() == expected

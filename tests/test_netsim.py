@@ -6,9 +6,9 @@ import random
 import pytest
 from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PublicKey
 
-from portchain import engine, netsim
-from portchain.analysis import assert_single_chain, conservation_audit
-from portchain.core import block_digest, encode_chain
+from portchain import adversary, engine, netsim
+from portchain.analysis import assert_single_chain, conservation_audit, schedule_audit
+from portchain.core import block_digest, encode_chain, schedule_for
 from portchain.crypto import digest
 from portchain.netsim import (
     AdversarySpec,
@@ -106,35 +106,74 @@ def test_crash_recovery_resumes():
         assert max(_commit_heights(t)[i]) >= cfg.run_height - 2
 
 
-def _adversary_run(kind, **changes):
-    cfg = dataclasses.replace(adversary_config(kind), **changes)
+def _adversary_run(kind, scope="node", target=2, **changes):
+    """The adversary_config run with `kind` played by node or voter slot
+    `target`, checked for a single chain, zero conservation drift and a
+    clean schedule audit."""
+    cfg = dataclasses.replace(adversary_config(kind),
+                              adversaries=(AdversarySpec(kind=kind, **{scope: target}),), **changes)
     t = run(cfg)
     ctx = build_context(cfg)
     assert not t.stalled
     assert assert_single_chain(t) == (True, None)
     assert conservation_audit(t, ctx)["drift"] == 0
-    proposed = {info.split(":")[1] for _, node, kind_, info in t.events
-                if node == 2 and kind_ == "propose"}
+    assert schedule_audit(t.chain, ctx.genesis_assignments) == []
+    return t, ctx
+
+
+def _no_approval_committed(t, ctx, scope, target):
+    # whoever plays the kind where it judges a committed block: its
+    # approval is in no committed certificate
+    judged = 0
+    for h in range(1, len(t.chain)):
+        voters = schedule_for(t.chain, ctx.genesis_assignments, h).voters
+        player = ctx.addresses[target] if scope == "node" else voters[target]
+        if player in voters:
+            judged += 1
+            assert player not in t.chain[h].header.prev_certificate.voters(), h
+    assert judged, "the adversary never judged a committed block"
+
+
+def _reported_on_chain(t, ctx, scope, target):
+    reports = [r for blk in t.chain for r in blk.fraud_reports]
+    assert reports and all(r.accused == ctx.addresses[target] for r in reports)
+
+
+def _never_committed(t, ctx, scope, target):
+    proposed = {rec[4] for rec in t.records if rec[1] == target and rec[2] == "propose"}
     assert proposed, "the adversary never got to create"
-    return t, ctx.addresses[2], proposed
+    assert not proposed & {block_digest(blk.header) for blk in t.chain}
+
+
+# what a run shows of each kind in adversary.KINDS
+_KIND_EFFECTS = {
+    "vote_withhold": _no_approval_committed,
+    "vote_disapprove_all": _no_approval_committed,
+    "equivocate_creator": _reported_on_chain,
+    "forge_assignment": _never_committed,
+}
+
+
+@pytest.mark.parametrize("kind,scope", [
+    (kind, scope) for kind, spec in adversary.KINDS.items() for scope in spec.scopes
+], ids=lambda x: x)
+def test_every_kind_runs_end_to_end(kind, scope):
+    # node 2 creates, and holds a voter slot at some heights; voter slot 1
+    # changes hands from height to height
+    assert kind in _KIND_EFFECTS, f"{kind} has no effect to check"
+    target = 2 if scope == "node" else 1
+    t, ctx = _adversary_run(kind, scope, target)
+    _KIND_EFFECTS[kind](t, ctx, scope, target)
 
 
 def test_equivocating_creator_is_reported_on_chain():
     # each offense is punished once, also with no blacklist term to keep
     # the adversary from creating again
     for blacklist_duration in (50, 0):
-        t, adversary, _ = _adversary_run("equivocate_creator",
-                                         blacklist_duration=blacklist_duration)
-        reports = [r for blk in t.chain for r in blk.fraud_reports]
-        assert reports and all(r.accused == adversary for r in reports)
-        offenses = [r.height_of_offense for r in reports]
+        t, ctx = _adversary_run("equivocate_creator", blacklist_duration=blacklist_duration)
+        _reported_on_chain(t, ctx, "node", 2)
+        offenses = [r.height_of_offense for blk in t.chain for r in blk.fraud_reports]
         assert len(set(offenses)) == len(offenses)
-
-
-def test_forged_assignment_never_commits():
-    t, _, proposed = _adversary_run("forge_assignment")
-    committed = {block_digest(blk.header).hex()[:16] for blk in t.chain}
-    assert not proposed & committed
 
 
 @pytest.mark.parametrize("cfg", [
@@ -242,6 +281,9 @@ def test_config_validation_errors():
         dict(adversaries=(AdversarySpec(kind="vote_withhold", node=3, recover_tick=500),)),
         dict(adversaries=(AdversarySpec(kind="crash", node=3, voter_slot=0),)),
         dict(adversaries=(AdversarySpec(kind="vote_withhold", node=3, voter_slot=0),)),
+        # the kind table allows a voter slot for the vote kinds only
+        dict(adversaries=(AdversarySpec(kind="equivocate_creator", voter_slot=0),)),
+        dict(adversaries=(AdversarySpec(kind="forge_assignment", voter_slot=0),)),
         dict(adversaries=(AdversarySpec(kind="crash", node=3, start_tick=-5),)),
         dict(adversaries=(AdversarySpec(kind="vote_withhold", node=3),
                           AdversarySpec(kind="equivocate_creator", node=3))),
@@ -412,15 +454,16 @@ def _down_for_good(cfg, tick):
 
 
 def _watch_window(monkeypatch, cfg):
-    """Patch netsim's Node so that, before every event a node handles, the
-    shared executor is checked to hold no header at or below the lowest
-    head of the nodes still running, and the node to keep no `Level` record
-    at or below its own head, no `Tally` of a known height below head - 1,
-    the creator flag the committed chain fixes, and only proven pairs as
-    equivocations.  Returns the nodes and the memo sizes seen."""
+    """Patch netsim's Node and ByzantineNode so that, before every event a
+    node handles, the shared executor is checked to hold no header at or
+    below the lowest head of the nodes still running, and the node to keep
+    no `Level` record at or below its own head, no `Tally` of a known
+    height below head - 1, the creator flag the committed chain fixes, and
+    only proven pairs as equivocations.  Returns the nodes and the memo
+    sizes seen."""
     nodes, sizes = [], []
 
-    class Watched(engine.Node):
+    class Watch:
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             nodes.append(self)
@@ -442,7 +485,9 @@ def _watch_window(monkeypatch, cfg):
             sizes.append(sum(len(level) for level in ex._memo.values()))
             return super().handle(kind, payload, tick)
 
-    monkeypatch.setattr(netsim, "Node", Watched)
+    monkeypatch.setattr(netsim, "Node", type("Watched", (Watch, engine.Node), {}))
+    monkeypatch.setattr(netsim, "ByzantineNode",
+                        type("WatchedByzantine", (Watch, adversary.ByzantineNode), {}))
     return nodes, sizes
 
 
@@ -491,7 +536,8 @@ def test_window_keeps_live_heights_without_reassembly(monkeypatch, name):
     monkeypatch.setattr(engine, "commit_rule", rule)
     monkeypatch.setattr(engine.BlockExecutor, "_validate", validate)
     t = run(cfg)
-    assert not t.stalled and sizes
+    # every node is watched, the Byzantine ones too
+    assert not t.stalled and sizes and len(nodes) == cfg.node_count
     proposals = [rec[1:4] for rec in t.records if rec[2] == "propose"]
     # an equivocating creator proposes twice per height, its twin second
     twins = len(proposals) - len(set(proposals))
@@ -509,6 +555,7 @@ def test_window_keeps_live_heights_without_reassembly(monkeypatch, name):
     counts.update(assemble=0, commit_rule=0)
     validated.clear()
     monkeypatch.setattr(netsim, "Node", engine.Node)
+    monkeypatch.setattr(netsim, "ByzantineNode", adversary.ByzantineNode)
     monkeypatch.setattr(engine.BlockExecutor, "forget_below", lambda self, height: None)
     t_full = run(cfg)
     assert dict(counts, validated=len(validated), digest=t_full.digest_hex()) == windowed
