@@ -237,9 +237,10 @@ def run_scenario(doc: dict, seed_override: int | None = None, chain_file=None):
         record("check_liveness", "pass" if ok else f"fail:head={head}")
 
     if steps:
-        final_balances = [s.balance for _, s in steps[-1].post_trie.accounts()]
-        record("gini_genesis", f"{analysis.gini([s.balance for _, s in context.genesis_trie.accounts()]):.6f}")
-        record("gini_final", f"{analysis.gini(final_balances):.6f}")
+        for key, trie in (("gini_genesis", context.genesis_trie), ("gini_final", steps[-1].post_trie)):
+            balances = [s.balance for _, s in trie.accounts()]
+            # the Gini coefficient has no value when every balance is zero
+            record(key, f"{analysis.gini(balances):.6f}" if sum(balances) else "undefined")
 
     stall_fail = transcript.stalled and not allow_stall
     record("stall_allowed", int(allow_stall))
@@ -322,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        try:
+    try:
+        if args.command == "run":
             doc = load_scenario(args.config)
             # a bad config exits 2 before any output is touched, and every
             # output is opened before the simulation, so a path that cannot
@@ -339,44 +340,34 @@ def main(argv=None) -> int:
                 report, code = run_scenario(doc, args.seed, chain_file)
                 if report_file is not None:
                     report_file.write(report)
-        except (ScenarioError, SimConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except OSError as exc:
-            print(f"error: cannot write output: {exc}", file=sys.stderr)
-            return 2
-        sys.stdout.write(report)
-        return code
-    if args.command == "import":
-        try:
-            doc = load_scenario(args.config)
-            _, message = import_chain(args.chain, doc)
-        except (ScenarioError, SimConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except analysis.ChainInvalid as exc:
-            print(f"invalid chain: {exc}", file=sys.stderr)
-            return 1
-        print(message)
-        return 0
-    if args.command == "tail":
-        try:
-            bits = args.n * args.p.denominator.bit_length()
-            if bits > TAIL_MAX_BITS:
-                raise analysis.AnalysisError(
-                    f"--n {args.n} with --p {args.p} needs {bits} bits, above {TAIL_MAX_BITS}"
-                )
-            if not 1 <= args.digits <= TAIL_MAX_DIGITS:
-                raise analysis.AnalysisError(f"digits {args.digits} outside [1, {TAIL_MAX_DIGITS}]")
-            result = analysis.byzantine_tail(args.n, args.p, args.m)
-        except analysis.AnalysisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            sys.stdout.write(report)
+            return code
+        if args.command == "import":
+            _, message = import_chain(args.chain, load_scenario(args.config))
+            print(message)
+            return 0
+        bits = args.n * args.p.denominator.bit_length()
+        if bits > TAIL_MAX_BITS:
+            raise analysis.AnalysisError(
+                f"--n {args.n} with --p {args.p} needs {bits} bits, above {TAIL_MAX_BITS}"
+            )
+        if not 1 <= args.digits <= TAIL_MAX_DIGITS:
+            raise analysis.AnalysisError(f"digits {args.digits} outside [1, {TAIL_MAX_DIGITS}]")
+        result = analysis.byzantine_tail(args.n, args.p, args.m)
         print(f"n={args.n} m={args.m} p={args.p}")
         print(f"exact_binomial_tail={analysis.render_fraction(result.exact, args.digits)}")
         print(f"coefficient_free_sum={analysis.render_fraction(result.coefficient_free, args.digits)}")
         return 0
-    return 2
+    # the exit codes of the module docstring, for every subcommand
+    except (ScenarioError, SimConfigError, analysis.AnalysisError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    except analysis.ChainInvalid as exc:
+        print(f"invalid chain: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -37,11 +37,9 @@ class KeyPair:
 
 
 def keypair_from_seed(seed: bytes) -> KeyPair:
-    """Derive a deterministic Ed25519 key pair from a 32-byte seed."""
-    if len(seed) != 32:
-        seed = digest(seed)
-    sk = Ed25519PrivateKey.from_private_bytes(seed)
-    return KeyPair(secret=seed, public=sk.public_key().public_bytes_raw())
+    """Derive a deterministic Ed25519 key pair from a 32-byte seed.  The
+    key is loaded once, into the memo that `sign` reads."""
+    return KeyPair(secret=seed, public=_private_key(seed)[1])
 
 
 def address_from_public(public: bytes) -> Address:

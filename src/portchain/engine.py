@@ -119,6 +119,19 @@ class BlockResult:
     rejected: list = field(default_factory=list)
 
 
+def maintainer_records(trie: StateTrie, assignment: MaintainerAssignment) -> dict:
+    """Each member of assignment with its state in trie carrying the record
+    of the slot it was picked for: creator or voter, and the parity of the
+    height it serves."""
+    voters_from = len(assignment.creators)
+    return {
+        addr: trie.get_account(addr).changed(
+            maintainer_bits=maintainer_bits(slot >= voters_from, assignment.block_height)
+        )
+        for slot, addr in enumerate(assignment.members())
+    }
+
+
 def assemble_block(
     cfg: EngineConfig,
     prev_block: Block,
@@ -216,12 +229,7 @@ def assemble_block(
     assignment = select_assignment(
         trie, prev_digest, schedule, height, extra_exclusions=prev_block.assignment.members()
     )
-    trie = trie.update({
-        addr: trie.get_account(addr).changed(
-            maintainer_bits=maintainer_bits(True, slot >= len(assignment.creators), height + 2)
-        )
-        for slot, addr in enumerate(assignment.members())
-    })
+    trie = trie.update(maintainer_records(trie, assignment))
 
     header = BlockHeader(
         height=height,

@@ -36,9 +36,9 @@ from . import core
 from .adversary import KINDS, ByzantineNode
 from .core import Block, MaintainerAssignment, Transaction, block_digest, encode_chain
 from .crypto import address_from_public, digest, keypair_from_seed, sign
-from .engine import BlockExecutor, EngineConfig, Node
+from .engine import BlockExecutor, EngineConfig, Node, maintainer_records
 from .ledger import LedgerConfig
-from .trie import AccountState, StateTrie, maintainer_bits
+from .trie import AccountState, StateTrie
 
 
 class SimConfigError(ValueError):
@@ -289,11 +289,7 @@ def build_context(config: SimConfig) -> SimContext:
     for rank, addr in enumerate(ordered):
         tax = rng.randint(config.genesis_tax_min, config.genesis_tax_max, f"gtax/{rank}")
         trie = trie.upsert_account(addr, AccountState(balance=config.genesis_balance, tax=tax))
-    for asg in (a1, a2):
-        for slot, addr in enumerate(asg.members()):
-            st = trie.get_account(addr)
-            bits = maintainer_bits(True, slot >= c, asg.block_height)
-            trie = trie.upsert_account(addr, st.changed(maintainer_bits=bits))
+    trie = trie.update({**maintainer_records(trie, a1), **maintainer_records(trie, a2)})
 
     header = core.BlockHeader(
         height=0,

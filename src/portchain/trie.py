@@ -46,14 +46,13 @@ MAINTAINER_VOTER = 0b010
 MAINTAINER_ODD = 0b100
 
 
-def maintainer_bits(selected: bool, voter: bool, height: int) -> int:
-    bits = 0
-    if selected:
-        bits |= MAINTAINER_SELECTED
-        if voter:
-            bits |= MAINTAINER_VOTER
-        if height % 2:
-            bits |= MAINTAINER_ODD
+def maintainer_bits(voter: bool, height: int) -> int:
+    """The record of an account selected to serve `height`."""
+    bits = MAINTAINER_SELECTED
+    if voter:
+        bits |= MAINTAINER_VOTER
+    if height % 2:
+        bits |= MAINTAINER_ODD
     return bits
 
 

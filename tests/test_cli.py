@@ -221,6 +221,34 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, option, target
     assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
+def test_failed_stdout_write_exits_2(tmp_path, monkeypatch, capsys):
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    path = _scenario(tmp_path)
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["run", "--config", str(path)]) == 2
+    assert main(["tail", "--n", "5", "--p", "1/3", "--m", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: cannot write output: ") == 2 and "Traceback" not in err
+
+
+def test_zero_balance_report_has_no_genesis_gini(tmp_path):
+    # every genesis balance is zero, so the Gini coefficient of genesis is
+    # undefined; the refunds of the run make the final one defined
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(
+        {"config": {"seed": 1, "node_count": 16, "run_height": 5, "genesis_balance": 0}}))
+    done = _python(f"import sys; from portchain.cli import main; "
+                   f"sys.exit(main(['run', '--config', {str(path)!r}]))")
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    lines = done.stdout.splitlines()
+    assert "gini_genesis=undefined" in lines
+    [final] = [line for line in lines if line.startswith("gini_final=")]
+    assert 0 < float(final.removeprefix("gini_final=")) < 1
+
+
 def test_failed_check_exits_1(tmp_path, capsys):
     # all five voter slots withholding stalls the run; without allow_stall
     # the liveness check fails

@@ -6,6 +6,7 @@ import pytest
 
 from portchain import engine
 from portchain.adversary import ByzantineNode
+from portchain.analysis import replay_chain
 from portchain.core import (
     FraudReport,
     Transaction,
@@ -13,6 +14,7 @@ from portchain.core import (
     VoteCertificate,
     block_digest,
     build_certificate,
+    schedule_for,
     vote_signing_bytes,
 )
 from portchain.crypto import digest, sign
@@ -28,6 +30,7 @@ from portchain.engine import (
 )
 from portchain.netsim import AdversarySpec, SimConfig, build_context, run
 from portchain.selection import NoCandidatesError
+from portchain.trie import MAINTAINER_ODD, MAINTAINER_SELECTED, MAINTAINER_VOTER
 
 from conftest import adversary_config, make_keys
 
@@ -237,6 +240,33 @@ def test_assemble_block_links_and_assignment():
     busy |= set(ctx.genesis_assignments[2].members())
     assert not set(members) & busy
     assert blk.header.state_root == built.post_trie.root_commitment()
+
+
+@pytest.mark.parametrize("cfg", [
+    SimConfig(seed=3, node_count=16, run_height=40),
+    adversary_config("equivocate_creator"),
+    SimConfig(seed=7, node_count=21, voter_count=5, run_height=60, drop_probability=0.05),
+], ids=["plain", "equivocation", "drops"])
+def test_maintainer_record_marks_the_three_serving_schedules(cfg):
+    # after block h, the accounts with a record are the members of the
+    # schedules serving h, h+1 and h+2, each set once, and each record
+    # holds its slot's role and its served height's parity
+    chain, ctx = run(cfg).chain, build_context(cfg)
+    steps = replay_chain(chain, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+    assert len(steps) == cfg.run_height + 1
+    for h, step in enumerate(steps):
+        expected = {}
+        for served in (h, h + 1, h + 2):
+            sched = schedule_for(chain, ctx.genesis_assignments, served)
+            if sched is None:  # genesis serves no height
+                continue
+            for slot, addr in enumerate(sched.members()):
+                assert addr not in expected
+                expected[addr] = (MAINTAINER_SELECTED
+                                  | (MAINTAINER_VOTER if slot >= len(sched.creators) else 0)
+                                  | (MAINTAINER_ODD if served % 2 else 0))
+        records = {a: s.maintainer_bits for a, s in step.post_trie.accounts() if s.maintainer_bits}
+        assert records == expected
 
 
 def test_executor_accepts_honest_block():
@@ -474,14 +504,19 @@ def _sync_requests(actions):
     return [a for a in actions if a[0] == "send" and a[2][0] == "sync_req"]
 
 
+def _node_of(ctx, addr):
+    """A fresh honest node holding addr's key, at genesis."""
+    i = ctx.addresses.index(addr)
+    return Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
+                ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+
+
 def _bystander(ctx):
     """A node serving neither height 1 nor 2: it asks for no consensus
     timers."""
     busy = set(ctx.genesis_assignments[1].members())
     busy |= set(ctx.genesis_assignments[2].members())
-    i = next(i for i, a in enumerate(ctx.addresses) if a not in busy)
-    return Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
-                ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+    return _node_of(ctx, next(a for a in ctx.addresses if a not in busy))
 
 
 def test_node_keeps_one_periodic_sync_wake():
@@ -530,10 +565,7 @@ def test_idle_periodic_wake_skips_the_progress_pass(monkeypatch):
 
 def _voter_at_height_one(ctx):
     # candidates at height 1 are judged by the voters recorded in genesis
-    addr = ctx.genesis_block.assignment.voters[0]
-    i = ctx.addresses.index(addr)
-    return Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
-                ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+    return _node_of(ctx, ctx.genesis_block.assignment.voters[0])
 
 
 def _votes(actions):
@@ -606,6 +638,40 @@ def test_voter_disapproves_a_child_of_an_invalid_parent():
         actions = node.handle("wake", None, 2 + ctx.engine_cfg.vote_patience)
         [vote] = [v for v in _votes(actions) if v.target_hash == block_digest(child.header)]
         assert vote.approve == approve
+
+
+# blocks 1-3 of this run, delivered to a fresh node out of order
+_SMALL_RUN = SimConfig(seed=11, node_count=18, voter_count=3, creator_redundancy=2, run_height=4)
+
+
+def test_vote_on_a_head_plus_two_candidate_waits_for_its_parent():
+    chain, ctx = run(_SMALL_RUN).chain, build_context(_SMALL_RUN)
+    patience = ctx.engine_cfg.vote_patience
+    # candidates at height 2 are judged by the voters block 1 records
+    node = _node_of(ctx, chain[1].assignment.voters[0])
+    d2 = block_digest(chain[2].header)
+    node.handle("wake", None, 0)
+    node.handle("block", chain[2], 1)
+    # past the patience wait the vote still waits for the parent, and the
+    # candidate stays to be judged
+    assert _votes(node.handle("wake", None, 1 + patience)) == []
+    assert d2 in node.levels[2].unvoted
+    votes = _votes(node.handle("block", chain[1], 2 + patience))
+    assert [(v.target_hash, v.approve) for v in votes] == [(d2, True)]
+
+
+@pytest.mark.parametrize("held", [2, 1], ids=["parent", "grandparent"])
+def test_commit_waits_for_the_ancestors_of_a_head_plus_three_block(held):
+    chain, ctx = run(_SMALL_RUN).chain, build_context(_SMALL_RUN)
+    node = _bystander(ctx)
+
+    def commits(actions):
+        return [a[1:] for a in actions if a[0] == "commit"]
+
+    for tick, h in enumerate([h for h in (3, 2, 1) if h != held], 1):
+        assert commits(node.handle("block", chain[h], tick)) == []
+    assert node.head == 0
+    assert commits(node.handle("block", chain[held], 9)) == [(1, block_digest(chain[1].header))]
 
 
 def test_timer_missed_while_down_runs_the_pass_on_the_next_wake(monkeypatch):
@@ -684,6 +750,26 @@ def test_creator_proposes_without_the_reports_the_ledger_refuses():
     [blk] = _broadcast_blocks(actions)
     assert [(r.height_of_offense, r.accused) for r in blk.fraud_reports] == [(1, other)]
     assert not [a for a in actions if a[0] == "halt"]
+
+
+def test_voter_refuses_a_report_it_did_not_witness():
+    ctx = _context()
+    a1 = ctx.genesis_assignments[1]
+    other = next(a for a in ctx.addresses if a not in a1.members())
+    twins = {(1, other): [digest(b"x"), digest(b"y")]}
+    _, actions = _creator_at_height_one(ctx, equivocations=twins)
+    [reporting] = _broadcast_blocks(actions)
+    assert [r.accused for r in reporting.fraud_reports] == [other]
+    sibling = _block_one(ctx, slot=1).block
+    # a voter that saw the equivocation approves both candidates; one that
+    # did not disapproves the block whose report it cannot substantiate
+    for witnessed, approve in [(twins, True), ({}, False)]:
+        node = _voter_at_height_one(ctx)
+        node.equivocations.update(witnessed)
+        node.handle("wake", None, 0)
+        node.handle("block", reporting, 1)
+        votes = {v.target_hash: v.approve for v in _votes(node.handle("block", sibling, 2))}
+        assert votes == {block_digest(reporting.header): approve, block_digest(sibling.header): True}
 
 
 def test_equivocations_end_once_the_head_state_covers_them(monkeypatch):
