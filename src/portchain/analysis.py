@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Block, block_digest, schedule_for
+from .core import Block, block_digest, duty_ended, schedule_for
 from .crypto import Address
-from .engine import BlockExecutor, EngineConfig, quorum_threshold
+from .engine import BlockExecutor, quorum_threshold
 from .selection import draw_exclusions
 from .trie import StateTrie
 
@@ -214,8 +214,9 @@ class ReplayStep:
     schedule: object  # MaintainerAssignment serving this height
 
 
-def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engine_cfg: EngineConfig):
-    """Re-execute a committed chain from genesis, verifying every block.
+def replay_chain(chain, context):
+    """Re-execute a committed chain from the genesis of context (a
+    `netsim.SimContext`), verifying every block.
 
     Checks per height: the creator occupies an assigned slot, the
     backward link matches, the embedded certificate covers the parent
@@ -228,37 +229,22 @@ def replay_chain(chain, genesis_trie: StateTrie, genesis_assignments: dict, engi
         return []
     if chain[0].header.height != 0:
         raise ChainInvalid(chain[0].header.height, "chain does not start at genesis")
-    executor = BlockExecutor(engine_cfg)
-    steps = [
-        ReplayStep(
-            block=chain[0],
-            post_trie=genesis_trie,
-            issued=0,
-            schedule=chain[0].assignment,
-        )
-    ]
-    trie = genesis_trie
+    executor = BlockExecutor(context.engine_cfg)
+    trie = context.genesis_trie
+    steps = [ReplayStep(block=chain[0], post_trie=trie, issued=0, schedule=chain[0].assignment)]
     for h in range(1, len(chain)):
         blk = chain[h]
         if blk.header.height != h:
             raise ChainInvalid(blk.header.height, f"expected height {h}")
-        schedule = schedule_for(chain, genesis_assignments, h)
+        schedule = schedule_for(chain, context.genesis_assignments, h)
         if schedule is None or schedule.block_height != h:
             raise ChainInvalid(h, "no schedule recorded for this height")
-        prev_sched = schedule_for(chain, genesis_assignments, h - 1)
-        clear_members = prev_sched.members() if prev_sched is not None else ()
-        result = executor.validate(blk, chain[h - 1], trie, schedule, clear_members)
+        result = executor.validate(blk, chain[h - 1], trie, schedule,
+                                   duty_ended(chain, context.genesis_assignments, h))
         if not result.valid:
             raise ChainInvalid(h, result.reason)
-        steps.append(
-            ReplayStep(
-                block=blk,
-                post_trie=result.post_trie,
-                issued=result.issued,
-                schedule=schedule,
-            )
-        )
         trie = result.post_trie
+        steps.append(ReplayStep(block=blk, post_trie=trie, issued=result.issued, schedule=schedule))
     return steps
 
 
@@ -366,10 +352,7 @@ def conservation_audit(transcript, context) -> dict:
     minted).  Returns the totals and the drift, which is zero iff the
     books balance.
     """
-    steps = replay_chain(
-        transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
-    )
-    return steps_conservation(steps, context.genesis_trie)
+    return steps_conservation(replay_chain(transcript.chain, context), context.genesis_trie)
 
 
 def steps_conservation(steps, genesis_trie: StateTrie) -> dict:

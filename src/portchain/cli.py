@@ -171,7 +171,7 @@ def run_scenario(doc: dict, seed_override: int | None = None, chain_file=None):
 
     transcript = run(config)
     context = build_context(config)
-    head = max((b.header.height for b in transcript.chain), default=0)
+    head = len(transcript.chain) - 1
 
     lines = []
     results = {}
@@ -198,9 +198,7 @@ def run_scenario(doc: dict, seed_override: int | None = None, chain_file=None):
         record("check_schedule", "pass" if ok else f"fail:{violations[0]}")
     # one independent replay serves conservation, fairness and Gini
     try:
-        steps = analysis.replay_chain(
-            transcript.chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg
-        )
+        steps = analysis.replay_chain(transcript.chain, context)
         replay_error = None
     except analysis.ChainInvalid as exc:
         steps, replay_error = [], exc
@@ -280,7 +278,7 @@ def import_chain(chain_path: str, doc: dict):
     expected_genesis = block_digest(context.genesis_block.header)
     if block_digest(chain[0].header) != expected_genesis:
         raise analysis.ChainInvalid(0, "genesis does not match the scenario config")
-    analysis.replay_chain(chain, context.genesis_trie, context.genesis_assignments, context.engine_cfg)
+    analysis.replay_chain(chain, context)
     head = chain[-1].header.height
     return chain, f"verified {len(chain)} blocks up to height {head}"
 
@@ -324,6 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # Python started with fd 1 closed sets sys.stdout to None
+        if sys.stdout is None:
+            raise OSError("standard output is closed")
         if args.command == "run":
             doc = load_scenario(args.config)
             # a bad config exits 2 before any output is touched, and every

@@ -5,7 +5,8 @@ the previous block's header digest (plus a vote certificate committing
 it), the forward link is the recorded maintainer assignment that alone
 authorizes the creators and voters of a future block.  `schedule_for`
 is the one rule that reads who serves a height: block h-2 of the chain,
-or for the first two heights the genesis assignments.
+or for the first two heights the genesis assignments; `duty_ended`
+reads through it whose service block h ends.
 
 The encoding is length-prefixed and field-ordered so digests are
 bit-exact and language-neutral; ``decode_block`` and ``decode_chain``
@@ -75,8 +76,7 @@ class VoteCertificate:
 EMPTY_CERTIFICATE = VoteCertificate(target_hash=ZERO_HASH, votes=())
 
 
-# no slots: assignment_digest caches the encoded digest on the instance
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MaintainerAssignment:
     block_height: int  # the future block these maintainers serve
     creators: tuple[Address, ...]
@@ -123,6 +123,13 @@ def schedule_for(chain, genesis_assignments: dict, h: int) -> MaintainerAssignme
     if 2 <= h <= len(chain) + 1:
         return chain[h - 2].assignment
     return genesis_assignments.get(h)
+
+
+def duty_ended(chain, genesis_assignments: dict, h: int) -> tuple[Address, ...]:
+    """The maintainers whose duty block h ends: the members of the
+    assignment serving height h-1, or none."""
+    sched = schedule_for(chain, genesis_assignments, h - 1)
+    return sched.members() if sched is not None else ()
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +363,7 @@ def block_digest(header: BlockHeader) -> Hash:
 
 
 def assignment_digest(a: MaintainerAssignment) -> Hash:
-    d = getattr(a, "_cached_digest", None)
-    if d is None:
-        d = digest(b"asgn" + encode_assignment(a))
-        object.__setattr__(a, "_cached_digest", d)
-    return d
+    return digest(b"asgn" + encode_assignment(a))
 
 
 def tx_merkle_root(transactions) -> Hash:

@@ -43,6 +43,7 @@ from .core import (
     VoteCertificate,
     block_digest,
     build_certificate,
+    duty_ended,
     schedule_for,
     verify_certificate,
 )
@@ -53,6 +54,7 @@ from .ledger import (
     TxRejected,
     apply_fraud_verdict,
     apply_transaction,
+    offense_punished,
     refund_reward,
 )
 from .selection import NoCandidatesError, select_assignment
@@ -479,7 +481,8 @@ class Node:
     reports cite a creator's two digests after their height commits.  A
     proposal offers a report of every equivocation the node holds by
     another creator; `assemble_block` keeps those the ledger's one fraud
-    rule accepts, so an offense already punished on the branch is dropped.
+    rule accepts, so an offense punished on the branch is dropped, and a
+    commit drops one the head punishes (`ledger.offense_punished`).
     Each candidate digest has one `Tally` record in `tallies`, which a
     commit drops for the losing siblings and for the block two below.
     `_blocks` answers for the head with the committed block, so only the
@@ -691,9 +694,8 @@ class Node:
     def _commit(self, blk: Block, tick: int, actions: list) -> None:
         j = self.head + 1
         d = block_digest(blk.header)
-        result = self.executor.validate(
-            blk, self.committed[-1], self.head_trie, self._schedule(j), self._clear_members(j)
-        )
+        result = self.executor.validate(blk, self.committed[-1], self.head_trie, self._schedule(j),
+                                        duty_ended(self.committed, self.genesis_assignments, j))
         if not result.valid:
             actions.append(("violation", "committed-invalid", j, result.reason))
             return
@@ -714,10 +716,10 @@ class Node:
         # a blacklist term only grows along a branch, so every candidate's
         # ledger refuses a report of an offense the head state covers, and
         # its record is no longer needed
-        term = self.cfg.ledger.blacklist_duration
         self.equivocations = {
             (h, accused): seen for (h, accused), seen in self.equivocations.items()
-            if (self.head_trie.get_account(accused) or EMPTY_ACCOUNT).blacklist_until < h + term
+            if not offense_punished(self.head_trie.get_account(accused) or EMPTY_ACCOUNT, h,
+                                    self.cfg.ledger)
         }
         actions.append(("commit", j, d))
 
@@ -725,10 +727,6 @@ class Node:
         """The committed assignment serving height h (`core.schedule_for`),
         known up to head+2; None past that, where it depends on the branch."""
         return schedule_for(self.committed, self.genesis_assignments, h)
-
-    def _clear_members(self, height: int):
-        sched = self._schedule(height - 1)
-        return sched.members() if sched is not None else ()
 
     # -- voting --------------------------------------------------------------
 
@@ -896,7 +894,7 @@ class Node:
                 ci,
                 tick,
                 sched,
-                self._clear_members(k),
+                duty_ended(self.committed, self.genesis_assignments, k),
                 pre_trie,
                 mempool=self.mempool,
                 reports=self._eligible_reports(),
@@ -918,8 +916,9 @@ class Node:
         return [block]
 
     def _post_state_of(self, blk: Block) -> StateTrie | None:
-        """The state after blk, validated down to the head along its
-        branch, or None if a block of the branch is missing or invalid."""
+        """The state after blk (at most head+2, so its schedule is
+        committed), validated down to the head along its branch, or None
+        if a block of the branch is missing or invalid."""
         h = blk.header.height
         if h == self.head:
             return self.head_trie
@@ -927,10 +926,10 @@ class Node:
         if parent is None:
             return None
         pre = self._post_state_of(parent)
-        sched = self._branch_schedule(h, parent)
-        if pre is None or sched is None:
+        if pre is None:
             return None
-        result = self.executor.validate(blk, parent, pre, sched, self._clear_members(h))
+        result = self.executor.validate(blk, parent, pre, self._schedule(h),
+                                        duty_ended(self.committed, self.genesis_assignments, h))
         return result.post_trie if result.valid else None
 
     def _eligible_reports(self):

@@ -12,7 +12,7 @@ blacklist term zeroes that weight for selection.
 
 `apply_fraud_verdict` is the one fraud rule, applied alike by a block's
 creator and by its validators: an offense is punished once, since a
-blacklist term covers every offense at or before the height it began at.
+blacklist term covers each offense up to its start (`offense_punished`).
 
 Each rule reads and writes accounts through a block's `WriteSet`, and
 raises before its first write, so a refused transaction, refund or
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .core import FraudReport, Transaction
 from .crypto import Address, verify
-from .trie import EMPTY_ACCOUNT, WriteSet
+from .trie import EMPTY_ACCOUNT, AccountState, WriteSet
 
 
 class TxRejected(ValueError):
@@ -107,6 +107,12 @@ def refund_reward(writes: WriteSet, addr: Address, reward: int) -> int:
     return max(0, reward - state.tax)
 
 
+def offense_punished(accused: AccountState, height_of_offense: int, cfg: LedgerConfig) -> bool:
+    """Whether accused's blacklist term covers an offense at that height:
+    a term begun at height p ends at p + blacklist_duration."""
+    return accused.blacklist_until >= height_of_offense + cfg.blacklist_duration
+
+
 def apply_fraud_verdict(
     writes: WriteSet,
     report: FraudReport,
@@ -127,8 +133,7 @@ def apply_fraud_verdict(
     accused = writes.get_account(report.accused)
     if accused is None:
         raise LedgerError("accused account does not exist")
-    # a term begun at height p ends at p + blacklist_duration
-    if accused.blacklist_until >= report.height_of_offense + cfg.blacklist_duration:
+    if offense_punished(accused, report.height_of_offense, cfg):
         raise LedgerError("offense already punished")
     writes.upsert_account(
         report.accused, accused.changed(blacklist_until=current_height + cfg.blacklist_duration)

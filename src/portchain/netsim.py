@@ -16,8 +16,9 @@ nodes share one `BlockExecutor`, which forgets every height that each
 node still able to handle events has committed.  A node hands each
 event to the run as data, and the transcript keeps it once, as one flat
 record that shares the block digest with every other node's record of
-the same block; its text, digest and events are renderings of those
-records, and the single-chain audit reads their full digests.  What
+the same block; its text and events render those records, its digest
+hashes the text and then the chain, and the single-chain audit reads
+the records' full digests.  What
 still grows with the run is its output (the chain and the records) and
 the process-wide memo of `crypto.verify`, one entry per distinct
 signature.  `crypto.sign` records each signature it makes in that memo,
@@ -388,9 +389,7 @@ class SimTranscript:
         return "".join(f"{line}\n" for line in self._lines())
 
     def digest_hex(self) -> str:
-        h = hashlib.sha256()
-        for line in self._lines():
-            h.update(f"{line}\n".encode())
+        h = hashlib.sha256(self.text().encode())
         h.update(encode_chain(self.chain))
         return h.hexdigest()
 

@@ -61,6 +61,19 @@ def replay_check(config, transcript) -> bool:
     )
 
 
+def flat_oracle(entries, h, exclusions, height):
+    """The account that selection number h picks: a prefix-sum walk of
+    (address, state) entries in canonical trie order."""
+    for addr, state in entries:
+        if addr in exclusions or state.blacklist_until > height:
+            continue
+        w = state.tax + 1
+        if h < w:
+            return addr
+        h -= w
+    raise AssertionError("selection number out of range")
+
+
 def pad_nested_blob(data: bytes, nested) -> bytes:
     """`data` with one zero byte appended to a nested length-prefixed blob.
 

@@ -33,7 +33,7 @@ from portchain.selection import (
 )
 from portchain.trie import AccountState, StateTrie
 
-from conftest import addr_of, replay_check
+from conftest import addr_of, flat_oracle, replay_check
 
 
 def announce(capsys, ok, label, detail=""):
@@ -74,17 +74,6 @@ def test_criterion_1_exact_proportionality(capsys):
              f"20 tries swept, {elapsed:.2f}s")
 
 
-def _flat_oracle(entries, h, exclusions, height):
-    for addr, state in entries:
-        if addr in exclusions or state.blacklist_until > height:
-            continue
-        w = state.tax + 1
-        if h < w:
-            return addr
-        h -= w
-    raise AssertionError("selection number out of range")
-
-
 def test_criterion_2_descend_oracle_equivalence(capsys):
     rng = random.Random(202)
     t0 = time.perf_counter()
@@ -105,7 +94,7 @@ def test_criterion_2_descend_oracle_equivalence(capsys):
             h = rng.randrange(total)
             assert weighted_descend(
                 trie, h, exclusions, height, _sums=sums
-            ) == _flat_oracle(entries, h, exclusions, height)
+            ) == flat_oracle(entries, h, exclusions, height)
             cases += 1
             if cases >= 100_000:
                 break
@@ -327,7 +316,7 @@ def test_criterion_10_refund_damping(capsys):
     ctx = build_context(cfg)
     t = run(cfg)
     assert not t.stalled
-    steps = replay_chain(t.chain, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+    steps = replay_chain(t.chain, ctx)
     ledger: LedgerConfig = ctx.engine_cfg.ledger
     taxes_paid = {}
     refunds = {}

@@ -263,7 +263,7 @@ def sim():
 
 def test_replay_chain_accepts_committed_chain(sim):
     cfg, ctx, t = sim
-    steps = replay_chain(t.chain, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+    steps = replay_chain(t.chain, ctx)
     assert len(steps) == len(t.chain)
     assert steps[-1].post_trie.root_commitment() == t.chain[-1].header.state_root
 
@@ -277,7 +277,7 @@ def test_replay_chain_rejects_mutation(sim):
         bad[h], header=dataclasses.replace(bad[h].header, state_root=b"\x00" * 32)
     )
     with pytest.raises(ChainInvalid) as e:
-        replay_chain(bad, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+        replay_chain(bad, ctx)
     assert e.value.height == h
     # a timestamp edit keeps the block self-consistent but breaks the
     # backward link of its successor
@@ -286,13 +286,13 @@ def test_replay_chain_rejects_mutation(sim):
         bad[h], header=dataclasses.replace(bad[h].header, timestamp=bad[h].header.timestamp + 1)
     )
     with pytest.raises(ChainInvalid) as e:
-        replay_chain(bad, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+        replay_chain(bad, ctx)
     assert e.value.height == h + 1
     # a chain without its genesis block, and one missing a height
     for bad, height, reason in [(t.chain[1:], 1, "chain does not start at genesis"),
                                 (t.chain[:h] + t.chain[h + 1:], h + 1, f"expected height {h}")]:
         with pytest.raises(ChainInvalid) as e:
-            replay_chain(bad, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+            replay_chain(bad, ctx)
         assert (e.value.height, e.value.reason) == (height, reason)
 
 
@@ -393,7 +393,7 @@ def test_conservation_audit_balances(sim):
 def test_selection_fairness_over_chain(sim):
     cfg, ctx, t = sim
     top = t.chain[-1].header.height
-    steps = replay_chain(t.chain, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+    steps = replay_chain(t.chain, ctx)
     rep = steps_fairness(steps, (1, top))
     assert rep.draws > 0
     assert sum(rep.expected_share.values()) == pytest.approx(1.0)
@@ -455,7 +455,7 @@ def test_fairness_matches_reference_on_fixed_weights():
 def test_fairness_matches_reference_on_chain_draws(sim):
     # eligibility and taxes change from block to block
     cfg, ctx, t = sim
-    steps = replay_chain(t.chain, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+    steps = replay_chain(t.chain, ctx)
     records = []
     for i in range(1, len(steps)):
         records.extend(_assignment_draws(steps[i], steps[i - 1]))

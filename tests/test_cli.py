@@ -234,6 +234,27 @@ def test_failed_stdout_write_exits_2(tmp_path, monkeypatch, capsys):
     assert err.count("error: cannot write output: ") == 2 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["run", "import", "tail"])
+def test_closed_stdout_exits_2(tmp_path, capsys, monkeypatch, command):
+    # started with fd 1 closed, Python sets sys.stdout to None: run once
+    # raised AttributeError after simulating, and import and tail printed
+    # nothing and exited 0
+    path = _scenario(tmp_path)
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(encode_chain([]))
+    argv = {"run": ["run", "--config", str(path)],
+            "import": ["import", "--chain", str(empty), "--config", str(path)],
+            "tail": ["tail", "--n", "5", "--p", "1/3", "--m", "1"]}[command]
+
+    def no_run(config):
+        raise AssertionError("simulated with nowhere to write the report")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: cannot write output: standard output is closed\n"
+
+
 def test_zero_balance_report_has_no_genesis_gini(tmp_path):
     # every genesis balance is zero, so the Gini coefficient of genesis is
     # undefined; the refunds of the run make the final one defined

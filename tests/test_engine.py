@@ -14,6 +14,7 @@ from portchain.core import (
     VoteCertificate,
     block_digest,
     build_certificate,
+    duty_ended,
     schedule_for,
     vote_signing_bytes,
 )
@@ -252,7 +253,7 @@ def test_maintainer_record_marks_the_three_serving_schedules(cfg):
     # schedules serving h, h+1 and h+2, each set once, and each record
     # holds its slot's role and its served height's parity
     chain, ctx = run(cfg).chain, build_context(cfg)
-    steps = replay_chain(chain, ctx.genesis_trie, ctx.genesis_assignments, ctx.engine_cfg)
+    steps = replay_chain(chain, ctx)
     assert len(steps) == cfg.run_height + 1
     for h, step in enumerate(steps):
         expected = {}
@@ -871,7 +872,8 @@ def _reference_post_state(node, blk):
     sched = node._branch_schedule(h, parent)
     if pre is None or sched is None:
         return None
-    result = node.executor.validate(blk, parent, pre, sched, node._clear_members(h))
+    result = node.executor.validate(blk, parent, pre, sched,
+                                    duty_ended(node.committed, node.genesis_assignments, h))
     return result.post_trie if result.valid else None
 
 
@@ -927,7 +929,8 @@ def _reference_vote(node, k, level, d):
         and level.locked_parent in (None, blk.header.prev_hash)
         and node._reports_substantiated(blk)
         and node.executor.validate(
-            blk, parent, parent_trie, node._schedule(k), node._clear_members(k)
+            blk, parent, parent_trie, node._schedule(k),
+            duty_ended(node.committed, node.genesis_assignments, k),
         ).valid
     )
     return approve if rule is None else rule(approve)

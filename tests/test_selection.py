@@ -13,20 +13,7 @@ from portchain.selection import (
 )
 from portchain.trie import AccountState, StateTrie, _Leaf, _nibbles
 
-from conftest import addr_of, make_trie
-
-
-def _flat_oracle(trie, h, exclusions, height):
-    """Prefix-sum walk of the accounts in canonical trie order."""
-    entries = list(trie.accounts())  # already in trie order
-    for addr, state in entries:
-        if addr in exclusions or state.blacklist_until > height:
-            continue
-        w = state.tax + 1
-        if h < w:
-            return addr
-        h -= w
-    raise AssertionError("h out of range")
+from conftest import addr_of, flat_oracle, make_trie
 
 
 def test_three_account_mapping():
@@ -92,7 +79,7 @@ def test_descend_matches_flat_oracle_randomized(rnd):
             continue
         h = rnd.randrange(total)
         got = weighted_descend(trie, h, exclusions, height)
-        assert got == _flat_oracle(trie, h, exclusions, height)
+        assert got == flat_oracle(trie.accounts(), h, exclusions, height)
         assert got not in exclusions
         assert trie.get_account(got).blacklist_until <= height
 
