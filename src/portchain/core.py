@@ -16,13 +16,14 @@ approve byte is 0 or 1, so anything decoded re-encodes to the same bytes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .crypto import (
     ADDRESS_SIZE,
     HASH_SIZE,
     ZERO_HASH,
     Address,
+    DeferredSignature,
     Hash,
     digest,
     verify,
@@ -49,13 +50,51 @@ class Transaction:
 
 @dataclass(frozen=True, slots=True)
 class Vote:
+    """A voter's judgement of one block digest.
+
+    A decoded or hand-built vote carries its signature bytes.  A vote cast
+    by `deferred` carries a `DeferredSignature` instead, and its
+    `signature` slot stays empty until first read, which makes and keeps
+    the bytes; in a run the first read is the `block_digest` of a header
+    whose certificate embeds the vote, so a vote no certificate carries is
+    never signed.  `signed_by` judges both kinds alike."""
+
     voter: Address
     target_hash: Hash
     approve: bool
     signature: bytes
+    _signer: DeferredSignature | None = field(default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def deferred(cls, voter: Address, target_hash: Hash, approve: bool,
+                 signer: DeferredSignature) -> Vote:
+        """A vote whose signature signer makes on first read."""
+        vote = object.__new__(cls)
+        for name, value in (("voter", voter), ("target_hash", target_hash),
+                            ("approve", approve), ("_signer", signer)):
+            object.__setattr__(vote, name, value)
+        return vote
+
+    def __getattr__(self, name: str):
+        # called only for an empty slot: the signature of a deferred vote
+        if name != "signature" or self._signer is None:
+            raise AttributeError(name)
+        signature = self._signer.make()
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "_signer", None)
+        return signature
 
     def signing_bytes(self) -> bytes:
         return vote_signing_bytes(self.target_hash, self.approve)
+
+    def signed_by(self, public: bytes) -> bool:
+        """Does the vote's signature verify under public?  A signature not
+        yet made does iff public is the key its signer derives (see the
+        memo note in `crypto`)."""
+        signer = self._signer
+        if signer is not None:
+            return signer.public == public
+        return verify(public, self.signing_bytes(), self.signature)
 
 
 def vote_signing_bytes(target_hash: Hash, approve: bool) -> bytes:
@@ -163,7 +202,7 @@ def verify_certificate(cert: VoteCertificate, voter_set, public_keys) -> bool:
         if not v.approve or v.target_hash != cert.target_hash:
             return False
         pub = public_keys.get(v.voter)
-        if pub is None or not verify(pub, v.signing_bytes(), v.signature):
+        if pub is None or not v.signed_by(pub):
             return False
         seen.add(v.voter)
     return True

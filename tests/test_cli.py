@@ -142,6 +142,24 @@ def _exported(tmp_path, capsys):
     return path, chain_path, data, block
 
 
+def test_import_refuses_a_flipped_vote_signature(tmp_path, capsys):
+    # the run signed every vote of the chain in this process, and its
+    # signature memo is warm; a flipped signature is one it did not make
+    path, chain_path, data, block = _exported(tmp_path, capsys)
+    cert = block.header.prev_certificate
+    vote = cert.votes[0]
+    sig = vote.signature
+    flipped = dataclasses.replace(vote, signature=bytes([sig[0] ^ 1]) + sig[1:])
+    cert = dataclasses.replace(cert, votes=(flipped, *cert.votes[1:]))
+    chain = decode_chain(data)
+    h = block.header.height
+    header = dataclasses.replace(block.header, prev_certificate=cert)
+    chain[h] = dataclasses.replace(block, header=header)
+    chain_path.write_bytes(encode_chain(chain))
+    assert main(["import", "--chain", str(chain_path), "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"invalid chain: height {h}:")
+
+
 def _approve_7(data, block):
     at = data.index(encode_vote(block.header.prev_certificate.votes[0])) + ADDRESS_SIZE + HASH_SIZE
     return data[:at] + b"\x07" + data[at + 1:]

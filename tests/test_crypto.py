@@ -4,6 +4,7 @@ import hashlib
 from portchain import crypto
 from portchain.core import Vote, build_certificate, verify_certificate, vote_signing_bytes
 from portchain.crypto import (
+    DeferredSignature,
     KeyPair,
     address_from_public,
     digest,
@@ -54,6 +55,40 @@ def test_sign_verify_round_trip():
     assert verify(kp.public, b"message", sig)
     assert _verify_natively(kp.public, b"message", sig)
     assert sign(kp, b"message") == sig  # deterministic signatures
+
+
+def test_deferred_signature_is_the_eager_one():
+    kp = keypair_from_seed(b"\x05" * 32)
+    deferred = DeferredSignature(kp, b"message")
+    assert deferred.public == kp.public
+    assert deferred.make() == sign(kp, b"message")
+    # on a pair whose public half is not its secret's, the public key it
+    # is judged by is the one derived from the secret
+    other = keypair_from_seed(b"\x06" * 32)
+    miskeyed = KeyPair(secret=other.secret, public=kp.public)
+    assert DeferredSignature(miskeyed, b"m").public == other.public
+
+
+def test_deferred_vote_is_signed_once_on_first_read(monkeypatch):
+    kp, other = keypair_from_seed(b"\x07" * 32), keypair_from_seed(b"\x08" * 32)
+    addr, target = address_from_public(kp.public), digest(b"target")
+    message = vote_signing_bytes(target, True)
+    eager = Vote(addr, target, True, sign(kp, message))
+    made = []
+    real_sign = crypto.sign
+    monkeypatch.setattr(crypto, "sign", lambda *args: made.append(args) or real_sign(*args))
+    vote = Vote.deferred(addr, target, True, DeferredSignature(kp, message))
+    # judged without signing, as verify judges the eager vote
+    assert vote.signed_by(kp.public) and not vote.signed_by(other.public)
+    assert verify(kp.public, message, eager.signature)
+    assert not verify(other.public, message, eager.signature)
+    assert made == []
+    # the first read signs, and the bytes are the eager ones
+    assert vote.signature == eager.signature and vote == eager and hash(vote) == hash(eager)
+    assert len(made) == 1
+    # later reads and checks use those bytes
+    assert vote.signature == eager.signature and len(made) == 1
+    assert vote.signed_by(kp.public) and not vote.signed_by(other.public)
 
 
 def test_verify_rejects_tampering():

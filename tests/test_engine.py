@@ -4,7 +4,7 @@ import inspect
 
 import pytest
 
-from portchain import engine
+from portchain import crypto, engine, netsim
 from portchain.adversary import ByzantineNode
 from portchain.analysis import replay_chain
 from portchain.core import (
@@ -18,7 +18,7 @@ from portchain.core import (
     schedule_for,
     vote_signing_bytes,
 )
-from portchain.crypto import digest, sign
+from portchain.crypto import DeferredSignature, digest, sign
 from portchain.engine import (
     BlockExecutor,
     Node,
@@ -168,7 +168,7 @@ def _block_one(ctx, timestamp=5, slot=0):
     gdigest = block_digest(ctx.genesis_block.header)
     cert = _certificate(ctx, gdigest, a1.voters)
     return assemble_block(
-        ctx.engine_cfg,
+        BlockExecutor(ctx.engine_cfg),
         ctx.genesis_block,
         cert,
         a1.creators[slot],
@@ -208,7 +208,8 @@ def test_stale_mempool_entries_are_rejected_before_apply(monkeypatch):
 
     def assemble(cfg):
         return assemble_block(
-            cfg, ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (), pre_trie, mempool=mempool,
+            BlockExecutor(cfg), ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (), pre_trie,
+            mempool=mempool,
         )
 
     built = assemble(ctx.engine_cfg)
@@ -386,8 +387,8 @@ def test_fraud_reports_follow_the_ledger_rule():
                            height_of_offense=offense)
 
     def assemble(reports, pre_trie=ctx.genesis_trie, txs=None):
-        return assemble_block(ctx.engine_cfg, ctx.genesis_block, cert, creator, 0, 5, a1, (),
-                              pre_trie, txs=txs, mempool={}, reports=reports)
+        return assemble_block(BlockExecutor(ctx.engine_cfg), ctx.genesis_block, cert, creator, 0, 5,
+                              a1, (), pre_trie, txs=txs, mempool={}, reports=reports)
 
     # the accused already serves a term that began at height 1
     state = ctx.genesis_trie.get_account(accused)
@@ -470,7 +471,7 @@ def test_rejected_transaction_leaves_no_write():
 
     def assemble(mempool):
         return assemble_block(
-            ctx.engine_cfg, ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (),
+            BlockExecutor(ctx.engine_cfg), ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (),
             ctx.genesis_trie, mempool=mempool,
         )
 
@@ -599,19 +600,28 @@ def test_forged_votes_count_as_bad_messages():
     key_of = dict(zip(ctx.addresses, ctx.keys))
     message = vote_signing_bytes(target, True)
     sig = sign(key_of[voter], message)
+    miskeyed = dataclasses.replace(key_of[other], public=key_of[voter].public)
     forged = [
-        sign(key_of[other], message),  # another voter's key
-        bytes([sig[0] ^ 1]) + sig[1:],  # tampered
-        sign(key_of[voter], vote_signing_bytes(target, False)),  # other message
-        # the voter's public half on another secret
-        sign(dataclasses.replace(key_of[other], public=key_of[voter].public), message),
+        Vote(voter, target, True, signature) for signature in [
+            sign(key_of[other], message),  # another voter's key
+            bytes([sig[0] ^ 1]) + sig[1:],  # tampered
+            sign(key_of[voter], vote_signing_bytes(target, False)),  # other message
+            sign(miskeyed, message),  # the voter's public half on another secret
+        ]
+    ] + [
+        # the same two keys on votes cast by a node, judged before signing
+        Vote.deferred(voter, target, True, DeferredSignature(key, message))
+        for key in (key_of[other], miskeyed)
     ]
-    for i, signature in enumerate(forged, 1):
-        node.handle("vote", Vote(voter, target, True, signature), i)
+    for i, vote in enumerate(forged, 1):
+        node.handle("vote", vote, i)
         assert node.counters["bad_messages"] == i
     assert target not in node.tallies
     node.handle("vote", Vote(voter, target, True, sig), 9)
-    assert node.counters["bad_messages"] == len(forged) and voter in node.tallies[target].votes
+    honest = DeferredSignature(key_of[other], message)
+    node.handle("vote", Vote.deferred(other, target, True, honest), 10)
+    assert node.counters["bad_messages"] == len(forged)
+    assert set(node.tallies[target].votes) == {voter, other}
 
 
 def test_voter_disapproves_a_child_of_an_invalid_parent():
@@ -626,8 +636,8 @@ def test_voter_disapproves_a_child_of_an_invalid_parent():
         pd = block_digest(parent.header)
         # a height-2 child assembled on the parent's claimed post-state
         child = assemble_block(
-            ctx.engine_cfg, parent, _certificate(ctx, pd, a2.voters), a2.creators[0], 0, 6,
-            a2, a1.members(), built.post_trie, txs=(),
+            BlockExecutor(ctx.engine_cfg), parent, _certificate(ctx, pd, a2.voters), a2.creators[0],
+            0, 6, a2, a1.members(), built.post_trie, txs=(),
         ).block
         # candidates at height 2 are judged by the voters the parent records
         i = ctx.addresses.index(parent.assignment.voters[0])
@@ -820,8 +830,8 @@ def test_equivocation_twin_copies_the_proposal(monkeypatch):
     assert calls == [1]
     assert block.transactions == (tx,) and len(block.fraud_reports) == 1
     reference = assemble_block(
-        ctx.engine_cfg, ctx.genesis_block, block.header.prev_certificate, a1.creators[0], 0,
-        block.header.timestamp + 1, a1, (), ctx.genesis_trie,
+        BlockExecutor(ctx.engine_cfg), ctx.genesis_block, block.header.prev_certificate,
+        a1.creators[0], 0, block.header.timestamp + 1, a1, (), ctx.genesis_trie,
         txs=block.transactions, reports=block.fraud_reports,
     ).block
     assert twin == reference
@@ -987,19 +997,114 @@ def test_propose_and_halt_actions_are_data(monkeypatch):
     ]
 
 
+def _spy_select(monkeypatch):
+    """Heights of all select_assignment calls by the engine, from now on."""
+    heights = []
+    real = engine.select_assignment
+
+    def spy(trie, prev_digest, schedule, height, **kwargs):
+        heights.append(height)
+        return real(trie, prev_digest, schedule, height, **kwargs)
+
+    monkeypatch.setattr(engine, "select_assignment", spy)
+    return heights
+
+
 def test_forged_assignment_is_validated_independently(monkeypatch):
     ctx = _context()
     node, actions = _creator_at_height_one(ctx, kind="forge_assignment")
     [forged] = _broadcast_blocks(actions)
     honest = _block_one(ctx, timestamp=forged.header.timestamp).block
     assert forged.assignment != honest.assignment
-    calls = _spy_assemble(monkeypatch)
+    calls, selected = _spy_assemble(monkeypatch), _spy_select(monkeypatch)
     result = node.executor.validate(forged, ctx.genesis_block, ctx.genesis_trie,
                                     ctx.genesis_assignments[1], ())
     # the creator's honest assembly was not recorded for the forgery: the
-    # executor re-derives the block and names the forged schedule
-    assert calls == [1]
+    # executor re-derives the block and names the forged schedule, though
+    # the honest body it compares with comes from the executor's memo
+    assert calls == [1] and selected == []
     assert not result.valid and result.reason == "assignment mismatch"
+
+
+def test_sibling_bodies_are_settled_once(monkeypatch):
+    ctx = _context()
+    a1 = ctx.genesis_assignments[1]
+    cert = _certificate(ctx, block_digest(ctx.genesis_block.header), a1.voters)
+    executor = BlockExecutor(ctx.engine_cfg)
+    selected = _spy_select(monkeypatch)
+
+    def sibling(slot, ex=executor):
+        return assemble_block(ex, ctx.genesis_block, cert, a1.creators[slot], slot, 5, a1, (),
+                              ctx.genesis_trie, txs=())
+
+    first, second = sibling(0), sibling(1)
+    # the second creator lands the same writes on the same pre-state and
+    # parent, and finds the post-state and assignment made
+    assert selected == [1]
+    assert second.post_trie is first.post_trie
+    assert second.block.assignment == first.block.assignment
+    # its block is the one an executor of its own makes
+    assert second.block == sibling(1, BlockExecutor(ctx.engine_cfg)).block
+    assert selected == [1, 1]
+    # the memo forgets its heights with the others
+    executor.forget_below(2)
+    assert sibling(1).block == second.block
+    assert selected == [1, 1, 1]
+
+
+def test_replay_settles_every_block_afresh(monkeypatch):
+    cfg = SimConfig(seed=3, node_count=16, run_height=12, tx_interval=3)
+    t = run(cfg)
+    selected = _spy_select(monkeypatch)
+    replay_chain(t.chain, build_context(cfg))
+    # the run's memo lives in the run's executor: the audit draws again
+    assert selected == list(range(1, len(t.chain)))
+
+
+def test_a_vote_is_signed_only_when_a_certificate_carries_it(monkeypatch):
+    made = []
+    real_sign = crypto.sign
+
+    def spy(key, message):
+        made.append(message)
+        return real_sign(key, message)
+
+    monkeypatch.setattr(crypto, "sign", spy)
+    monkeypatch.setattr(netsim, "sign", spy)
+    proposed, cast = [], []
+    real_proposals, real_cast = Node._proposals, Node._cast_vote
+
+    def proposals(self, block, pre_trie):
+        blocks = real_proposals(self, block, pre_trie)
+        proposed.extend(blocks)
+        return blocks
+
+    def cast_vote(self, voter_schedule, target, *args):
+        cast.append(target)
+        real_cast(self, voter_schedule, target, *args)
+
+    monkeypatch.setattr(Node, "_proposals", proposals)
+    monkeypatch.setattr(Node, "_cast_vote", cast_vote)
+    t = run(SimConfig(seed=3, node_count=16, run_height=12, tx_interval=3))
+    carried = {(v.voter, v.target_hash)
+               for blk in proposed for v in blk.header.prev_certificate.votes}
+    # every transfer is signed, and of the votes only those a proposal carries
+    assert not t.stalled and t.counters["txs_injected"] > 0
+    assert len(made) == len(carried) + t.counters["txs_injected"]
+    assert len(carried) < len(cast)
+
+
+def test_a_held_block_runs_only_a_pass_already_due(monkeypatch):
+    ctx = _context()
+    node, actions = _creator_at_height_one(ctx)
+    [blk] = _broadcast_blocks(actions)
+    passes = _spy_passes(monkeypatch, node)
+    tick = 2 + ctx.engine_cfg.proposal_delay
+    # the proposal left a pass due, and the echo of its block runs it
+    node.handle("block", blk, tick)
+    assert passes == [tick]
+    # a second echo finds nothing due, and is answered with no action
+    assert node.handle("block", blk, tick + 1) == [] and passes == [tick]
 
 
 def test_record_runs_the_validation_header_checks():
