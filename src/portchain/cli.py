@@ -6,11 +6,11 @@ Subcommands:
   tail    print exact quorum-failure tail probabilities
 
 A scenario file is a JSON object with a required "config" and optional
-"checks", "fairness_window" and "allow_stall".  The config's keys and
+"checks" and "allow_stall".  The config's keys, the seed among them, and
 JSON types are the fields of SimConfig, and each adversary's those of
 AdversarySpec (check_scenario); value ranges are SimConfig.validate's.
 
-Reports are a pure function of (scenario file, seed): line-oriented
+Reports are a pure function of the scenario file: line-oriented
 key=value pairs followed by a JSON summary block.  Exit codes: 0 all
 enabled checks pass, 1 a check failed or the run stalled when stalling
 is not allowed, 2 unusable input (a missing, non-UTF-8 or too deeply
@@ -72,8 +72,7 @@ class ScenarioError(ValueError):
 # bool is a subclass of int, so true and false pass only where bool is named
 _JSON_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool,
                "dict": dict, "list": list, "tuple": list}
-_SCENARIO_FIELDS = {"config": "dict", "checks": "list", "fairness_window": "list",
-                    "allow_stall": "bool"}
+_SCENARIO_FIELDS = {"config": "dict", "checks": "list", "allow_stall": "bool"}
 _CONFIG_FIELDS = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 _ADVERSARY_FIELDS = {f.name: f.type for f in dataclasses.fields(AdversarySpec)}
 _ADVERSARY_REQUIRED = [f.name for f in dataclasses.fields(AdversarySpec)
@@ -127,9 +126,6 @@ def check_scenario(doc) -> None:
     for check in doc.get("checks", []):
         if check not in KNOWN_CHECKS:
             raise _violation(f"checks: {check!r} is not a check")
-    window = doc.get("fairness_window", [0, 0])
-    if len(window) != 2 or not all(_is_json_type(x, "int") for x in window):
-        raise _violation(f"fairness_window {window!r} is not two integers")
 
 
 def load_scenario(path: str) -> dict:
@@ -152,20 +148,18 @@ def load_scenario(path: str) -> dict:
     return doc
 
 
-def scenario_config(doc: dict, seed_override: int | None = None) -> SimConfig:
+def scenario_config(doc: dict) -> SimConfig:
     fields = dict(doc["config"])
     advs = tuple(AdversarySpec(**a) for a in fields.pop("adversaries", []))
-    if seed_override is not None:
-        fields["seed"] = seed_override
     cfg = SimConfig(adversaries=advs, **fields)
     cfg.validate()
     return cfg
 
 
-def run_scenario(doc: dict, seed_override: int | None = None, chain_file=None):
+def run_scenario(doc: dict, chain_file=None):
     """Execute one scenario.  Returns (report_text, exit_code), and writes
     the committed chain to chain_file, a binary file, if one is given."""
-    config = scenario_config(doc, seed_override)
+    config = scenario_config(doc)
     enabled = doc.get("checks", DEFAULT_CHECKS)
     allow_stall = bool(doc.get("allow_stall", False))
 
@@ -214,11 +208,10 @@ def run_scenario(doc: dict, seed_override: int | None = None, chain_file=None):
             record("check_conservation", f"fail:{replay_error}")
         results["conservation"] = ok
     if "fairness" in enabled:
-        window = tuple(doc.get("fairness_window", (1, max(head - 2, 1))))
         try:
             if replay_error is not None:
                 raise replay_error
-            fr = analysis.steps_fairness(steps, window)
+            fr = analysis.steps_fairness(steps, (1, max(head - 2, 1)))
             critical = chi_square_critical(fr.degrees_of_freedom)
             ok = fr.chi_square < critical
             record("fairness_chi_square", f"{fr.chi_square:.6f}")
@@ -272,11 +265,10 @@ def import_chain(chain_path: str, doc: dict):
         chain = decode_chain(data)
     except ValueError as exc:
         raise analysis.ChainInvalid(-1, f"undecodable chain file: {exc}")
-    if not chain:
-        return [], "empty chain: trivially valid"
     context = build_context(config)
     expected_genesis = block_digest(context.genesis_block.header)
-    if block_digest(chain[0].header) != expected_genesis:
+    # a file with no blocks has no genesis either
+    if not chain or block_digest(chain[0].header) != expected_genesis:
         raise analysis.ChainInvalid(0, "genesis does not match the scenario config")
     analysis.replay_chain(chain, context)
     head = chain[-1].header.height
@@ -303,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a scenario and report")
     p_run.add_argument("--config", required=True, help="scenario JSON file")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     p_run.add_argument("--out", default=None, help="directory for report.txt")
     p_run.add_argument("--export-chain", default=None, help="write the committed chain here")
 
@@ -330,7 +321,7 @@ def main(argv=None) -> int:
             # a bad config exits 2 before any output is touched, and every
             # output is opened before the simulation, so a path that cannot
             # be written exits 2 at once, with nothing on stdout
-            scenario_config(doc, args.seed)
+            scenario_config(doc)
             with contextlib.ExitStack() as outputs:
                 report_file = chain_file = None
                 if args.out is not None:
@@ -338,7 +329,7 @@ def main(argv=None) -> int:
                     report_file = outputs.enter_context(open(Path(args.out) / "report.txt", "w"))
                 if args.export_chain is not None:
                     chain_file = outputs.enter_context(open(args.export_chain, "wb"))
-                report, code = run_scenario(doc, args.seed, chain_file)
+                report, code = run_scenario(doc, chain_file)
                 if report_file is not None:
                     report_file.write(report)
             sys.stdout.write(report)

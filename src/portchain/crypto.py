@@ -32,14 +32,22 @@ def digest(data: bytes) -> Hash:
 
 @dataclass(frozen=True, slots=True)
 class KeyPair:
-    secret: bytes  # 32-byte Ed25519 seed
-    public: bytes  # 32-byte Ed25519 public key
+    """An Ed25519 key pair, held as its 32-byte secret seed alone: the
+    public key is derived from it, so the two halves always agree."""
+
+    secret: bytes
+
+    @property
+    def public(self) -> bytes:
+        """The 32-byte Ed25519 public key, from the memo `sign` reads."""
+        return _private_key(self.secret)[1]
 
 
 def keypair_from_seed(seed: bytes) -> KeyPair:
-    """Derive a deterministic Ed25519 key pair from a 32-byte seed.  The
-    key is loaded once, into the memo that `sign` reads."""
-    return KeyPair(secret=seed, public=_private_key(seed)[1])
+    """The deterministic Ed25519 key pair of a 32-byte seed.  The key is
+    loaded once, into the memo that `sign` and `KeyPair.public` read."""
+    _private_key(seed)
+    return KeyPair(secret=seed)
 
 
 def address_from_public(public: bytes) -> Address:
@@ -78,7 +86,7 @@ class DeferredSignature:
     __slots__ = ("public", "make")
 
     def __init__(self, key: KeyPair, message: bytes):
-        self.public = _private_key(key.secret)[1]
+        self.public = key.public
         self.make = lambda: sign(key, message)
 
 
@@ -93,9 +101,7 @@ class DeferredSignature:
 #   since the derived public key is canonically encoded and the
 #   signature's S is reduced below the group order;
 # - the entry is keyed by the public key derived from the secret that
-#   signed, never by `KeyPair.public`: a pair whose public half does not
-#   match its secret seeds no entry under that wrong key, and a verify
-#   against it still goes to OpenSSL and fails;
+#   signed, which is the only public key a `KeyPair` has;
 # - every signature this process did not make is still verified natively
 #   the first time it is seen: forged, tampered or mis-keyed votes and
 #   transactions, and every signature in a chain file that another process

@@ -73,9 +73,28 @@ def test_run_report_is_reproducible(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["run", "--config", str(path)])
     assert capsys.readouterr().out == first
-    # a seed override changes the transcript
-    main(["run", "--config", str(path), "--seed", "7"])
+    # another seed in the file gives another report
+    main(["run", "--config", str(_scenario(tmp_path, "other.json", config={"seed": 7}))])
     assert capsys.readouterr().out != first
+
+
+def test_readme_workflow_reruns_from_the_file_alone(tmp_path, capsys, monkeypatch):
+    # README's commands, with the seed in the scenario file
+    path = _scenario(tmp_path, config={"seed": 7})
+    out_dir, chain_path = tmp_path / "report_dir", tmp_path / "chain.bin"
+    assert main(["run", "--config", str(path), "--out", str(out_dir),
+                 "--export-chain", str(chain_path)]) == 0
+    report = capsys.readouterr().out
+    assert (out_dir / "report.txt").read_text() == report
+    assert main(["import", "--chain", str(chain_path), "--config", str(path)]) == 0
+    head = len(decode_chain(chain_path.read_bytes())) - 1
+    assert f"committed_head={head}\n" in report
+    assert capsys.readouterr().out == f"verified {head + 1} blocks up to height {head}\n"
+    # the seed has no second source: argparse refuses --seed before any simulation
+    monkeypatch.setattr(cli, "run_scenario", lambda *a: pytest.fail("simulated"))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(path), "--seed", "7"])
+    assert exit_info.value.code == 2
 
 
 def test_run_writes_report_file(tmp_path, capsys):
@@ -125,9 +144,11 @@ def test_import_undecodable_and_empty(tmp_path, capsys):
     garbage.write_bytes(b"\xff" * 40)
     assert main(["import", "--chain", str(garbage), "--config", str(path)]) == 1
     assert "undecodable" in capsys.readouterr().err
+    # a file with no blocks has no genesis, so the genesis check refuses it
     empty = tmp_path / "empty.bin"
     empty.write_bytes(encode_chain([]))
-    assert main(["import", "--chain", str(empty), "--config", str(path)]) == 0
+    assert main(["import", "--chain", str(empty), "--config", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("invalid chain: height 0: ")
     assert main(["import", "--chain", str(tmp_path / "missing.bin"),
                  "--config", str(path)]) == 2
 
@@ -561,16 +582,17 @@ _OLD_SCENARIO_SCHEMA = {
 
 
 def _tightened(doc) -> bool:
-    """True if a document the old schema accepts has one of the two
-    values check_scenario rejects on purpose: an integral float such as
-    16.0 where an integer belongs (the old "integer" type took it), or a
-    NaN drop_probability (which passed the old range and then failed
-    SimConfig.validate)."""
+    """True if a document the old schema accepts has one of the values
+    check_scenario rejects on purpose: an integral float such as 16.0
+    where an integer belongs (the old "integer" type took it), a NaN
+    drop_probability (which passed the old range and then failed
+    SimConfig.validate), or a "fairness_window" key (the window is now
+    fixed, so the key is unknown)."""
     config = doc["config"]
     ints = [v for k, v in config.items() if k not in ("drop_probability", "adversaries")]
     ints += [v for adv in config.get("adversaries", []) for k, v in adv.items() if k != "kind"]
-    ints += doc.get("fairness_window", [])
-    return any(isinstance(v, float) for v in ints) or math.isnan(config.get("drop_probability", 0))
+    return (any(isinstance(v, float) for v in ints) or math.isnan(config.get("drop_probability", 0))
+            or "fairness_window" in doc)
 
 
 _junk = st.recursive(

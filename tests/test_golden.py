@@ -150,7 +150,8 @@ def test_readme_scenario_report_pinned():
                    "split between two siblings and no lock is ever released (ROADMAP item 1)")
 @pytest.mark.parametrize("seed", [146968, 313267])
 def test_readme_scenario_is_live_on_lock_split_seeds(seed):
-    report, _ = run_scenario(README_SCENARIO, seed_override=seed)
+    config = {**README_SCENARIO["config"], "seed": seed}
+    report, _ = run_scenario({**README_SCENARIO, "config": config})
     assert "check_liveness=pass" in report
 
 
