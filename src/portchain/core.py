@@ -25,6 +25,7 @@ from .crypto import (
     Address,
     DeferredSignature,
     Hash,
+    KeyPair,
     digest,
     verify,
 )
@@ -53,11 +54,12 @@ class Vote:
     """A voter's judgement of one block digest.
 
     A decoded or hand-built vote carries its signature bytes.  A vote cast
-    by `deferred` carries a `DeferredSignature` instead, and its
-    `signature` slot stays empty until first read, which makes and keeps
-    the bytes; in a run the first read is the `block_digest` of a header
-    whose certificate embeds the vote, so a vote no certificate carries is
-    never signed.  `signed_by` judges both kinds alike."""
+    by `deferred` carries a `DeferredSignature` over its own signing bytes
+    instead, and no key; its `signature` slot stays empty until first
+    read, which makes and keeps the bytes.  In a run the first read is the
+    `block_digest` of a header whose certificate embeds the vote, so a vote
+    no certificate carries is never signed.  `signed_by` judges both kinds
+    alike."""
 
     voter: Address
     target_hash: Hash
@@ -66,10 +68,11 @@ class Vote:
     _signer: DeferredSignature | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def deferred(cls, voter: Address, target_hash: Hash, approve: bool,
-                 signer: DeferredSignature) -> Vote:
-        """A vote whose signature signer makes on first read."""
+    def deferred(cls, voter: Address, target_hash: Hash, approve: bool, keys: KeyPair) -> Vote:
+        """A vote by voter, signed under keys on the first read of its
+        signature; it keeps a `DeferredSignature`, not the keys."""
         vote = object.__new__(cls)
+        signer = DeferredSignature(keys, vote_signing_bytes(target_hash, approve))
         for name, value in (("voter", voter), ("target_hash", target_hash),
                             ("approve", approve), ("_signer", signer)):
             object.__setattr__(vote, name, value)
@@ -176,7 +179,8 @@ def duty_ended(chain, genesis_assignments: dict, h: int) -> tuple[Address, ...]:
 
 
 def build_certificate(votes) -> VoteCertificate:
-    """Aggregate distinct approval votes over one target into a certificate."""
+    """Aggregate distinct approval votes over one target into a
+    certificate, its votes ordered by voter address."""
     votes = sorted(votes, key=lambda v: v.voter)
     if not votes:
         raise CertificateError("empty vote set")

@@ -47,7 +47,7 @@ from .core import (
     schedule_for,
     verify_certificate,
 )
-from .crypto import Address, DeferredSignature, Hash, KeyPair, address_from_public, digest
+from .crypto import Address, Hash, KeyPair, address_from_public, digest
 # bound here for the aliases that perfbench's tracer wraps; the engine
 # itself signs and verifies through `Vote`
 from .crypto import sign, verify  # noqa: F401
@@ -65,9 +65,7 @@ from .trie import EMPTY_ACCOUNT, StateTrie, WriteSet, maintainer_bits
 
 
 class BlockInvalid(ValueError):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """A block body breaks a rule; the message names it."""
 
 
 def quorum_threshold(n: int) -> int:
@@ -199,7 +197,7 @@ def assemble_block(
             try:
                 apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
             except TxRejected as exc:
-                rejected.append((tx, exc.reason))
+                rejected.append((tx, str(exc)))
                 continue
             chosen.append(tx)
         txs = tuple(chosen)
@@ -210,7 +208,7 @@ def assemble_block(
             try:
                 apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
             except TxRejected as exc:
-                raise BlockInvalid(f"invalid transaction: {exc.reason}")
+                raise BlockInvalid(f"invalid transaction: {exc}")
 
     kept = []
     for report in reports:
@@ -374,18 +372,16 @@ class BlockExecutor:
 
         The creator's assembly is the computation `validate` would repeat
         on the same inputs, so after the same header checks its post-state
-        is the validation result.  Only for blocks broadcast unaltered.
+        is the validation result.  Only for blocks broadcast unaltered:
+        a creator records its block before it broadcasts it, so the memo
+        does not yet hold that digest.
         """
-        d = block_digest(built.block.header)
-        result = self._memo_hit(d, built.block)
-        if result is not None:
-            return result
         reason = self._header_fault(built.block.header, prev_block, schedule)
         if reason:
             result = ExecResult(False, reason, None)
         else:
             result = ExecResult(True, "", built.post_trie, built.issued)
-        self._remember(d, built.block, result)
+        self._remember(block_digest(built.block.header), built.block, result)
         return result
 
     def certifies_parent(self, hdr: BlockHeader, voters: tuple) -> bool:
@@ -824,14 +820,13 @@ class Node:
         """Decision point: cast this node's judgement of target under
         voter_schedule.  An approval locks the level's parent (the genesis
         vote has no level); the vote is tallied here and sent to the
-        schedule's members, the next height's maintainers.  It is signed
-        only when first read, in practice when a certificate carrying it
-        is digested (`Vote.deferred`), so about half of all votes, which no
-        certificate carries, are never signed."""
+        schedule's members, the next height's maintainers.  `Vote.deferred`
+        signs it under this node's keys only when first read, in practice
+        when a certificate carrying it is digested, so about half of all
+        votes, which no certificate carries, are never signed."""
         if approve and level is not None and level.locked_parent is None:
             level.locked_parent = level.blocks[target].header.prev_hash
-        vote = Vote.deferred(self.addr, target, approve,
-                             DeferredSignature(self.keys, core.vote_signing_bytes(target, approve)))
+        vote = Vote.deferred(self.addr, target, approve, self.keys)
         self._add_vote(vote)
         actions.append(("multicast", voter_schedule.members(), ("vote", vote)))
 
@@ -919,9 +914,8 @@ class Node:
         prev_digest = block_digest(resolved.header)
         voters = set(sched.voters)
         approvals = self.tallies[prev_digest].votes
-        votes = [approvals[a] for a in sorted(approvals) if a in voters]
         try:
-            cert = build_certificate(votes)
+            cert = build_certificate([v for a, v in approvals.items() if a in voters])
         except core.CertificateError:
             return
         pre_trie = self._post_state_of(resolved)

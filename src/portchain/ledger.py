@@ -28,11 +28,8 @@ from .trie import EMPTY_ACCOUNT, AccountState, WriteSet
 
 
 class TxRejected(ValueError):
-    """Transaction failed a precondition; recorded, never fatal."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+    """Transaction failed a precondition, named by the message; recorded,
+    never fatal."""
 
 
 class LedgerError(ValueError):

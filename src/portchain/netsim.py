@@ -618,26 +618,28 @@ def run(cfg: SimConfig) -> SimTranscript:
                     wakes_delivered += 1
                 else:
                     msgs_delivered += 1
-                for act in nodes[i].handle(kind, payload, tick):
-                    if act[0] == "wake":
-                        push(act[1], i, "wake", None)
-                    elif not route(tick, i, act):  # an event: commit, propose, halt or violation
-                        records.append((tick, i, *act))
-                        if act[0] == "commit":
-                            new_commit = True
-                            faults.committed(tick, act[1])
+                actions = nodes[i].handle(kind, payload, tick)
             elif kind == "crash":
                 faults.crash(payload)
-            elif kind == "recover" and faults.recover(tick, payload):  # node payload is back up
-                for act in nodes[payload].recover(tick):
-                    if act[0] == "wake":
-                        push(act[1], payload, "wake", None)
-                    else:
-                        route(tick, payload, act)
+                continue
             elif kind == "workload":
                 for tx in _workload_txs(cfg, ctx, nonces, payload):
                     route(tick, -1, ("broadcast", ("tx", tx)))
                 push(tick + cfg.tx_interval, -1, "workload", payload + 1)
+                continue
+            elif faults.recover(tick, payload):  # a recover event: node payload is back up
+                i = payload
+                actions = nodes[i].recover(tick)
+            else:
+                continue  # another crash spec still covers node payload
+            for act in actions:
+                if act[0] == "wake":
+                    push(act[1], i, "wake", None)
+                elif not route(tick, i, act):  # an event: commit, propose, halt or violation
+                    records.append((tick, i, *act))
+                    if act[0] == "commit":
+                        new_commit = True
+                        faults.committed(tick, act[1])
         else:
             continue
         break

@@ -10,8 +10,8 @@ proportionality among the remaining candidates is exact and anyone can
 re-run the selection to verify it: every node on an excluded account's
 path records the excluded weight below it, so a slot's descent
 subtracts one number per child.  An account weighs
-`AccountState.weight`, and `eligible_total_weight` is the total left once
-exclusions and active blacklist entries weigh zero.
+`AccountState.weight`, and the eligible total is what the root weighs
+once exclusions and active blacklist entries weigh zero.
 """
 from __future__ import annotations
 
@@ -70,12 +70,6 @@ def _exclusion_sums(trie: StateTrie, exclusions, current_height: int) -> dict:
 
 def _eligible(root, sums: dict) -> int:
     return 0 if root is None else root.weight - sums.get(root, 0)
-
-
-def eligible_total_weight(trie: StateTrie, exclusions, current_height: int) -> int:
-    """Total lottery weight of the accounts neither excluded nor
-    blacklisted at current_height."""
-    return _eligible(trie.root_node, _exclusion_sums(trie, exclusions, current_height))
 
 
 def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _sums=None) -> Address:

@@ -18,7 +18,7 @@ are stored, in canonical order, without sorting them.
 
 Blacklist expiry is lazy: leaves cache the unconditional weight and the
 trie keeps a small side map of blacklisted addresses, subtracted at read
-time against the supplied current height (`selection.eligible_total_weight`).
+time against the supplied current height (`selection.draw_exclusions`).
 This keeps the caches height independent while blacklisted accounts still
 weigh zero.
 """

@@ -26,14 +26,10 @@ from portchain.analysis import (
 from portchain.cli import chi_square_critical
 from portchain.ledger import LedgerConfig
 from portchain.netsim import AdversarySpec, SimConfig, build_context, run
-from portchain.selection import (
-    _exclusion_sums,
-    eligible_total_weight,
-    weighted_descend,
-)
+from portchain.selection import _exclusion_sums, weighted_descend
 from portchain.trie import AccountState, StateTrie
 
-from conftest import addr_of, flat_oracle, replay_check
+from conftest import addr_of, eligible_total_weight, flat_oracle, replay_check
 
 
 def announce(capsys, ok, label, detail=""):

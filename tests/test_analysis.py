@@ -23,10 +23,10 @@ from portchain.analysis import (
 )
 from portchain.core import block_digest
 from portchain.netsim import SimConfig, build_context, run
-from portchain.selection import eligible_total_weight, weighted_descend
+from portchain.selection import weighted_descend
 from portchain.trie import AccountState, StateTrie
 
-from conftest import addr_of
+from conftest import addr_of, eligible_total_weight
 
 
 def _tail_by_enumeration(n, p, m):

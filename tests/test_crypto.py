@@ -82,7 +82,7 @@ def test_deferred_vote_is_signed_once_on_first_read(monkeypatch):
     made = []
     real_sign = crypto.sign
     monkeypatch.setattr(crypto, "sign", lambda *args: made.append(args) or real_sign(*args))
-    vote = Vote.deferred(addr, target, True, DeferredSignature(kp, message))
+    vote = Vote.deferred(addr, target, True, kp)
     # judged without signing, as verify judges the eager vote
     assert vote.signed_by(kp.public) and not vote.signed_by(other.public)
     assert verify(kp.public, message, eager.signature)

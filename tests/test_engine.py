@@ -18,7 +18,7 @@ from portchain.core import (
     schedule_for,
     vote_signing_bytes,
 )
-from portchain.crypto import DeferredSignature, digest, sign
+from portchain.crypto import digest, sign
 from portchain.engine import (
     BlockExecutor,
     Node,
@@ -608,15 +608,14 @@ def test_forged_votes_count_as_bad_messages():
         ]
     ] + [
         # another voter's key on a vote cast by a node, judged before signing
-        Vote.deferred(voter, target, True, DeferredSignature(key_of[other], message))
+        Vote.deferred(voter, target, True, key_of[other])
     ]
     for i, vote in enumerate(forged, 1):
         node.handle("vote", vote, i)
         assert node.counters["bad_messages"] == i
     assert target not in node.tallies
     node.handle("vote", Vote(voter, target, True, sig), 9)
-    honest = DeferredSignature(key_of[other], message)
-    node.handle("vote", Vote.deferred(other, target, True, honest), 10)
+    node.handle("vote", Vote.deferred(other, target, True, key_of[other]), 10)
     assert node.counters["bad_messages"] == len(forged)
     assert set(node.tallies[target].votes) == {voter, other}
 

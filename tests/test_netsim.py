@@ -580,10 +580,9 @@ def test_memo_peak_does_not_grow_with_run_height(monkeypatch):
     assert peaks[240] <= peaks[60] + base.creator_redundancy
 
 
-def test_qualified_digests_leave_with_their_approvals(monkeypatch):
-    # `_is_qualified` is asked only at or above the head, so `_commit`
-    # drops a qualified digest's `Tally` with its approvals: what is left
-    # are the last two committed blocks and the live candidates
+def _kept_nodes(monkeypatch) -> list:
+    """The honest nodes of the next run, in index order, kept for
+    inspection after it returns."""
     nodes = []
 
     class Kept(engine.Node):
@@ -592,6 +591,14 @@ def test_qualified_digests_leave_with_their_approvals(monkeypatch):
             nodes.append(self)
 
     monkeypatch.setattr(netsim, "Node", Kept)
+    return nodes
+
+
+def test_qualified_digests_leave_with_their_approvals(monkeypatch):
+    # `_is_qualified` is asked only at or above the head, so `_commit`
+    # drops a qualified digest's `Tally` with its approvals: what is left
+    # are the last two committed blocks and the live candidates
+    nodes = _kept_nodes(monkeypatch)
     assert not run(dataclasses.replace(_WINDOW_BASE, run_height=60)).stalled
     qualified = [[t for t in node.tallies.values() if t.qualified] for node in nodes]
     assert any(qualified)
@@ -599,6 +606,27 @@ def test_qualified_digests_leave_with_their_approvals(monkeypatch):
         assert node.head == 60
         assert all(t.votes and t.height is not None and t.height >= node.head - 1
                    for t in tallies)
+
+
+@pytest.mark.xfail(strict=True, reason="orphan tallies: a Tally whose block a node never holds "
+                   "above its head is never dropped, and every sync response resends its "
+                   "votes (FOUND in CHANGES.md, ROADMAP item 16)")
+def test_no_tally_outlives_its_block_height(monkeypatch):
+    # node 3 is down from tick 40 to 120; the sync responses it gets when
+    # it comes back carry approvals of blocks it never holds as candidates,
+    # and each such vote opens a Tally with no height.  `_commit` drops
+    # only the digests of the level it commits and of the j-2 block, so at
+    # run end node 3 still holds tallies of blocks proposed at heights 6
+    # and 8, at or below its head
+    nodes = _kept_nodes(monkeypatch)
+    cfg = SimConfig(seed=10, run_height=8, adversaries=(
+        AdversarySpec(kind="crash", node=3, start_tick=40, recover_tick=120),))
+    t = run(cfg)
+    assert not t.stalled and len(nodes) == cfg.node_count
+    proposed = {rec[4]: rec[3] for rec in t.records if rec[2] == "propose"}
+    orphans = [(node.index, proposed[d]) for node in nodes for d, tally in node.tallies.items()
+               if tally.height is None and proposed.get(d, node.head + 1) <= node.head]
+    assert orphans == []
 
 
 def test_no_stall_while_a_recovery_is_pending():

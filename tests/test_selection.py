@@ -6,14 +6,13 @@ import pytest
 from portchain.core import MaintainerAssignment
 from portchain.selection import (
     NoCandidatesError,
-    eligible_total_weight,
     select_assignment,
     selection_number,
     weighted_descend,
 )
 from portchain.trie import AccountState, StateTrie, _Leaf, _nibbles
 
-from conftest import addr_of, flat_oracle, make_trie
+from conftest import addr_of, eligible_total_weight, flat_oracle, make_trie
 
 
 def test_three_account_mapping():

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from portchain.selection import eligible_total_weight
 from portchain.trie import AccountState, StateTrie, WriteSet, _Branch
 
-from conftest import addr_of, make_trie
+from conftest import addr_of, eligible_total_weight, make_trie
 
 
 def test_weight_simple_sum():
