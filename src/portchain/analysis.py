@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import decimal
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Block, block_digest, duty_ended, schedule_for
+from .core import block_digest, duty_ended, schedule_for
 from .crypto import Address
-from .engine import BlockExecutor, quorum_threshold
+from .engine import BlockExecutor, ExecResult, quorum_threshold
 from .selection import draw_exclusions
 from .trie import StateTrie
 
@@ -206,32 +206,26 @@ class ChainInvalid(ValueError):
         self.reason = reason
 
 
-@dataclass
-class ReplayStep:
-    block: Block
-    post_trie: StateTrie
-    issued: int
-    schedule: object  # MaintainerAssignment serving this height
-
-
 def replay_chain(chain, context):
-    """Re-execute a committed chain from the genesis of context (a
+    """Re-execute a committed chain from the genesis block of context (a
     `netsim.SimContext`), verifying every block.
 
-    Checks per height: the creator occupies an assigned slot, the
-    backward link matches, the embedded certificate covers the parent
-    and clears the 2/3 quorum of the scheduled voters, and the block's
-    state root, transaction root, and recorded assignment all equal the
-    independent re-computation.  Raises ChainInvalid at the first
-    offending height, else returns the list of ReplayStep.
+    The chain must start with that genesis block, header and body: the
+    body records the assignment that serves height 2.  Checks per height
+    above it: the creator occupies an assigned slot, the backward link
+    matches, the embedded certificate covers the parent and clears the
+    2/3 quorum of the scheduled voters, and the block's state root,
+    transaction root, and recorded assignment all equal the independent
+    re-computation.  Raises ChainInvalid at the first offending height,
+    else returns one `engine.ExecResult` per height, genesis first.
     """
-    if not chain:
-        return []
-    if chain[0].header.height != 0:
+    if chain and chain[0].header.height != 0:
         raise ChainInvalid(chain[0].header.height, "chain does not start at genesis")
+    # a chain with no blocks has no genesis either
+    if not chain or chain[0] != context.genesis_block:
+        raise ChainInvalid(0, "genesis does not match the scenario config")
     executor = BlockExecutor(context.engine_cfg)
-    trie = context.genesis_trie
-    steps = [ReplayStep(block=chain[0], post_trie=trie, issued=0, schedule=chain[0].assignment)]
+    results = [ExecResult(chain[0], context.genesis_trie)]
     for h in range(1, len(chain)):
         blk = chain[h]
         if blk.header.height != h:
@@ -239,45 +233,47 @@ def replay_chain(chain, context):
         schedule = schedule_for(chain, context.genesis_assignments, h)
         if schedule is None or schedule.block_height != h:
             raise ChainInvalid(h, "no schedule recorded for this height")
-        result = executor.validate(blk, chain[h - 1], trie, schedule,
+        result = executor.validate(blk, chain[h - 1], results[-1].post_trie, schedule,
                                    duty_ended(chain, context.genesis_assignments, h))
         if not result.valid:
             raise ChainInvalid(h, result.reason)
-        trie = result.post_trie
-        steps.append(ReplayStep(block=blk, post_trie=trie, issued=result.issued, schedule=schedule))
-    return steps
+        results.append(result)
+    return results
 
 
-def steps_fairness(steps, window) -> FairnessReport:
+def steps_fairness(steps, genesis_assignments: dict, window) -> FairnessReport:
     """Fairness of the maintainer draws recorded in a replayed chain.
 
-    steps are the ReplaySteps of `replay_chain`, which carry the post-block
-    states the per-draw weights come from; window is an inclusive (first,
-    last) height range of the blocks whose embedded assignments are
-    tallied.
+    steps are the results of `replay_chain`, which carry the post-block
+    states the per-draw weights come from; genesis_assignments are the
+    run's, which with the replayed blocks give each height's serving
+    schedule (`core.schedule_for`); window is an inclusive (first, last)
+    height range of the blocks whose embedded assignments are tallied.
     """
     lo, hi = window
+    blocks = [step.block for step in steps]
     records = []
     for i, step in enumerate(steps):
         h = step.block.header.height
         # genesis carries a hand-built assignment, not a weighted draw
         if h < 1 or not lo <= h <= hi:
             continue
-        records.extend(_assignment_draws(step, steps[i - 1]))
+        serving = schedule_for(blocks, genesis_assignments, h)
+        records.extend(_assignment_draws(step, steps[i - 1], serving))
     if not records:
         raise AnalysisError(f"no selection draws in window {window}")
     return fairness_from_draws(records)
 
 
-def _assignment_draws(step: ReplayStep, prev_step: ReplayStep):
+def _assignment_draws(step: ExecResult, prev_step: ExecResult, serving):
     """Per-slot (weights, chosen) records for the selection a block
     performed: the draw of `select_assignment` on the maintainers serving
-    the height and, as its extra exclusions, the parent block's recorded
-    assignment, with each pick excluded from the later slots."""
+    the height (serving) and, as its extra exclusions, the parent block's
+    recorded assignment, with each pick excluded from the later slots."""
     trie = step.post_trie
     h = step.block.header.height
-    serving, next_members = step.schedule.members(), prev_step.block.assignment.members()
-    excluded = draw_exclusions(trie, serving + next_members, h)
+    next_members = prev_step.block.assignment.members()
+    excluded = draw_exclusions(trie, serving.members() + next_members, h)
     accounts = [(addr, state.weight) for addr, state in trie.accounts()]
     records = []
     for chosen in step.block.assignment.members():
@@ -356,7 +352,7 @@ def conservation_audit(transcript, context) -> dict:
 
 
 def steps_conservation(steps, genesis_trie: StateTrie) -> dict:
-    """conservation_audit over the ReplaySteps of an already replayed chain."""
+    """conservation_audit over the results of an already replayed chain."""
     start = _money_total(genesis_trie)
     issued = sum(s.issued for s in steps)
     end = _money_total(steps[-1].post_trie) if steps else start

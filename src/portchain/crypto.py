@@ -74,7 +74,7 @@ def _private_key(secret: bytes) -> tuple[Ed25519PrivateKey, bytes]:
 def sign(key: KeyPair, message: bytes) -> bytes:
     sk, public = _private_key(key.secret)
     signature = sk.sign(message)
-    _verify_cache[(public, signature, message)] = True
+    _verify_cache.add((public, signature, message))
     return signature
 
 
@@ -90,44 +90,40 @@ class DeferredSignature:
         self.make = lambda: sign(key, message)
 
 
-# Signature checks dominate simulation time, and identical (public,
-# message, signature) triples recur once per receiving node, so results
-# are memoized for the whole process.  `sign` seeds the memo with True for
-# each signature it makes, so a signature made in this process is never
-# verified natively:
-# - the seeded value is the one OpenSSL would return: Ed25519 verification
-#   accepts every signature made by the matching secret (RFC 8032
-#   5.1.6-5.1.7), and none of the verifier's strictness checks refuses it,
-#   since the derived public key is canonically encoded and the
-#   signature's S is reduced below the group order;
-# - the entry is keyed by the public key derived from the secret that
-#   signed, which is the only public key a `KeyPair` has;
-# - every signature this process did not make is still verified natively
-#   the first time it is seen: forged, tampered or mis-keyed votes and
-#   transactions, and every signature in a chain file that another process
-#   wrote, so a standalone `portchain import` verifies the whole file.
+# Signature checks dominate simulation time, and a signature is checked by
+# every node that receives it, so `sign` records each (public, signature,
+# message) triple it makes, for the whole process, and `verify` accepts a
+# recorded triple without a native check.  That is the one rule; every
+# other triple is verified natively each time, and its answer is not kept:
+# - the recorded answer is the one OpenSSL would return: Ed25519
+#   verification accepts every signature made by the matching secret
+#   (RFC 8032 5.1.6-5.1.7), and none of the verifier's strictness checks
+#   refuses it, since the derived public key is canonically encoded and
+#   the signature's S is reduced below the group order;
+# - the triple holds the public key derived from the secret that signed,
+#   which is the only public key a `KeyPair` has;
+# - every signature this process did not make is verified natively:
+#   forged, tampered or mis-keyed votes and transactions, and every
+#   signature in a chain file that another process wrote, so a standalone
+#   `portchain import` verifies the whole file.
 # A `DeferredSignature` not yet made is judged by the same rule, without
 # signing: it verifies under a public key iff that key equals the one
 # derived from its secret, which is the answer `verify` gives once `sign`
-# has seeded the memo.  Ed25519 signing is deterministic (RFC 8032 5.1.6),
-# so the bytes it makes later are those an eager `sign` would have made.
-_verify_cache: dict[tuple, bool] = {}
+# has recorded it.  Ed25519 signing is deterministic (RFC 8032 5.1.6), so
+# the bytes it makes later are those an eager `sign` would have made.
+_verify_cache: set[tuple] = set()
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     """True iff signature is valid; malformed inputs return False."""
-    key = (public, signature, message)
-    cached = _verify_cache.get(key)
-    if cached is not None:
-        return cached
+    if (public, signature, message) in _verify_cache:
+        return True
     try:
         pk = _public_cache.get(public)
         if pk is None:
             pk = Ed25519PublicKey.from_public_bytes(public)
             _public_cache[public] = pk
         pk.verify(signature, message)
-        ok = True
     except (InvalidSignature, ValueError):
-        ok = False
-    _verify_cache[key] = ok
-    return ok
+        return False
+    return True

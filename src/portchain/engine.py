@@ -115,11 +115,21 @@ class EngineConfig:
 
 
 @dataclass
-class BlockResult:
-    block: Block
-    post_trie: StateTrie
-    issued: int
+class ExecResult:
+    """One block's execution.  A valid block comes with its post-state,
+    the issuance it minted and, on the creator path, the transactions
+    left out and why; an invalid one with the reason alone, and no
+    post-state."""
+
+    block: Block | None
+    post_trie: StateTrie | None
+    issued: int = 0
+    reason: str = ""
     rejected: list = field(default_factory=list)
+
+    @property
+    def valid(self) -> bool:
+        return self.post_trie is not None
 
 
 def maintainer_records(trie: StateTrie, assignment: MaintainerAssignment) -> dict:
@@ -148,7 +158,7 @@ def assemble_block(
     txs=None,
     mempool=None,
     reports=(),
-) -> BlockResult:
+) -> ExecResult:
     """Deterministically compute the child of prev_block and its post-state.
 
     The child's height is the parent's plus one and its backward link the
@@ -239,15 +249,7 @@ def assemble_block(
         assignment_digest=core.assignment_digest(assignment),
     )
     block = Block(header=header, transactions=tuple(txs), assignment=assignment, fraud_reports=tuple(kept))
-    return BlockResult(block=block, post_trie=trie, issued=issued, rejected=rejected)
-
-
-@dataclass
-class ExecResult:
-    valid: bool
-    reason: str
-    post_trie: StateTrie | None
-    issued: int = 0
+    return ExecResult(block, trie, issued, rejected=rejected)
 
 
 class BlockExecutor:
@@ -367,7 +369,7 @@ class BlockExecutor:
             body = level[key] = (trie.update(maintainer_records(trie, assignment)), assignment)
         return body
 
-    def record(self, built: BlockResult, prev_block: Block, schedule) -> ExecResult:
+    def record(self, built: ExecResult, prev_block: Block, schedule) -> ExecResult:
         """Memoize a creator's own assembly as its block's validation.
 
         The creator's assembly is the computation `validate` would repeat
@@ -377,10 +379,7 @@ class BlockExecutor:
         does not yet hold that digest.
         """
         reason = self._header_fault(built.block.header, prev_block, schedule)
-        if reason:
-            result = ExecResult(False, reason, None)
-        else:
-            result = ExecResult(True, "", built.post_trie, built.issued)
+        result = ExecResult(None, None, reason=reason) if reason else built
         self._remember(block_digest(built.block.header), built.block, result)
         return result
 
@@ -417,7 +416,7 @@ class BlockExecutor:
         hdr = candidate.header
         reason = self._header_fault(hdr, prev_block, schedule)
         if reason:
-            return ExecResult(False, reason, None)
+            return ExecResult(None, None, reason=reason)
         try:
             built = assemble_block(
                 self,
@@ -433,15 +432,15 @@ class BlockExecutor:
                 reports=candidate.fraud_reports,
             )
         except (BlockInvalid, NoCandidatesError) as exc:
-            return ExecResult(False, str(exc), None)
+            return ExecResult(None, None, reason=str(exc))
         # the header commits to the assignment's digest, so a forged
         # schedule would also fail the header comparison; check it first
         # to name the fault
         if built.block.assignment != candidate.assignment:
-            return ExecResult(False, "assignment mismatch", None)
+            return ExecResult(None, None, reason="assignment mismatch")
         if built.block.header != hdr:
-            return ExecResult(False, "recomputed header mismatch", None)
-        return ExecResult(True, "", built.post_trie, built.issued)
+            return ExecResult(None, None, reason="recomputed header mismatch")
+        return built
 
 
 def equivocation_evidence(height: int, creator: Address, digests) -> Hash:
@@ -633,7 +632,7 @@ class Node:
 
     def _add_candidate(self, blk: Block, tick: int) -> bool:
         h = blk.header.height
-        if h <= self.head or h < 1:
+        if h <= self.head:
             return False
         d = block_digest(blk.header)
         level = self._level(h)
@@ -831,9 +830,7 @@ class Node:
         actions.append(("multicast", voter_schedule.members(), ("vote", vote)))
 
     def _is_qualified(self, d: Hash, voters) -> bool:
-        tally = self.tallies.get(d)
-        if tally is None:
-            return False
+        tally = self.tallies[d]
         if not tally.qualified:
             tally.qualified = sum(1 for a in tally.votes if a in voters) >= self.cfg.quorum
         return tally.qualified

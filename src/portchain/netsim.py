@@ -20,9 +20,9 @@ the same block; its text and events render those records, its digest
 hashes the text and then the chain, and the single-chain audit reads
 the records' full digests.  What
 still grows with the run is its output (the chain and the records) and
-the process-wide memo of `crypto.verify`, one entry per distinct
-signature.  `crypto.sign` records each signature it makes in that memo,
-so a run verifies natively only the signatures it did not make.
+the process-wide memo of `crypto.verify`, one entry per signature that
+`crypto.sign` made; a run verifies natively only the signatures it did
+not make.
 """
 from __future__ import annotations
 

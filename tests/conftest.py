@@ -54,6 +54,19 @@ def adversary_config(kind, node=2):
                      adversaries=(AdversarySpec(kind=kind, node=node),))
 
 
+def criterion_9_config(s):
+    """Scenario s of criterion 9's ten (s in range(10)): varied sizes,
+    latencies and drop rates, with a recovering crash for odd s."""
+    return SimConfig(seed=s, node_count=15 + (s % 4), voter_count=3, creator_redundancy=2,
+                     run_height=15, latency_min=1, latency_max=2 + (s % 2),
+                     drop_probability=(s % 3) * 0.03,
+                     adversaries=(
+                         (AdversarySpec(kind="crash", node=s % 15, start_tick=20,
+                                        recover_tick=120),)
+                         if s % 2 else ()
+                     ))
+
+
 def replay_check(config, transcript) -> bool:
     """Re-run the config and require a byte-identical transcript."""
     again = run(config)

@@ -29,7 +29,13 @@ from portchain.netsim import AdversarySpec, SimConfig, build_context, run
 from portchain.selection import _exclusion_sums, weighted_descend
 from portchain.trie import AccountState, StateTrie
 
-from conftest import addr_of, eligible_total_weight, flat_oracle, replay_check
+from conftest import (
+    addr_of,
+    criterion_9_config,
+    eligible_total_weight,
+    flat_oracle,
+    replay_check,
+)
 
 
 def announce(capsys, ok, label, detail=""):
@@ -288,18 +294,7 @@ def test_criterion_8_byzantine_tail_oracle(capsys):
 
 
 def test_criterion_9_determinism(capsys):
-    scenarios = [
-        SimConfig(seed=s, node_count=15 + (s % 4), voter_count=3, creator_redundancy=2,
-                  run_height=15, latency_min=1, latency_max=2 + (s % 2),
-                  drop_probability=(s % 3) * 0.03,
-                  adversaries=(
-                      (AdversarySpec(kind="crash", node=s % 15, start_tick=20,
-                                     recover_tick=120),)
-                      if s % 2 else ()
-                  ))
-        for s in range(10)
-    ]
-    for cfg in scenarios:
+    for cfg in map(criterion_9_config, range(10)):
         assert replay_check(cfg, run(cfg)), f"seed {cfg.seed} not replayable"
     announce(capsys, True, "criterion 9: byte-identical deterministic replay",
              "10/10 scenarios")

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from portchain import netsim
 from portchain.analysis import (
     AnalysisError,
     ChainInvalid,
@@ -21,7 +22,7 @@ from portchain.analysis import (
     schedule_audit,
     steps_fairness,
 )
-from portchain.core import block_digest
+from portchain.core import block_digest, schedule_for
 from portchain.netsim import SimConfig, build_context, run
 from portchain.selection import weighted_descend
 from portchain.trie import AccountState, StateTrie
@@ -296,6 +297,31 @@ def test_replay_chain_rejects_mutation(sim):
         assert (e.value.height, e.value.reason) == (height, reason)
 
 
+def foreign_genesis_chain(monkeypatch):
+    """(config, the scenario's context, a chain run on a genesis with the
+    scenario's header over a body whose height-2 creators are reversed)."""
+    cfg = SimConfig(seed=3, node_count=18, voter_count=4, run_height=12)
+    ctx = build_context(cfg)
+    genesis = ctx.genesis_block
+    swapped = dataclasses.replace(genesis.assignment, creators=genesis.assignment.creators[::-1])
+    foreign = dataclasses.replace(ctx, genesis_block=dataclasses.replace(genesis, assignment=swapped))
+    with monkeypatch.context() as m:
+        m.setattr(netsim, "build_context", lambda config: foreign)
+        chain = run(cfg).chain
+    assert chain[0].header == genesis.header and chain[0] != genesis
+    return cfg, ctx, chain
+
+
+def test_replay_chain_refuses_a_foreign_genesis_body(monkeypatch):
+    # the body's assignment serves height 2, so the header alone does not
+    # fix where the chain starts
+    _, ctx, chain = foreign_genesis_chain(monkeypatch)
+    assert len(chain) == 13
+    with pytest.raises(ChainInvalid) as e:
+        replay_chain(chain, ctx)
+    assert (e.value.height, e.value.reason) == (0, "genesis does not match the scenario config")
+
+
 def test_single_chain_and_mutation_detection(sim):
     cfg, ctx, t = sim
     ok, violation = assert_single_chain(t)
@@ -394,7 +420,7 @@ def test_selection_fairness_over_chain(sim):
     cfg, ctx, t = sim
     top = t.chain[-1].header.height
     steps = replay_chain(t.chain, ctx)
-    rep = steps_fairness(steps, (1, top))
+    rep = steps_fairness(steps, ctx.genesis_assignments, (1, top))
     assert rep.draws > 0
     assert sum(rep.expected_share.values()) == pytest.approx(1.0)
     assert rep.chi_square < 10 * max(rep.degrees_of_freedom, 1)
@@ -458,7 +484,8 @@ def test_fairness_matches_reference_on_chain_draws(sim):
     steps = replay_chain(t.chain, ctx)
     records = []
     for i in range(1, len(steps)):
-        records.extend(_assignment_draws(steps[i], steps[i - 1]))
+        serving = schedule_for(t.chain, ctx.genesis_assignments, i)
+        records.extend(_assignment_draws(steps[i], steps[i - 1], serving))
     assert len({sum(w.values()) for w, _ in records}) > 1
     _assert_same_as_reference(records)
 

@@ -34,6 +34,7 @@ from portchain.adversary import KINDS
 from portchain.netsim import SimConfig
 
 from conftest import pad_nested_blob
+from test_analysis import foreign_genesis_chain
 from test_golden import README_SCENARIO
 
 
@@ -116,6 +117,17 @@ def test_export_import_round_trip(tmp_path, capsys):
     other = _scenario(tmp_path, "other.json", config={"seed": 7})
     assert main(["import", "--chain", str(chain_path), "--config", str(other)]) == 1
     assert "genesis does not match the scenario config" in capsys.readouterr().err
+
+
+def test_import_refuses_a_foreign_genesis_body(tmp_path, capsys, monkeypatch):
+    cfg, _, chain = foreign_genesis_chain(monkeypatch)
+    path = _scenario(tmp_path, config=dataclasses.asdict(cfg))
+    chain_path = tmp_path / "chain.bin"
+    chain_path.write_bytes(encode_chain(chain))
+    assert main(["import", "--chain", str(chain_path), "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "invalid chain: height 0: genesis does not match the scenario config\n"
+    )
 
 
 def test_import_rejects_corruption(tmp_path, capsys):

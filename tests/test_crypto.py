@@ -61,7 +61,7 @@ def test_sign_verify_round_trip():
     kp = keypair_from_seed(b"\x02" * 32)
     sig = sign(kp, b"message")
     # signing recorded the answer, and it is the one OpenSSL gives
-    assert crypto._verify_cache[(kp.public, sig, b"message")] is True
+    assert (kp.public, sig, b"message") in crypto._verify_cache
     assert verify(kp.public, b"message", sig)
     assert _verify_natively(kp.public, b"message", sig)
     assert sign(kp, b"message") == sig  # deterministic signatures
@@ -106,6 +106,19 @@ def test_verify_rejects_tampering():
                                        (kp.public, b"message", bad)):
         assert not verify(public, message, signature)
         assert not _verify_natively(public, message, signature)
+
+
+def test_native_answers_are_not_stored():
+    # a signature made outside `sign` is verified natively on every call,
+    # and the memo keeps only what `sign` made
+    seed = b"\x0a" * 32
+    public = keypair_from_seed(seed).public
+    sig = Ed25519PrivateKey.from_private_bytes(seed).sign(b"foreign")
+    bad = bytes([sig[0] ^ 1]) + sig[1:]
+    size = len(crypto._verify_cache)
+    assert verify(public, b"foreign", sig) and verify(public, b"foreign", sig)
+    assert not verify(public, b"foreign", bad)
+    assert len(crypto._verify_cache) == size
 
 
 def test_verify_malformed_inputs_return_false():

@@ -18,19 +18,7 @@ import pytest
 from portchain.cli import run_scenario
 from portchain.netsim import AdversarySpec, SimConfig, run
 
-from conftest import adversary_config
-
-
-def _criterion_9_config(s):
-    # the ten scenarios of tests/test_acceptance.py::test_criterion_9_determinism
-    return SimConfig(seed=s, node_count=15 + (s % 4), voter_count=3, creator_redundancy=2,
-                     run_height=15, latency_min=1, latency_max=2 + (s % 2),
-                     drop_probability=(s % 3) * 0.03,
-                     adversaries=(
-                         (AdversarySpec(kind="crash", node=s % 15, start_tick=20,
-                                        recover_tick=120),)
-                         if s % 2 else ()
-                     ))
+from conftest import adversary_config, criterion_9_config
 
 
 def _crash_twice_config(*spans):
@@ -49,16 +37,16 @@ def _mixed_config(*adversaries):
 
 
 GOLDEN = [
-    (_criterion_9_config(0), "27d7b7742389bc76aa9bca34e675f94ebdb46f0d351010c2d754019aa8125742"),
-    (_criterion_9_config(1), "ad8a30e1f5372bc11157707b9f3b0d0e916794e96b08e8efe616f2b6849a0cb1"),
-    (_criterion_9_config(2), "a18c44ada14a79fd854ab824d3996a018c0a69a1da5ce7dc79ba851ec9f1cd38"),
-    (_criterion_9_config(3), "a852a162df90fdd858740b88c642194fda7291884012ece317ea0dde5ec15ff0"),
-    (_criterion_9_config(4), "fcdc9e1ed29532e8ad25d69893492112fbf19263348caa4959b1af447c321374"),
-    (_criterion_9_config(5), "0d1a34d2ba198a97a8cc340318097c4313c3237432caabfa35b2646625b55c6d"),
-    (_criterion_9_config(6), "cb403511daf134ec415ba4b3e7b98af2c3c61b6acef81862c476ba470eb94d89"),
-    (_criterion_9_config(7), "02104f79ccd8d73a1fde5618d1555ecf361079f5d7599e09cf654d2bc42fb30e"),
-    (_criterion_9_config(8), "2d2d04a33e8b547b114c1f8ba73416da013454930a99856355308cbbb5232c54"),
-    (_criterion_9_config(9), "1c5e0e19e9db8be3b6b4950dd3257fd342c8caa623975b7d12a3bb5234d290d5"),
+    (criterion_9_config(0), "27d7b7742389bc76aa9bca34e675f94ebdb46f0d351010c2d754019aa8125742"),
+    (criterion_9_config(1), "ad8a30e1f5372bc11157707b9f3b0d0e916794e96b08e8efe616f2b6849a0cb1"),
+    (criterion_9_config(2), "a18c44ada14a79fd854ab824d3996a018c0a69a1da5ce7dc79ba851ec9f1cd38"),
+    (criterion_9_config(3), "a852a162df90fdd858740b88c642194fda7291884012ece317ea0dde5ec15ff0"),
+    (criterion_9_config(4), "fcdc9e1ed29532e8ad25d69893492112fbf19263348caa4959b1af447c321374"),
+    (criterion_9_config(5), "0d1a34d2ba198a97a8cc340318097c4313c3237432caabfa35b2646625b55c6d"),
+    (criterion_9_config(6), "cb403511daf134ec415ba4b3e7b98af2c3c61b6acef81862c476ba470eb94d89"),
+    (criterion_9_config(7), "02104f79ccd8d73a1fde5618d1555ecf361079f5d7599e09cf654d2bc42fb30e"),
+    (criterion_9_config(8), "2d2d04a33e8b547b114c1f8ba73416da013454930a99856355308cbbb5232c54"),
+    (criterion_9_config(9), "1c5e0e19e9db8be3b6b4950dd3257fd342c8caa623975b7d12a3bb5234d290d5"),
     (adversary_config("equivocate_creator"),
      "2715abdde8b26cebf0d74e9f500e4dec370cbb3d896f1e1b6269e05eb02edd20"),
     (adversary_config("forge_assignment"),
