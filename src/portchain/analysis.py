@@ -5,6 +5,11 @@ Four families of checks live here: exact quorum-failure probabilities
 statistics (Pearson chi-square against per-draw expected shares), wealth
 metrics (Gini), and transcript audits (single-chain, schedule wiring,
 and conservation of balance plus tax under explicit issuance).
+
+A chain replay hands each height's result to the caller's fold and
+keeps only the parent's, so the audits that read post-states (issuance,
+the head's state, the maintainer draws) are folds over one pass, and a
+replay holds one post-state at a time.
 """
 from __future__ import annotations
 
@@ -130,8 +135,9 @@ class FairnessReport:
     draws: int
 
 
-def fairness_from_draws(draw_records) -> FairnessReport:
-    """Pearson chi-square over selection draws.
+class DrawTally:
+    """Pearson chi-square over selection draws, folded one batch of
+    records at a time (`extend`), so no caller holds every draw.
 
     Each record is (weights, chosen): the eligible weight of every
     candidate at that draw (exclusions already applied as zero or
@@ -142,57 +148,82 @@ def fairness_from_draws(draw_records) -> FairnessReport:
     Weights are summed as integers per (draw total, address), and one
     Fraction is built per distinct total: the same exact rationals as
     adding w/total draw by draw.  A run of consecutive records that share
-    one weights object adds w * (run length) once, so a caller must not
-    change a weights dict after passing it in a record.  Addresses keep
-    the order in which they first carry weight, so the float chi-square
-    sums its terms in that order too.
+    one weights object, also across `extend` calls, adds w * (run length)
+    once, so a caller must not change a weights dict after passing it in
+    a record.  Addresses keep the order in which they first carry
+    weight, so the float chi-square sums its terms in that order too.
     """
-    expected: dict[Address, Fraction] = {}
-    sums_by_total: dict[int, dict[Address, int]] = {}
-    observed: dict[Address, int] = {}
-    draws = 0
-    # [weights, count] per run of consecutive records sharing one weights
-    # object, in record order
-    runs: list[list] = []
-    for weights, chosen in draw_records:
-        if runs and runs[-1][0] is weights:
-            runs[-1][1] += 1
-        else:
-            runs.append([weights, 1])
-        observed[chosen] = observed.get(chosen, 0) + 1
-    for weights, count in runs:
+
+    def __init__(self):
+        # chosen address -> times drawn, in the order first drawn
+        self.observed: dict[Address, int] = {}
+        # draw total -> address -> integer weight sum
+        self._sums_by_total: dict[int, dict[Address, int]] = {}
+        # addresses in the order they first carry weight
+        self._carried: dict[Address, None] = {}
+        # the open run: its weights object and its length
+        self._weights = None
+        self._count = 0
+
+    def extend(self, draw_records) -> None:
+        weights, count, observed = self._weights, self._count, self.observed
+        for w, chosen in draw_records:
+            if w is not weights:
+                if count:
+                    self._close_run(weights, count)
+                weights, count = w, 0
+            count += 1
+            observed[chosen] = observed.get(chosen, 0) + 1
+        self._weights, self._count = weights, count
+
+    def _close_run(self, weights: dict, count: int) -> None:
         total = sum(weights.values())
         if total <= 0:
             raise AnalysisError("draw with no eligible weight")
-        sums = sums_by_total.get(total)
+        sums = self._sums_by_total.get(total)
         if sums is None:
-            sums = sums_by_total[total] = {}
+            sums = self._sums_by_total[total] = {}
         for addr, w in weights.items():
             if w:
                 s = sums.get(addr)
                 if s is None:
                     sums[addr] = w * count
-                    expected.setdefault(addr, Fraction(0))
+                    self._carried.setdefault(addr)
                 else:
                     sums[addr] = s + w * count
-        draws += count
-    if draws == 0:
-        raise AnalysisError("no draws in window")
-    for total, sums in sums_by_total.items():
-        for addr, s in sums.items():
-            expected[addr] += Fraction(s, total)
-    chi = 0.0
-    for addr, exp in expected.items():
-        obs = observed.get(addr, 0)
-        chi += (obs - exp) ** 2 / exp
-    share = {addr: exp / draws for addr, exp in expected.items()}
-    return FairnessReport(
-        expected_share=share,
-        observed_count=observed,
-        chi_square=float(chi),
-        degrees_of_freedom=len(expected) - 1,
-        draws=draws,
-    )
+
+    def report(self) -> FairnessReport:
+        if self._count:
+            self._close_run(self._weights, self._count)
+            self._weights, self._count = None, 0
+        draws = sum(self.observed.values())
+        if draws == 0:
+            raise AnalysisError("no draws in window")
+        expected = dict.fromkeys(self._carried, Fraction(0))
+        for total, sums in self._sums_by_total.items():
+            for addr, s in sums.items():
+                expected[addr] += Fraction(s, total)
+        chi = 0.0
+        observed = self.observed
+        for addr, exp in expected.items():
+            obs = observed.get(addr, 0)
+            chi += (obs - exp) ** 2 / exp
+        share = {addr: exp / draws for addr, exp in expected.items()}
+        return FairnessReport(
+            expected_share=share,
+            observed_count=dict(observed),
+            chi_square=float(chi),
+            degrees_of_freedom=len(expected) - 1,
+            draws=draws,
+        )
+
+
+def fairness_from_draws(draw_records) -> FairnessReport:
+    """The `DrawTally` report of draw_records, any iterable of (weights,
+    chosen) records, read once."""
+    tally = DrawTally()
+    tally.extend(draw_records)
+    return tally.report()
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +237,7 @@ class ChainInvalid(ValueError):
         self.reason = reason
 
 
-def replay_chain(chain, context):
+def replay_chain(chain, context, visit=None) -> ExecResult:
     """Re-execute a committed chain from the genesis block of context (a
     `netsim.SimContext`), verifying every block.
 
@@ -216,8 +247,14 @@ def replay_chain(chain, context):
     matches, the embedded certificate covers the parent and clears the
     2/3 quorum of the scheduled voters, and the block's state root,
     transaction root, and recorded assignment all equal the independent
-    re-computation.  Raises ChainInvalid at the first offending height,
-    else returns one `engine.ExecResult` per height, genesis first.
+    re-computation.  Raises ChainInvalid at the first offending height.
+
+    Each height's `engine.ExecResult` goes to visit(step, parent), with
+    its parent's (genesis's first), in height order, and the head's is
+    returned.  The replay keeps the parent's result only, and its
+    executor forgets each height once the next has validated, so the
+    caller's fold decides what outlives a height: memory does not grow
+    with the chain beyond the chain itself.
     """
     if chain and chain[0].header.height != 0:
         raise ChainInvalid(chain[0].header.height, "chain does not start at genesis")
@@ -225,7 +262,7 @@ def replay_chain(chain, context):
     if not chain or chain[0] != context.genesis_block:
         raise ChainInvalid(0, "genesis does not match the scenario config")
     executor = BlockExecutor(context.engine_cfg)
-    results = [ExecResult(chain[0], context.genesis_trie)]
+    parent = ExecResult(chain[0], context.genesis_trie)
     for h in range(1, len(chain)):
         blk = chain[h]
         if blk.header.height != h:
@@ -233,36 +270,46 @@ def replay_chain(chain, context):
         schedule = schedule_for(chain, context.genesis_assignments, h)
         if schedule is None or schedule.block_height != h:
             raise ChainInvalid(h, "no schedule recorded for this height")
-        result = executor.validate(blk, chain[h - 1], results[-1].post_trie, schedule,
+        result = executor.validate(blk, chain[h - 1], parent.post_trie, schedule,
                                    duty_ended(chain, context.genesis_assignments, h))
         if not result.valid:
             raise ChainInvalid(h, result.reason)
-        results.append(result)
-    return results
+        # validating h + 1 reads no memo entry below it
+        executor.forget_below(h)
+        if visit is not None:
+            visit(result, parent)
+        parent = result
+    return parent
 
 
-def steps_fairness(steps, genesis_assignments: dict, window) -> FairnessReport:
-    """Fairness of the maintainer draws recorded in a replayed chain.
+class ChainDraws:
+    """Fairness of the maintainer draws recorded in a replayed chain,
+    folded as `replay_chain` visits its heights: pass the object as visit
+    (or call it from one) and read `report` after the replay.
 
-    steps are the results of `replay_chain`, which carry the post-block
-    states the per-draw weights come from; genesis_assignments are the
-    run's, which with the replayed blocks give each height's serving
-    schedule (`core.schedule_for`); window is an inclusive (first, last)
-    height range of the blocks whose embedded assignments are tallied.
+    genesis_assignments are the run's, which with the chain's blocks give
+    each height's serving schedule (`core.schedule_for`); window is an
+    inclusive (first, last) height range of the blocks whose embedded
+    assignments are tallied.
     """
-    lo, hi = window
-    blocks = [step.block for step in steps]
-    records = []
-    for i, step in enumerate(steps):
+
+    def __init__(self, chain, genesis_assignments: dict, window):
+        self.chain = chain
+        self.genesis_assignments = genesis_assignments
+        self.window = window
+        self.tally = DrawTally()
+
+    def __call__(self, step: ExecResult, parent: ExecResult) -> None:
+        lo, hi = self.window
         h = step.block.header.height
-        # genesis carries a hand-built assignment, not a weighted draw
-        if h < 1 or not lo <= h <= hi:
-            continue
-        serving = schedule_for(blocks, genesis_assignments, h)
-        records.extend(_assignment_draws(step, steps[i - 1], serving))
-    if not records:
-        raise AnalysisError(f"no selection draws in window {window}")
-    return fairness_from_draws(records)
+        if lo <= h <= hi:
+            serving = schedule_for(self.chain, self.genesis_assignments, h)
+            self.tally.extend(_assignment_draws(step, parent, serving))
+
+    def report(self) -> FairnessReport:
+        if not self.tally.observed:
+            raise AnalysisError(f"no selection draws in window {self.window}")
+        return self.tally.report()
 
 
 def _assignment_draws(step: ExecResult, prev_step: ExecResult, serving):
@@ -348,14 +395,21 @@ def conservation_audit(transcript, context) -> dict:
     minted).  Returns the totals and the drift, which is zero iff the
     books balance.
     """
-    return steps_conservation(replay_chain(transcript.chain, context), context.genesis_trie)
+    issued = 0
+
+    def add_issuance(step, parent):
+        nonlocal issued
+        issued += step.issued
+
+    head = replay_chain(transcript.chain, context, add_issuance)
+    return conservation(context.genesis_trie, head.post_trie, issued)
 
 
-def steps_conservation(steps, genesis_trie: StateTrie) -> dict:
-    """conservation_audit over the results of an already replayed chain."""
+def conservation(genesis_trie: StateTrie, head_trie: StateTrie, issued: int) -> dict:
+    """conservation_audit's totals, from the genesis and head states of an
+    already replayed chain and the issuance its blocks logged."""
     start = _money_total(genesis_trie)
-    issued = sum(s.issued for s in steps)
-    end = _money_total(steps[-1].post_trie) if steps else start
+    end = _money_total(head_trie)
     return {
         "total_start": start,
         "total_end": end,

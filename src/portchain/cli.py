@@ -192,16 +192,28 @@ def run_scenario(doc: dict, chain_file=None):
         ok = not violations
         results["schedule"] = ok
         record("check_schedule", "pass" if ok else f"fail:{violations[0]}")
-    # one independent replay serves conservation, fairness and Gini
+    # one independent replay serves conservation, fairness and Gini: each
+    # folds what it needs as the replay passes a height, and the head's
+    # post-state comes back
+    draws = analysis.ChainDraws(transcript.chain, context.genesis_assignments,
+                                (1, max(head - 2, 1)))
+    issued = 0
+
+    def visit(step, parent):
+        nonlocal issued
+        issued += step.issued
+        if "fairness" in enabled:
+            draws(step, parent)
+
     try:
-        steps = analysis.replay_chain(transcript.chain, context)
+        last = analysis.replay_chain(transcript.chain, context, visit)
         replay_error = None
     except analysis.ChainInvalid as exc:
-        steps, replay_error = [], exc
+        last, replay_error = None, exc
 
     if "conservation" in enabled:
         if replay_error is None:
-            audit = analysis.steps_conservation(steps, context.genesis_trie)
+            audit = analysis.conservation(context.genesis_trie, last.post_trie, issued)
             ok = audit["drift"] == 0
             record("check_conservation", "pass" if ok else f"fail:drift={audit['drift']}")
             record("issued", audit["issued"])
@@ -213,7 +225,7 @@ def run_scenario(doc: dict, chain_file=None):
         try:
             if replay_error is not None:
                 raise replay_error
-            fr = analysis.steps_fairness(steps, context.genesis_assignments, (1, max(head - 2, 1)))
+            fr = draws.report()
             critical = chi_square_critical(fr.degrees_of_freedom)
             ok = fr.chi_square < critical
             record("fairness_chi_square", f"{fr.chi_square:.6f}")
@@ -229,8 +241,8 @@ def run_scenario(doc: dict, chain_file=None):
         results["liveness"] = ok
         record("check_liveness", "pass" if ok else f"fail:head={head}")
 
-    if steps:
-        for key, trie in (("gini_genesis", context.genesis_trie), ("gini_final", steps[-1].post_trie)):
+    if last is not None:
+        for key, trie in (("gini_genesis", context.genesis_trie), ("gini_final", last.post_trie)):
             balances = [s.balance for _, s in trie.accounts()]
             # the Gini coefficient has no value when every balance is zero
             record(key, f"{analysis.gini(balances):.6f}" if sum(balances) else "undefined")

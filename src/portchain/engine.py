@@ -261,8 +261,10 @@ class BlockExecutor:
     are shared by every simulated node.  A creator seeds the memo with
     its own assembly through `record`, which runs the same header checks
     as validation, so no node assembles that block a second time.  The
-    replay audit (`analysis.replay_chain`) uses an executor of its own
-    and re-derives every committed block.
+    replay audit (`analysis.replay_chain`) uses an executor of its own,
+    re-derives each committed block once, and forgets each height as
+    soon as the next one has validated, so that executor holds no more
+    than the height it validates and its parent.
 
     The backward-link proof a header carries is memoized the same way,
     per (header digest, voter tuple) in `certifies_parent`: the digest

@@ -32,6 +32,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from . import core
 from .adversary import KINDS, ByzantineNode
@@ -346,6 +347,10 @@ def _info(kind: str, *fields) -> str:
     return "last_commit={}".format(*fields)  # stall
 
 
+# lines of transcript text per hash update in `SimTranscript.digest_hex`
+_DIGEST_CHUNK = 1024
+
+
 @dataclass
 class SimTranscript:
     config_digest: str
@@ -366,10 +371,11 @@ class SimTranscript:
                      for tick, node, kind, *rest in self.records)
 
     def _lines(self):
-        yield f"config={self.config_digest}"
-        yield f"ticks={self.ticks}"
-        yield f"stalled={int(self.stalled)}"
-        yield "heads=" + ",".join(str(h) for h in self.heads)
+        """The text, one newline-terminated line at a time."""
+        yield f"config={self.config_digest}\n"
+        yield f"ticks={self.ticks}\n"
+        yield f"stalled={int(self.stalled)}\n"
+        yield "heads=" + ",".join(str(h) for h in self.heads) + "\n"
         # each record's text is rendered once; a commit's also goes into
         # its node's line
         texts = [_info(kind, *rest) for _, _, kind, *rest in self.records]
@@ -378,18 +384,23 @@ class SimTranscript:
             if kind == "commit":
                 per_node[node].append(text)
         for i, node_texts in enumerate(per_node):
-            yield f"node{i}=" + ";".join(node_texts)
+            yield f"node{i}=" + ";".join(node_texts) + "\n"
         for (tick, node, kind, *_), text in zip(self.records, texts):
-            yield f"{tick} n{node} {kind} {text}"
+            yield f"{tick} n{node} {kind} {text}\n"
         for k in sorted(self.counters):
-            yield f"{k}={self.counters[k]}"
-        yield "chain=" + ",".join(_short(block_digest(b.header)) for b in self.chain)
+            yield f"{k}={self.counters[k]}\n"
+        yield "chain=" + ",".join(_short(block_digest(b.header)) for b in self.chain) + "\n"
 
     def text(self) -> str:
-        return "".join(f"{line}\n" for line in self._lines())
+        return "".join(self._lines())
 
     def digest_hex(self) -> str:
-        h = hashlib.sha256(self.text().encode())
+        # the text reaches the hash _DIGEST_CHUNK lines at a time, never
+        # whole; no line is empty, so an empty chunk ends it
+        h = hashlib.sha256()
+        lines = self._lines()
+        while chunk := "".join(islice(lines, _DIGEST_CHUNK)):
+            h.update(chunk.encode())
         h.update(encode_chain(self.chain))
         return h.hexdigest()
 

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import settings
 
+from portchain.analysis import replay_chain
 from portchain.core import encode_chain
 from portchain.crypto import digest, keypair_from_seed
 
@@ -73,6 +74,20 @@ def replay_check(config, transcript) -> bool:
     return again.text() == transcript.text() and encode_chain(again.chain) == encode_chain(
         transcript.chain
     )
+
+
+def replayed_steps(chain, context) -> list:
+    """Every `engine.ExecResult` of a replay of chain, genesis first; the
+    replay itself keeps only the parent of the height it validates."""
+    steps = []
+
+    def keep(step, parent):
+        if not steps:
+            steps.append(parent)
+        steps.append(step)
+
+    head = replay_chain(chain, context, keep)
+    return steps or [head]
 
 
 def eligible_total_weight(trie, exclusions, current_height) -> int:

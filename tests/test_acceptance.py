@@ -20,7 +20,6 @@ from portchain.analysis import (
     conservation_audit,
     fairness_from_draws,
     render_fraction,
-    replay_chain,
     schedule_audit,
 )
 from portchain.cli import chi_square_critical
@@ -35,6 +34,7 @@ from conftest import (
     eligible_total_weight,
     flat_oracle,
     replay_check,
+    replayed_steps,
 )
 
 
@@ -307,7 +307,7 @@ def test_criterion_10_refund_damping(capsys):
     ctx = build_context(cfg)
     t = run(cfg)
     assert not t.stalled
-    steps = replay_chain(t.chain, ctx)
+    steps = replayed_steps(t.chain, ctx)
     ledger: LedgerConfig = ctx.engine_cfg.ledger
     taxes_paid = {}
     refunds = {}

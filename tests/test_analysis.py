@@ -3,6 +3,8 @@ import dataclasses
 import decimal
 import math
 import random
+import tracemalloc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,9 @@ import pytest
 from portchain import netsim
 from portchain.analysis import (
     AnalysisError,
+    ChainDraws,
     ChainInvalid,
+    DrawTally,
     _assignment_draws,
     assert_single_chain,
     byzantine_tail,
@@ -20,14 +24,13 @@ from portchain.analysis import (
     render_fraction,
     replay_chain,
     schedule_audit,
-    steps_fairness,
 )
 from portchain.core import block_digest, schedule_for
 from portchain.netsim import SimConfig, build_context, run
 from portchain.selection import weighted_descend
 from portchain.trie import AccountState, StateTrie
 
-from conftest import addr_of, eligible_total_weight
+from conftest import addr_of, eligible_total_weight, replayed_steps
 
 
 def _tail_by_enumeration(n, p, m):
@@ -264,7 +267,7 @@ def sim():
 
 def test_replay_chain_accepts_committed_chain(sim):
     cfg, ctx, t = sim
-    steps = replay_chain(t.chain, ctx)
+    steps = replayed_steps(t.chain, ctx)
     assert len(steps) == len(t.chain)
     assert steps[-1].post_trie.root_commitment() == t.chain[-1].header.state_root
 
@@ -295,6 +298,44 @@ def test_replay_chain_rejects_mutation(sim):
         with pytest.raises(ChainInvalid) as e:
             replay_chain(bad, ctx)
         assert (e.value.height, e.value.reason) == (height, reason)
+
+
+def test_replay_keeps_no_result_two_heights_back(sim):
+    # a height's result is still the parent of the next one, and gone
+    # once the replay has validated the height after that
+    cfg, ctx, t = sim
+    refs, gone = [], []
+
+    def visit(step, parent):
+        refs.append(weakref.ref(step))
+        if len(refs) >= 3:
+            gone.append(refs[-3]() is None)
+        if len(refs) >= 2:
+            assert refs[-2]() is parent
+
+    head = replay_chain(t.chain, ctx, visit)
+    assert refs[-1]() is head
+    assert gone == [True] * (len(t.chain) - 3)
+
+
+def test_replay_memory_does_not_grow_with_the_chain():
+    # a 100-height prefix of a 400-height chain against the whole chain:
+    # the replay holds the parent's post-state only, not one per height
+    cfg = SimConfig(seed=1, node_count=16, voter_count=3, run_height=400)
+    chain, ctx = run(cfg).chain, build_context(cfg)
+    replay_chain(chain[:5], ctx)  # first-use allocations outside the measurement
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for heights in (100, 400):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            head = replay_chain(chain[:heights + 1], ctx)
+            peaks[heights] = tracemalloc.get_traced_memory()[1] - base
+            assert head.block.header.height == heights
+    finally:
+        tracemalloc.stop()
+    assert abs(peaks[400] - peaks[100]) < 0.25 * 2**20
 
 
 def foreign_genesis_chain(monkeypatch):
@@ -419,8 +460,9 @@ def test_conservation_audit_balances(sim):
 def test_selection_fairness_over_chain(sim):
     cfg, ctx, t = sim
     top = t.chain[-1].header.height
-    steps = replay_chain(t.chain, ctx)
-    rep = steps_fairness(steps, ctx.genesis_assignments, (1, top))
+    draws = ChainDraws(t.chain, ctx.genesis_assignments, (1, top))
+    replay_chain(t.chain, ctx, draws)
+    rep = draws.report()
     assert rep.draws > 0
     assert sum(rep.expected_share.values()) == pytest.approx(1.0)
     assert rep.chi_square < 10 * max(rep.degrees_of_freedom, 1)
@@ -481,7 +523,7 @@ def test_fairness_matches_reference_on_fixed_weights():
 def test_fairness_matches_reference_on_chain_draws(sim):
     # eligibility and taxes change from block to block
     cfg, ctx, t = sim
-    steps = replay_chain(t.chain, ctx)
+    steps = replayed_steps(t.chain, ctx)
     records = []
     for i in range(1, len(steps)):
         serving = schedule_for(t.chain, ctx.genesis_assignments, i)
@@ -530,3 +572,33 @@ def test_fairness_errors_match_reference():
         with pytest.raises(AnalysisError) as new:
             fairness_from_draws(records)
         assert str(new.value) == str(ref.value)
+
+
+def test_fairness_folds_a_one_shot_generator(sim):
+    # the tally reads its records once, in any batches: a generator, the
+    # equal list, and the chain's draws folded during the replay agree
+    cfg, ctx, t = sim
+    top = t.chain[-1].header.height
+    steps = replayed_steps(t.chain, ctx)
+    chain_records = [
+        record for h in range(1, len(steps))
+        for record in _assignment_draws(steps[h], steps[h - 1],
+                                        schedule_for(t.chain, ctx.genesis_assignments, h))
+    ]
+    rng = random.Random(5)
+    addrs = [addr_of(f"gen{i}") for i in range(20)]
+    weights = {a: rng.randint(1, 9) for a in addrs}
+    shared = [(weights, rng.choice(addrs)) for _ in range(500)]
+    for records in (chain_records, shared):
+        from_list = fairness_from_draws(records)
+        from_generator = fairness_from_draws(record for record in records)
+        assert from_generator == from_list
+        assert repr(from_generator.chi_square) == repr(from_list.chi_square)
+        # a run of one weights object spans two batches
+        tally = DrawTally()
+        tally.extend(records[:7])
+        tally.extend(iter(records[7:]))
+        assert tally.report() == from_list
+    draws = ChainDraws(t.chain, ctx.genesis_assignments, (1, top))
+    replay_chain(t.chain, ctx, draws)
+    assert draws.report() == fairness_from_draws(chain_records)

@@ -33,7 +33,7 @@ from portchain.netsim import AdversarySpec, SimConfig, build_context, run
 from portchain.selection import NoCandidatesError
 from portchain.trie import MAINTAINER_ODD, MAINTAINER_SELECTED, MAINTAINER_VOTER
 
-from conftest import adversary_config, make_keys
+from conftest import adversary_config, make_keys, replayed_steps
 
 
 def test_quorum_threshold_values():
@@ -254,7 +254,7 @@ def test_maintainer_record_marks_the_three_serving_schedules(cfg):
     # schedules serving h, h+1 and h+2, each set once, and each record
     # holds its slot's role and its served height's parity
     chain, ctx = run(cfg).chain, build_context(cfg)
-    steps = replay_chain(chain, ctx)
+    steps = replayed_steps(chain, ctx)
     assert len(steps) == cfg.run_height + 1
     for h, step in enumerate(steps):
         expected = {}

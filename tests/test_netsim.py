@@ -213,13 +213,18 @@ def test_replay_check_round_trip():
     SimConfig(seed=4, node_count=16, run_height=12, drop_probability=0.05,
               adversaries=(AdversarySpec(kind="crash", node=3, start_tick=10, recover_tick=90),)),
 ], ids=["normal", "stalled", "crash"])
-def test_digest_streams_the_text(cfg):
-    # digest_hex hashes the rendered lines one at a time; the digest is the
-    # one of the joined text followed by the encoded chain
+def test_digest_streams_the_text(cfg, monkeypatch):
+    # digest_hex hashes the rendered lines a chunk at a time; the digest is
+    # the one of the joined text followed by the encoded chain, whatever
+    # the chunk size
     t = run(cfg)
     assert t.stalled == (cfg.seed == 12)
     text = t.text()
-    assert hashlib.sha256(text.encode() + encode_chain(t.chain)).hexdigest() == t.digest_hex()
+    digest = hashlib.sha256(text.encode() + encode_chain(t.chain)).hexdigest()
+    assert t.digest_hex() == digest
+    for chunk in (1, 7):
+        monkeypatch.setattr(netsim, "_DIGEST_CHUNK", chunk)
+        assert t.digest_hex() == digest
     assert text.count("\n") == len(text.splitlines()) == 5 + len(t.heads) + len(t.records) + len(t.counters)
 
 
@@ -645,6 +650,19 @@ def test_no_stall_while_a_recovery_is_pending():
     after = min(tick for tick in commit_ticks if tick >= 400)
     # the outage left a gap in the commits longer than the patience
     assert before + cfg.stall_patience < 400 <= after
+
+
+def test_a_queue_that_runs_dry_ends_the_run_stalled():
+    # every node is down for good from tick 0 and no workload is queued:
+    # the wakes run out, and the run ends stalled at the last tick popped
+    cfg = SimConfig(seed=1, node_count=16, voter_count=3, run_height=50, txs_per_interval=0,
+                    adversaries=tuple(AdversarySpec(kind="crash", node=i, start_tick=0)
+                                      for i in range(16)))
+    cfg.validate()
+    t = run(cfg)
+    assert t.stalled
+    assert t.records == ((25, -1, "stall", 0),)
+    assert t.ticks == 25 and t.heads == (0,) * 16 and len(t.chain) == 1
 
 
 def test_nested_crash_keeps_the_node_down_until_the_outer_recovery():

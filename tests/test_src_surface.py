@@ -11,6 +11,9 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "portchain"
 UNREFERENCED = {
     "analysis.conservation_audit": "perfbench/workloads.py gates each op's drift with it "
                                    "(ROADMAP item 11)",
+    "analysis.fairness_from_draws": "perfbench/workloads.py's chi-square batch calls it, and "
+                                    "perfbench/tracer.py times it; `portchain run` folds its "
+                                    "draws into the same DrawTally during the replay",
 }
 
 
