@@ -53,8 +53,8 @@ class ByzantineNode(Node):
     at every height; otherwise the slot's kind rewrites the vote, also for
     a node that plays a proposal kind."""
 
-    def __init__(self, *args, kind: str | None, slot_kinds: dict):
-        super().__init__(*args)
+    def __init__(self, index, context, executor, *, kind: str | None, slot_kinds: dict):
+        super().__init__(index, context, executor)
         self.own = KINDS.get(kind, Kind(()))
         self._slot_votes = {slot: KINDS[k].vote for slot, k in slot_kinds.items()}
 

@@ -333,16 +333,17 @@ def _assignment_draws(step: ExecResult, prev_step: ExecResult, serving):
 def assert_single_chain(transcript):
     """True iff all nodes committed identical full digests at every height
     and no node committed a height twice, judged on the transcript's
-    commit records.  Returns (ok, first_violation)."""
+    commit records.  Returns (ok, first_violation).  A node commits in
+    height order, so only each node's last committed height is kept."""
     by_height: dict[int, bytes] = {}
-    committed = set()
+    last: dict[int, int] = {}
     for _, node, kind, *rest in transcript.records:
         if kind != "commit":
             continue
         h, d = rest
-        if (node, h) in committed:
+        if h <= last.get(node, 0):
             return False, (h, f"node {node} committed height {h} twice")
-        committed.add((node, h))
+        last[node] = h
         other = by_height.setdefault(h, d)
         if other != d:
             return False, (h, f"conflicting digests at height {h}: {other.hex()} vs {d.hex()}")

@@ -36,13 +36,7 @@ from .core import decode_chain, encode_chain
 # bound here for the alias that perfbench's tracer wraps; the CLI itself
 # digests no header
 from .core import block_digest  # noqa: F401
-from .netsim import (
-    AdversarySpec,
-    SimConfig,
-    SimConfigError,
-    build_context,
-    run,
-)
+from .netsim import AdversarySpec, SimConfig, SimConfigError, build_context, run
 
 DEFAULT_CHECKS = ["single_chain", "schedule", "conservation", "liveness"]
 KNOWN_CHECKS = [*DEFAULT_CHECKS, "fairness"]
@@ -167,7 +161,7 @@ def run_scenario(doc: dict, chain_file=None):
     allow_stall = bool(doc.get("allow_stall", False))
 
     transcript = run(config)
-    context = build_context(config)
+    context = transcript.context
     head = len(transcript.chain) - 1
 
     lines = []

@@ -47,7 +47,7 @@ from .core import (
     schedule_for,
     verify_certificate,
 )
-from .crypto import Address, Hash, KeyPair, address_from_public, digest
+from .crypto import Address, Hash, digest
 # bound here for the aliases that perfbench's tracer wraps; the engine
 # itself signs and verifies through `Vote`
 from .crypto import sign, verify  # noqa: F401
@@ -489,7 +489,9 @@ class Tally:
 
 
 class Node:
-    """One consensus participant; fed events, emits actions.
+    """One consensus participant; fed events, emits actions.  It reads the
+    run's context (`netsim.SimContext`) by attribute: its key pair and
+    address at `index`, the engine config and the genesis.
 
     Actions: ("broadcast", message) to every other node; ("send",
     node_index, message) to one node; ("multicast", recipients, message)
@@ -520,24 +522,24 @@ class Node:
     `_proposals` the blocks it makes of its assembled proposal.
     """
 
-    def __init__(self, index: int, keys: KeyPair, cfg: EngineConfig, executor: BlockExecutor,
-                 genesis_block: Block, genesis_trie: StateTrie, genesis_assignments: dict):
+    def __init__(self, index: int, context, executor: BlockExecutor):
         self.index = index
-        self.keys = keys
-        self.addr = address_from_public(keys.public)
-        self.cfg = cfg
+        self.keys = context.keys[index]
+        self.addr = context.addresses[index]
+        self.cfg = context.engine_cfg
         self.executor = executor
 
+        genesis_block = context.genesis_block
         gd = block_digest(genesis_block.header)
         # the committed chain, indexed by height; with the genesis
         # assignments it is the only record of who serves a height
         self.committed: list[Block] = [genesis_block]
-        self.genesis_assignments = genesis_assignments
+        self.genesis_assignments = context.genesis_assignments
         self.head = 0
         self.head_digest = gd
-        self.head_trie = genesis_trie
+        self.head_trie = context.genesis_trie
         self.levels: dict[int, Level] = {}
-        for k, a in genesis_assignments.items():
+        for k, a in self.genesis_assignments.items():
             if self.addr in a.creators:
                 self._level(k).creator = True
         self._genesis_voted = False

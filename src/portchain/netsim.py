@@ -5,10 +5,12 @@ keyed off the config seed, and events at one tick run in the order they
 were scheduled, so a run is a pure function of its config.  Transcripts
 render to text so two runs can be compared byte for byte.
 
-Each rule of a run has one owner: `Network` the links, `_Faults` the
-crashes and what hangs on them (stall patience, the executor's window),
-`_workload_txs` the signed transfers, and `run` the event queue
-(`_Calendar`), the bootstrap, each event's dispatch and the transcript.
+Each rule of a run has one owner: `build_context` the keys and genesis
+that its nodes are built from and its transcript keeps, `Network` the
+links, `_Faults` the crashes and what hangs on them (stall patience, the
+executor's window, the finish line), `_workload_txs` the signed
+transfers, and `run` the event queue (`_Calendar`), the bootstrap, each
+event's dispatch and the transcript.
 
 Live state follows the window of live heights, not the length of the
 run: each node keeps one `engine.Level` record per live height, and the
@@ -16,13 +18,12 @@ nodes share one `BlockExecutor`, which forgets every height that each
 node still able to handle events has committed.  A node hands each
 event to the run as data, and the transcript keeps it once, as one flat
 record that shares the block digest with every other node's record of
-the same block; its text and events render those records, its digest
-hashes the text and then the chain, and the single-chain audit reads
-the records' full digests.  What
-still grows with the run is its output (the chain and the records) and
-the process-wide memo of `crypto.verify`, one entry per signature that
-`crypto.sign` made; a run verifies natively only the signatures it did
-not make.
+the same block; its lines and events render those records, its digest
+hashes the lines and then the chain, and the single-chain audit reads
+the records' full digests.  What still grows with the run is its output
+(the chain and the records) and the process-wide memo of `crypto.verify`,
+one entry per signature that `crypto.sign` made; a run verifies natively
+only the signatures it did not make.
 """
 from __future__ import annotations
 
@@ -320,14 +321,8 @@ def build_context(config: SimConfig) -> SimContext:
         sync_interval=config.sync_interval,
         vote_patience=delay + 2 * config.latency_max + 2,
     )
-    return SimContext(
-        engine_cfg=engine_cfg,
-        keys=keys,
-        addresses=addresses,
-        genesis_block=genesis,
-        genesis_trie=trie,
-        genesis_assignments={1: a1, 2: a2},
-    )
+    return SimContext(engine_cfg=engine_cfg, keys=keys, addresses=addresses, genesis_block=genesis,
+                      genesis_trie=trie, genesis_assignments={1: a1, 2: a2})
 
 
 def _short(d: bytes) -> str:
@@ -363,6 +358,7 @@ class SimTranscript:
     records: tuple
     counters: dict
     chain: tuple  # canonical committed blocks, genesis first
+    context: SimContext | None = field(compare=False, repr=False)  # the run's own, for audits
 
     @property
     def events(self) -> tuple:
@@ -370,7 +366,7 @@ class SimTranscript:
         return tuple((tick, node, kind, _info(kind, *rest))
                      for tick, node, kind, *rest in self.records)
 
-    def _lines(self):
+    def lines(self):
         """The text, one newline-terminated line at a time."""
         yield f"config={self.config_digest}\n"
         yield f"ticks={self.ticks}\n"
@@ -391,14 +387,11 @@ class SimTranscript:
             yield f"{k}={self.counters[k]}\n"
         yield "chain=" + ",".join(_short(block_digest(b.header)) for b in self.chain) + "\n"
 
-    def text(self) -> str:
-        return "".join(self._lines())
-
     def digest_hex(self) -> str:
         # the text reaches the hash _DIGEST_CHUNK lines at a time, never
         # whole; no line is empty, so an empty chunk ends it
         h = hashlib.sha256()
-        lines = self._lines()
+        lines = self.lines()
         while chunk := "".join(islice(lines, _DIGEST_CHUNK)):
             h.update(chunk.encode())
         h.update(encode_chain(self.chain))
@@ -498,19 +491,30 @@ class _Faults:
     run is called stalled once no recovery is still to come and
     `stall_patience` ticks have passed since `patience_from`, the later of
     the last commit and the last tick at which a crashed node came back
-    up, so the patience starts again when a node comes back."""
+    up, so the patience starts again when a node comes back.  The run is
+    `done` on the commit that takes the last node it waits for, one with
+    no node-scoped Byzantine kind and not down for good, to `run_height`;
+    a run that waits for no node is never done."""
 
-    def __init__(self, nodes, adversaries, executor, push):
+    def __init__(self, nodes, adversaries, executor, push, run_height):
         n = len(nodes)
         self.down = [0] * n  # crash specs that cover each node now
         # recoveries still to come per node: down with none left is for good
         self.recoveries_left = [0] * n
+        # the nodes the run waits for that are still below run_height
+        self._below = set(range(n))
         for adv in adversaries:
             if adv.kind == "crash":
                 push(adv.start_tick, -1, "crash", adv.node)
-                if adv.recover_tick is not None:
+                if adv.recover_tick is None:
+                    self._below.discard(adv.node)
+                else:
                     push(adv.recover_tick, -1, "recover", adv.node)
                     self.recoveries_left[adv.node] += 1
+            elif adv.voter_slot is None:
+                self._below.discard(adv.node)
+        self._run_height = run_height
+        self.done = False
         self.patience_from = 0
         # the lowest head over the nodes that can still handle events (not
         # one down for good), and their count per head; every executor
@@ -520,9 +524,12 @@ class _Faults:
         self._at_head = [n]
         self._lowest = 0
 
-    def committed(self, tick, h):
-        """A running node, so a live one, reached head h."""
+    def committed(self, tick, i, h):
+        """Running node i, so a live one, reached head h."""
         self.patience_from = tick
+        if h == self._run_height and i in self._below:
+            self._below.remove(i)
+            self.done = not self._below
         if h == len(self._at_head):
             self._at_head.append(0)
         self._at_head[h] += 1
@@ -582,10 +589,8 @@ def run(cfg: SimConfig) -> SimTranscript:
     slot_kinds = {adv.voter_slot: adv.kind for adv in cfg.adversaries
                   if adv.voter_slot is not None}
     executor = BlockExecutor(ctx.engine_cfg)
-    shared = (ctx.engine_cfg, executor, ctx.genesis_block, ctx.genesis_trie,
-              ctx.genesis_assignments)
-    nodes = [ByzantineNode(i, ctx.keys[i], *shared, kind=node_kinds.get(i), slot_kinds=slot_kinds)
-             if i in node_kinds or slot_kinds else Node(i, ctx.keys[i], *shared) for i in range(n)]
+    nodes = [ByzantineNode(i, ctx, executor, kind=node_kinds.get(i), slot_kinds=slot_kinds)
+             if i in node_kinds or slot_kinds else Node(i, ctx, executor) for i in range(n)]
 
     # bootstrap: initial wakes, workload, fault schedule
     queue = _Calendar()
@@ -596,18 +601,13 @@ def run(cfg: SimConfig) -> SimTranscript:
         push(0, i, "wake", None)
     if cfg.txs_per_interval > 0:
         push(cfg.tx_interval, -1, "workload", 0)
-    faults = _Faults(nodes, cfg.adversaries, executor, push)
+    faults = _Faults(nodes, cfg.adversaries, executor, push, cfg.run_height)
     down, recoveries_left = faults.down, faults.recoveries_left
 
-    down_for_good = {adv.node for adv in cfg.adversaries
-                     if adv.kind == "crash" and adv.recover_tick is None}
-    required = [i for i in range(n) if i not in node_kinds and i not in down_for_good]
     nonces = [0] * n
     records: list = []
     msgs_delivered = wakes_delivered = 0
     stalled = False
-    # a commit since the last check of whether the run is done
-    new_commit = False
     stall_patience = cfg.stall_patience
 
     for tick, events in queue.drain():
@@ -615,10 +615,9 @@ def run(cfg: SimConfig) -> SimTranscript:
             stalled = True
             break
         for i, kind, payload in events:
-            if new_commit:
-                new_commit = False
-                if all(nodes[r].head >= cfg.run_height for r in required):
-                    break
+            # the run ends at the event after the commit that completed it
+            if faults.done:
+                break
             if tick - faults.patience_from > stall_patience and not any(recoveries_left):
                 stalled = True
                 break
@@ -649,8 +648,7 @@ def run(cfg: SimConfig) -> SimTranscript:
                 elif not route(tick, i, act):  # an event: commit, propose, halt or violation
                     records.append((tick, i, *act))
                     if act[0] == "commit":
-                        new_commit = True
-                        faults.committed(tick, act[1])
+                        faults.committed(tick, i, act[1])
         else:
             continue
         break
@@ -673,5 +671,5 @@ def run(cfg: SimConfig) -> SimTranscript:
     return SimTranscript(
         config_digest=cfg.digest_hex(), ticks=tick, stalled=stalled,
         heads=tuple(node.head for node in nodes), records=tuple(records),
-        counters=counters, chain=tuple(nodes[best].committed),
+        counters=counters, chain=tuple(nodes[best].committed), context=ctx,
     )

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import portchain
-from portchain import analysis, cli
+from portchain import analysis, cli, netsim
 from portchain.cli import (
     DEFAULT_CHECKS,
     KNOWN_CHECKS,
@@ -461,6 +461,31 @@ def test_run_replays_the_chain_once(tmp_path, monkeypatch):
     assert "check_conservation=pass" in report and "check_fairness=pass" in report
     assert "gini_final=" in report
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["run", "import"])
+def test_each_command_builds_one_context(tmp_path, monkeypatch, capsys, command):
+    # `run` audits with the context its simulation built; `import` builds
+    # its own from the scenario config, through the CLI's binding
+    path = _scenario(tmp_path)
+    chain_path = tmp_path / "chain.bin"
+    if command == "import":
+        assert main(["run", "--config", str(path), "--export-chain", str(chain_path)]) == 0
+    calls = []
+    real = netsim.build_context
+
+    def counting(binding):
+        def build_context(config):
+            calls.append(binding)
+            return real(config)
+        return build_context
+
+    for module in (netsim, cli):
+        monkeypatch.setattr(module, "build_context", counting(module.__name__))
+    argv = ["--chain", str(chain_path)] if command == "import" else []
+    assert main([command, "--config", str(path), *argv]) == 0
+    capsys.readouterr()
+    assert calls == ["portchain.netsim" if command == "run" else "portchain.cli"]
 
 
 def test_invalid_replay_fails_conservation_and_fairness(tmp_path, monkeypatch):

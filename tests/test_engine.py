@@ -509,8 +509,7 @@ def _sync_requests(actions):
 def _node_of(ctx, addr):
     """A fresh honest node holding addr's key, at genesis."""
     i = ctx.addresses.index(addr)
-    return Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
-                ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+    return Node(i, ctx, BlockExecutor(ctx.engine_cfg))
 
 
 def _bystander(ctx):
@@ -636,9 +635,7 @@ def test_voter_disapproves_a_child_of_an_invalid_parent():
             0, 6, a2, a1.members(), built.post_trie, txs=(),
         ).block
         # candidates at height 2 are judged by the voters the parent records
-        i = ctx.addresses.index(parent.assignment.voters[0])
-        node = Node(i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
-                    ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+        node = _node_of(ctx, parent.assignment.voters[0])
         node.handle("block", parent, 1)
         node.handle("block", child, 2)
         # one creator of two arrived: the vote waits out the patience timer
@@ -728,8 +725,7 @@ def _creator_at_height_one(ctx, kind=None, equivocations=(), txs=()):
     the actions of its proposal."""
     a1 = ctx.genesis_assignments[1]
     i = ctx.addresses.index(a1.creators[0])
-    args = (i, ctx.keys[i], ctx.engine_cfg, BlockExecutor(ctx.engine_cfg),
-            ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments)
+    args = (i, ctx, BlockExecutor(ctx.engine_cfg))
     node = ByzantineNode(*args, kind=kind, slot_kinds={}) if kind else Node(*args)
     node.equivocations.update(equivocations)
     for tx in txs:

@@ -22,7 +22,7 @@ from portchain.netsim import (
     run,
 )
 
-from conftest import adversary_config, replay_check
+from conftest import adversary_config, replay_check, transcript_text
 
 
 def _commits(transcript):
@@ -219,7 +219,7 @@ def test_digest_streams_the_text(cfg, monkeypatch):
     # the chunk size
     t = run(cfg)
     assert t.stalled == (cfg.seed == 12)
-    text = t.text()
+    text = transcript_text(t)
     digest = hashlib.sha256(text.encode() + encode_chain(t.chain)).hexdigest()
     assert t.digest_hex() == digest
     for chunk in (1, 7):
@@ -237,8 +237,8 @@ def test_records_render_the_event_text():
                  (7, 1, "violation", "fork-ancestry", 3, None),
                  (8, 0, "violation", "committed-invalid", 3, "state root mismatch"),
                  (9, -1, "stall", 5)),
-        counters={"msgs_sent": 4}, chain=())
-    assert t.text() == (
+        counters={"msgs_sent": 4}, chain=(), context=None)
+    assert transcript_text(t) == (
         "config=c\nticks=9\nstalled=1\nheads=2,0\nnode0=2:0001020304050607\nnode1=\n"
         "3 n0 propose 2:0001020304050607\n5 n0 commit 2:0001020304050607\n"
         "6 n1 halt cannot-propose@4:all candidates excluded\n"
@@ -248,7 +248,7 @@ def test_records_render_the_event_text():
     )
     assert t.events[2] == (6, 1, "halt", "cannot-propose@4:all candidates excluded")
     assert [" ".join(map(str, (tick, f"n{node}", kind, info))) for tick, node, kind, info
-            in t.events] == t.text().splitlines()[6:12]
+            in t.events] == transcript_text(t).splitlines()[6:12]
 
 
 def test_transcript_digest_deterministic():
@@ -652,17 +652,22 @@ def test_no_stall_while_a_recovery_is_pending():
     assert before + cfg.stall_patience < 400 <= after
 
 
-def test_a_queue_that_runs_dry_ends_the_run_stalled():
-    # every node is down for good from tick 0 and no workload is queued:
-    # the wakes run out, and the run ends stalled at the last tick popped
+@pytest.mark.parametrize("crash_tick", [0, 60])
+def test_a_queue_that_runs_dry_ends_the_run_stalled(crash_tick):
+    # every node is down for good from crash_tick and no workload is
+    # queued: the run waits for no node, so no commit can finish it; the
+    # events run out, and the run ends stalled at the last tick popped
     cfg = SimConfig(seed=1, node_count=16, voter_count=3, run_height=50, txs_per_interval=0,
-                    adversaries=tuple(AdversarySpec(kind="crash", node=i, start_tick=0)
+                    adversaries=tuple(AdversarySpec(kind="crash", node=i, start_tick=crash_tick)
                                       for i in range(16)))
     cfg.validate()
     t = run(cfg)
     assert t.stalled
-    assert t.records == ((25, -1, "stall", 0),)
-    assert t.ticks == 25 and t.heads == (0,) * 16 and len(t.chain) == 1
+    assert t.records[-1][1:3] == (-1, "stall")
+    assert t.ticks >= crash_tick and t.records[-1][0] == t.ticks
+    if crash_tick == 0:
+        assert t.records == ((25, -1, "stall", 0),)
+        assert t.ticks == 25 and t.heads == (0,) * 16 and len(t.chain) == 1
 
 
 def test_nested_crash_keeps_the_node_down_until_the_outer_recovery():
