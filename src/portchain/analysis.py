@@ -226,6 +226,18 @@ def fairness_from_draws(draw_records) -> FairnessReport:
     return tally.report()
 
 
+# 0.01 upper-tail chi-square quantile by the Wilson-Hilferty cube
+# approximation; at 49 degrees of freedom this gives 74.9
+_Z_99 = 2.3263478740408408
+
+
+def chi_square_critical(dof: int) -> float:
+    if dof < 1:
+        raise ValueError("degrees of freedom must be positive")
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + _Z_99 * c**0.5) ** 3
+
+
 # ---------------------------------------------------------------------------
 # chain replay and audits
 
@@ -282,34 +294,10 @@ def replay_chain(chain, context, visit=None) -> ExecResult:
     return parent
 
 
-class ChainDraws:
-    """Fairness of the maintainer draws recorded in a replayed chain,
-    folded as `replay_chain` visits its heights: pass the object as visit
-    (or call it from one) and read `report` after the replay.
-
-    genesis_assignments are the run's, which with the chain's blocks give
-    each height's serving schedule (`core.schedule_for`); window is an
-    inclusive (first, last) height range of the blocks whose embedded
-    assignments are tallied.
-    """
-
-    def __init__(self, chain, genesis_assignments: dict, window):
-        self.chain = chain
-        self.genesis_assignments = genesis_assignments
-        self.window = window
-        self.tally = DrawTally()
-
-    def __call__(self, step: ExecResult, parent: ExecResult) -> None:
-        lo, hi = self.window
-        h = step.block.header.height
-        if lo <= h <= hi:
-            serving = schedule_for(self.chain, self.genesis_assignments, h)
-            self.tally.extend(_assignment_draws(step, parent, serving))
-
-    def report(self) -> FairnessReport:
-        if not self.tally.observed:
-            raise AnalysisError(f"no selection draws in window {self.window}")
-        return self.tally.report()
+def verify_chain(chain, context) -> int:
+    """The head height of chain, once `replay_chain` has verified every
+    block of it from the genesis block of context."""
+    return replay_chain(chain, context).block.header.height
 
 
 def _assignment_draws(step: ExecResult, prev_step: ExecResult, serving):
@@ -421,3 +409,97 @@ def conservation(genesis_trie: StateTrie, head_trie: StateTrie, issued: int) -> 
 
 def _money_total(trie: StateTrie) -> int:
     return sum(state.balance + state.tax for _, state in trie.accounts())
+
+
+# in report order
+KNOWN_CHECKS = ("single_chain", "schedule", "conservation", "fairness", "liveness")
+
+
+@dataclass(frozen=True)
+class Report:
+    """What `audit` found: the report's key/value fields in report order,
+    and each enabled check's verdict (True for a pass)."""
+
+    fields: dict
+    verdicts: dict
+
+
+def audit(transcript, checks) -> Report:
+    """The enabled checks (any of KNOWN_CHECKS) on a run: a header of its
+    digests, head, ticks and stall, each check's figures and verdict, and
+    the Gini coefficients of genesis and the head's state.  Liveness asks
+    for an unstalled run whose head reached its config's run_height."""
+    context, chain = transcript.context, transcript.chain
+    head = len(chain) - 1
+    fields = {
+        "config_digest": transcript.config_digest,
+        "transcript_digest": transcript.digest_hex(),
+        "committed_head": head,
+        "ticks": transcript.ticks,
+        "stalled": int(transcript.stalled),
+    }
+    verdicts = {}
+
+    def judge(check: str, outcome: str) -> None:
+        # outcome is the check's report value: "pass", or "fail" and why
+        verdicts[check] = outcome == "pass"
+        fields[f"check_{check}"] = outcome
+
+    if "single_chain" in checks:
+        ok, violation = assert_single_chain(transcript)
+        judge("single_chain", "pass" if ok else f"fail:{violation}")
+    if "schedule" in checks:
+        violations = schedule_audit(chain, context.genesis_assignments)
+        judge("schedule", f"fail:{violations[0]}" if violations else "pass")
+
+    # one replay serves conservation, fairness and Gini: each folds what it
+    # needs as the replay passes a height, and a chain the replay refuses
+    # fails both checks and has no Gini lines
+    window = (1, max(head - 2, 1))
+    tally = DrawTally()
+    issued = 0
+
+    def visit(step, parent):
+        nonlocal issued
+        issued += step.issued
+        h = step.block.header.height
+        if "fairness" in checks and window[0] <= h <= window[1]:
+            serving = schedule_for(chain, context.genesis_assignments, h)
+            tally.extend(_assignment_draws(step, parent, serving))
+
+    try:
+        last, error = replay_chain(chain, context, visit), None
+    except ChainInvalid as exc:
+        last, error = None, exc
+
+    if "conservation" in checks:
+        if last is None:
+            judge("conservation", f"fail:{error}")
+        else:
+            books = conservation(context.genesis_trie, last.post_trie, issued)
+            judge("conservation", f"fail:drift={books['drift']}" if books["drift"] else "pass")
+            fields["issued"] = books["issued"]
+    if "fairness" in checks:
+        if last is not None and not tally.observed:
+            error = AnalysisError(f"no selection draws in window {window}")
+        if error is None:
+            # each draw of a block the replay validated had eligible weight
+            fr = tally.report()
+            critical = chi_square_critical(fr.degrees_of_freedom)
+            fields["fairness_chi_square"] = f"{fr.chi_square:.6f}"
+            fields["fairness_dof"] = fr.degrees_of_freedom
+            fields["fairness_critical_0p01"] = f"{critical:.6f}"
+            judge("fairness", "pass" if fr.chi_square < critical else "fail")
+        else:
+            fields["fairness_error"] = str(error)
+            judge("fairness", "fail")
+    if "liveness" in checks:
+        live = not transcript.stalled and head >= context.config.run_height
+        judge("liveness", "pass" if live else f"fail:head={head}")
+
+    if last is not None:
+        for key, trie in (("gini_genesis", context.genesis_trie), ("gini_final", last.post_trie)):
+            balances = [s.balance for _, s in trie.accounts()]
+            # the Gini coefficient has no value when every balance is zero
+            fields[key] = f"{gini(balances):.6f}" if sum(balances) else "undefined"
+    return Report(fields, verdicts)

@@ -8,9 +8,10 @@ Subcommands:
 A scenario file is a JSON object with a required "config" and optional
 "checks" and "allow_stall".  The config's keys, the seed among them, and
 JSON types are the fields of SimConfig, and each adversary's those of
-AdversarySpec (check_scenario); value ranges are SimConfig.validate's.
+AdversarySpec (check_scenario); value ranges are checked once, when the
+Scenario is built (load_scenario), by its SimConfig.
 
-Reports are a pure function of the scenario file: line-oriented
+Reports are a pure function of the scenario file: analysis.audit's
 key=value pairs followed by a JSON summary block.  Exit codes: 0 all
 enabled checks pass, 1 a check failed or the run stalled when stalling
 is not allowed, 2 unusable input (a missing, non-UTF-8 or too deeply
@@ -38,19 +39,7 @@ from .core import decode_chain, encode_chain
 from .core import block_digest  # noqa: F401
 from .netsim import AdversarySpec, SimConfig, SimConfigError, build_context, run
 
-DEFAULT_CHECKS = ["single_chain", "schedule", "conservation", "liveness"]
-KNOWN_CHECKS = [*DEFAULT_CHECKS, "fairness"]
-
-# 0.01 upper-tail chi-square quantile by the Wilson-Hilferty cube
-# approximation; at 49 degrees of freedom this gives 74.9
-_Z_99 = 2.3263478740408408
-
-
-def chi_square_critical(dof: int) -> float:
-    if dof < 1:
-        raise ValueError("degrees of freedom must be positive")
-    c = 2.0 / (9.0 * dof)
-    return dof * (1.0 - c + _Z_99 * c**0.5) ** 3
+DEFAULT_CHECKS = ("single_chain", "schedule", "conservation", "liveness")
 
 
 # `tail` sums integers of about n * (bit length of p's denominator) bits,
@@ -121,11 +110,31 @@ def check_scenario(doc) -> None:
         if adv.get("start_tick", 0) < 0:
             raise _violation(f"{where}.start_tick {adv['start_tick']} is negative")
     for check in doc.get("checks", []):
-        if check not in KNOWN_CHECKS:
+        if check not in analysis.KNOWN_CHECKS:
             raise _violation(f"checks: {check!r} is not a check")
 
 
-def load_scenario(path: str) -> dict:
+@dataclasses.dataclass(frozen=True)
+class Scenario:
+    """A checked scenario file: its config, valid since it was built, the
+    enabled checks and whether a stall is allowed."""
+
+    config: SimConfig
+    checks: tuple
+    allow_stall: bool
+
+
+def scenario_from_doc(doc) -> Scenario:
+    """The Scenario of a parsed scenario file; raises ScenarioError for a
+    bad shape and SimConfigError for a value out of range."""
+    check_scenario(doc)
+    fields = dict(doc["config"])
+    advs = tuple(AdversarySpec(**a) for a in fields.pop("adversaries", []))
+    return Scenario(SimConfig(adversaries=advs, **fields),
+                    tuple(doc.get("checks", DEFAULT_CHECKS)), doc.get("allow_stall", False))
+
+
+def load_scenario(path: str) -> Scenario:
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -141,130 +150,36 @@ def load_scenario(path: str) -> dict:
         raise ScenarioError(f"scenario file has a number too long to read: {exc}")
     except RecursionError:
         raise ScenarioError("scenario file nests too deeply")
-    check_scenario(doc)
-    return doc
+    return scenario_from_doc(doc)
 
 
-def scenario_config(doc: dict) -> SimConfig:
-    fields = dict(doc["config"])
-    advs = tuple(AdversarySpec(**a) for a in fields.pop("adversaries", []))
-    cfg = SimConfig(adversaries=advs, **fields)
-    cfg.validate()
-    return cfg
-
-
-def run_scenario(doc: dict, chain_file=None):
+def run_scenario(scenario: Scenario, chain_file=None):
     """Execute one scenario.  Returns (report_text, exit_code), and writes
     the committed chain to chain_file, a binary file, if one is given."""
-    config = scenario_config(doc)
-    enabled = doc.get("checks", DEFAULT_CHECKS)
-    allow_stall = bool(doc.get("allow_stall", False))
-
-    transcript = run(config)
-    context = transcript.context
-    head = len(transcript.chain) - 1
-
-    lines = []
-    results = {}
-
-    def record(key, value):
-        lines.append(f"{key}={value}")
-
-    transcript_digest = transcript.digest_hex()
-    record("config_digest", transcript.config_digest)
-    record("transcript_digest", transcript_digest)
-    record("committed_head", head)
-    record("ticks", transcript.ticks)
-    record("stalled", int(transcript.stalled))
-
-    if "single_chain" in enabled:
-        ok, viol = analysis.assert_single_chain(transcript)
-        results["single_chain"] = ok
-        record("check_single_chain", "pass" if ok else f"fail:{viol}")
-    if "schedule" in enabled:
-        violations = analysis.schedule_audit(transcript.chain, context.genesis_assignments)
-        ok = not violations
-        results["schedule"] = ok
-        record("check_schedule", "pass" if ok else f"fail:{violations[0]}")
-    # one independent replay serves conservation, fairness and Gini: each
-    # folds what it needs as the replay passes a height, and the head's
-    # post-state comes back
-    draws = analysis.ChainDraws(transcript.chain, context.genesis_assignments,
-                                (1, max(head - 2, 1)))
-    issued = 0
-
-    def visit(step, parent):
-        nonlocal issued
-        issued += step.issued
-        if "fairness" in enabled:
-            draws(step, parent)
-
-    try:
-        last = analysis.replay_chain(transcript.chain, context, visit)
-        replay_error = None
-    except analysis.ChainInvalid as exc:
-        last, replay_error = None, exc
-
-    if "conservation" in enabled:
-        if replay_error is None:
-            audit = analysis.conservation(context.genesis_trie, last.post_trie, issued)
-            ok = audit["drift"] == 0
-            record("check_conservation", "pass" if ok else f"fail:drift={audit['drift']}")
-            record("issued", audit["issued"])
-        else:
-            ok = False
-            record("check_conservation", f"fail:{replay_error}")
-        results["conservation"] = ok
-    if "fairness" in enabled:
-        try:
-            if replay_error is not None:
-                raise replay_error
-            fr = draws.report()
-            critical = chi_square_critical(fr.degrees_of_freedom)
-            ok = fr.chi_square < critical
-            record("fairness_chi_square", f"{fr.chi_square:.6f}")
-            record("fairness_dof", fr.degrees_of_freedom)
-            record("fairness_critical_0p01", f"{critical:.6f}")
-        except (analysis.AnalysisError, analysis.ChainInvalid) as exc:
-            ok = False
-            record("fairness_error", str(exc))
-        results["fairness"] = ok
-        record("check_fairness", "pass" if ok else "fail")
-    if "liveness" in enabled:
-        ok = not transcript.stalled and head >= config.run_height
-        results["liveness"] = ok
-        record("check_liveness", "pass" if ok else f"fail:head={head}")
-
-    if last is not None:
-        for key, trie in (("gini_genesis", context.genesis_trie), ("gini_final", last.post_trie)):
-            balances = [s.balance for _, s in trie.accounts()]
-            # the Gini coefficient has no value when every balance is zero
-            record(key, f"{analysis.gini(balances):.6f}" if sum(balances) else "undefined")
-
-    stall_fail = transcript.stalled and not allow_stall
-    record("stall_allowed", int(allow_stall))
-
-    all_pass = all(results.values()) and not stall_fail
+    transcript = run(scenario.config)
+    report = analysis.audit(transcript, scenario.checks)
+    fields = report.fields
+    passed = all(report.verdicts.values()) and (scenario.allow_stall or not transcript.stalled)
+    code = 0 if passed else 1
+    lines = [f"{key}={value}" for key, value in fields.items()]
+    lines.append(f"stall_allowed={int(scenario.allow_stall)}")
     summary = {
-        "checks": {k: bool(v) for k, v in results.items()},
-        "committed_head": head,
-        "config_digest": transcript.config_digest,
-        "exit_code": 0 if all_pass else 1,
+        "checks": report.verdicts,
+        "committed_head": fields["committed_head"],
+        "config_digest": fields["config_digest"],
+        "exit_code": code,
         "stalled": transcript.stalled,
-        "transcript_digest": transcript_digest,
+        "transcript_digest": fields["transcript_digest"],
     }
-    report = "\n".join(lines) + "\n" + json.dumps(summary, sort_keys=True, indent=2) + "\n"
-
     if chain_file is not None:
         chain_file.write(encode_chain(transcript.chain))
-    return report, 0 if all_pass else 1
+    return "\n".join(lines) + "\n" + json.dumps(summary, sort_keys=True, indent=2) + "\n", code
 
 
-def import_chain(chain_path: str, doc: dict):
+def import_chain(chain_path: str, scenario: Scenario) -> str:
     """Load an exported chain and re-verify every block against a fresh
-    genesis derived from the scenario config.  Returns (chain, message)
-    or raises analysis.ChainInvalid / ScenarioError."""
-    config = scenario_config(doc)
+    genesis derived from the scenario config.  Returns the message, or
+    raises analysis.ChainInvalid / ScenarioError."""
     try:
         data = Path(chain_path).read_bytes()
     except OSError as exc:
@@ -273,9 +188,8 @@ def import_chain(chain_path: str, doc: dict):
         chain = decode_chain(data)
     except ValueError as exc:
         raise analysis.ChainInvalid(-1, f"undecodable chain file: {exc}")
-    analysis.replay_chain(chain, build_context(config))
-    head = chain[-1].header.height
-    return chain, f"verified {len(chain)} blocks up to height {head}"
+    head = analysis.verify_chain(chain, build_context(scenario.config))
+    return f"verified {len(chain)} blocks up to height {head}"
 
 
 # `a/b` or a plain decimal: `Fraction` also takes an exponent, and would
@@ -320,11 +234,10 @@ def main(argv=None) -> int:
         if sys.stdout is None:
             raise OSError("standard output is closed")
         if args.command == "run":
-            doc = load_scenario(args.config)
-            # a bad config exits 2 before any output is touched, and every
+            # a bad scenario exits 2 before any output is touched, and every
             # output is opened before the simulation, so a path that cannot
             # be written exits 2 at once, with nothing on stdout
-            scenario_config(doc)
+            scenario = load_scenario(args.config)
             with contextlib.ExitStack() as outputs:
                 report_file = chain_file = None
                 if args.out is not None:
@@ -332,14 +245,13 @@ def main(argv=None) -> int:
                     report_file = outputs.enter_context(open(Path(args.out) / "report.txt", "w"))
                 if args.export_chain is not None:
                     chain_file = outputs.enter_context(open(args.export_chain, "wb"))
-                report, code = run_scenario(doc, chain_file)
+                report, code = run_scenario(scenario, chain_file)
                 if report_file is not None:
                     report_file.write(report)
             sys.stdout.write(report)
             return code
         if args.command == "import":
-            _, message = import_chain(args.chain, load_scenario(args.config))
-            print(message)
+            print(import_chain(args.chain, load_scenario(args.config)))
             return 0
         bits = args.n * args.p.denominator.bit_length()
         if bits > TAIL_MAX_BITS:

@@ -158,6 +158,11 @@ class SimConfig:
     stall_patience: int = 600
     adversaries: tuple = ()
 
+    def __post_init__(self):
+        # a config that exists is valid: a scenario file, a direct
+        # SimConfig(...) and dataclasses.replace are each checked here, once
+        self.validate()
+
     def ledger(self) -> LedgerConfig:
         return LedgerConfig(
             tax_rate_numerator=self.tax_rate_numerator,
@@ -265,6 +270,7 @@ class SimConfig:
 
 @dataclass
 class SimContext:
+    config: SimConfig
     engine_cfg: EngineConfig
     keys: list
     addresses: list
@@ -274,7 +280,6 @@ class SimContext:
 
 
 def build_context(config: SimConfig) -> SimContext:
-    config.validate()
     rng = CounterRng(config.seed)
     keys = [
         keypair_from_seed(digest(config.seed.to_bytes(8, "big") + b"node" + i.to_bytes(4, "big")))
@@ -321,8 +326,8 @@ def build_context(config: SimConfig) -> SimContext:
         sync_interval=config.sync_interval,
         vote_patience=delay + 2 * config.latency_max + 2,
     )
-    return SimContext(engine_cfg=engine_cfg, keys=keys, addresses=addresses, genesis_block=genesis,
-                      genesis_trie=trie, genesis_assignments={1: a1, 2: a2})
+    return SimContext(config=config, engine_cfg=engine_cfg, keys=keys, addresses=addresses,
+                      genesis_block=genesis, genesis_trie=trie, genesis_assignments={1: a1, 2: a2})
 
 
 def _short(d: bytes) -> str:

@@ -22,7 +22,7 @@ from portchain.analysis import (
     render_fraction,
     schedule_audit,
 )
-from portchain.cli import chi_square_critical
+from portchain.analysis import chi_square_critical
 from portchain.ledger import LedgerConfig
 from portchain.netsim import AdversarySpec, SimConfig, build_context, run
 from portchain.selection import _exclusion_sums, weighted_descend

@@ -12,11 +12,11 @@ import pytest
 from portchain import netsim
 from portchain.analysis import (
     AnalysisError,
-    ChainDraws,
     ChainInvalid,
     DrawTally,
     _assignment_draws,
     assert_single_chain,
+    audit,
     byzantine_tail,
     conservation_audit,
     fairness_from_draws,
@@ -459,13 +459,10 @@ def test_conservation_audit_balances(sim):
 
 def test_selection_fairness_over_chain(sim):
     cfg, ctx, t = sim
-    top = t.chain[-1].header.height
-    draws = ChainDraws(t.chain, ctx.genesis_assignments, (1, top))
-    replay_chain(t.chain, ctx, draws)
-    rep = draws.report()
-    assert rep.draws > 0
-    assert sum(rep.expected_share.values()) == pytest.approx(1.0)
-    assert rep.chi_square < 10 * max(rep.degrees_of_freedom, 1)
+    report = audit(t, ("fairness",))
+    assert report.verdicts == {"fairness": True}
+    # a pass: the chi-square is below the 0.01 critical value of its dof
+    assert report.fields["fairness_dof"] > 0
 
 
 # --- integer chi-square against the per-draw Fraction loop -------------------
@@ -576,15 +573,15 @@ def test_fairness_errors_match_reference():
 
 def test_fairness_folds_a_one_shot_generator(sim):
     # the tally reads its records once, in any batches: a generator, the
-    # equal list, and the chain's draws folded during the replay agree
+    # equal list, and the chain's draws folded during the audit's replay agree
     cfg, ctx, t = sim
     top = t.chain[-1].header.height
     steps = replayed_steps(t.chain, ctx)
-    chain_records = [
-        record for h in range(1, len(steps))
-        for record in _assignment_draws(steps[h], steps[h - 1],
-                                        schedule_for(t.chain, ctx.genesis_assignments, h))
+    draws_at = [
+        _assignment_draws(steps[h], steps[h - 1], schedule_for(t.chain, ctx.genesis_assignments, h))
+        for h in range(1, len(steps))
     ]
+    chain_records = [record for records in draws_at for record in records]
     rng = random.Random(5)
     addrs = [addr_of(f"gen{i}") for i in range(20)]
     weights = {a: rng.randint(1, 9) for a in addrs}
@@ -599,6 +596,9 @@ def test_fairness_folds_a_one_shot_generator(sim):
         tally.extend(records[:7])
         tally.extend(iter(records[7:]))
         assert tally.report() == from_list
-    draws = ChainDraws(t.chain, ctx.genesis_assignments, (1, top))
-    replay_chain(t.chain, ctx, draws)
-    assert draws.report() == fairness_from_draws(chain_records)
+    # the audit tallies the draws of heights 1 to top - 2
+    window = fairness_from_draws(record for records in draws_at[:top - 2] for record in records)
+    assert sum(window.expected_share.values()) == 1
+    fields = audit(t, ("fairness",)).fields
+    assert (fields["fairness_chi_square"], fields["fairness_dof"]) == (
+        f"{window.chi_square:.6f}", window.degrees_of_freedom)

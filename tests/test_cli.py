@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, reports, chain export and import."""
+import concurrent.futures
 import dataclasses
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,14 +15,14 @@ from hypothesis import strategies as st
 
 import portchain
 from portchain import analysis, cli, netsim
+from portchain.analysis import KNOWN_CHECKS, chi_square_critical
 from portchain.cli import (
     DEFAULT_CHECKS,
-    KNOWN_CHECKS,
     ScenarioError,
     check_scenario,
-    chi_square_critical,
     main,
     run_scenario,
+    scenario_from_doc,
 )
 from portchain.core import (
     decode_chain,
@@ -272,6 +274,18 @@ def test_unwritable_output_exits_2(tmp_path, monkeypatch, capsys, option, target
     assert err.startswith("error: cannot write ") and "Traceback" not in err
 
 
+def test_invalid_config_exits_2_before_any_output(tmp_path, capsys):
+    # the config is built, and so validated, when the scenario is loaded,
+    # before the report directory or the chain file is made
+    path = _scenario(tmp_path, config={"node_count": 5})
+    out_dir, chain_path = tmp_path / "outdir", tmp_path / "out.bin"
+    assert main(["run", "--config", str(path), "--out", str(out_dir),
+                 "--export-chain", str(chain_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: node_count 5 ") and "Traceback" not in err
+    assert not out_dir.exists() and not chain_path.exists()
+
+
 def test_failed_stdout_write_exits_2(tmp_path, monkeypatch, capsys):
     class Closed:
         def write(self, text):
@@ -456,7 +470,7 @@ def test_run_replays_the_chain_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(analysis, "replay_chain", counting)
     doc = json.loads(_scenario(tmp_path).read_text())
-    report, code = run_scenario({**doc, "checks": ALL_CHECKS})
+    report, code = run_scenario(scenario_from_doc({**doc, "checks": ALL_CHECKS}))
     assert code == 0
     assert "check_conservation=pass" in report and "check_fairness=pass" in report
     assert "gini_final=" in report
@@ -488,17 +502,60 @@ def test_each_command_builds_one_context(tmp_path, monkeypatch, capsys, command)
     assert calls == ["portchain.netsim" if command == "run" else "portchain.cli"]
 
 
+@pytest.mark.parametrize("command", ["run", "import"])
+def test_each_command_validates_its_config_once(tmp_path, monkeypatch, capsys, command):
+    # the scenario is loaded once, and its SimConfig validates itself when
+    # built; neither the run nor the import's context validates it again
+    path = _scenario(tmp_path)
+    chain_path = tmp_path / "chain.bin"
+    if command == "import":
+        assert main(["run", "--config", str(path), "--export-chain", str(chain_path)]) == 0
+    calls = []
+    real = SimConfig.validate
+
+    def counting(config):
+        calls.append(config)
+        return real(config)
+
+    monkeypatch.setattr(SimConfig, "validate", counting)
+    argv = ["--chain", str(chain_path)] if command == "import" else []
+    assert main([command, "--config", str(path), *argv]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def _audit(config):
+    # module level, so that a spawned worker can unpickle it
+    return analysis.audit(netsim.run(config), analysis.KNOWN_CHECKS)
+
+
+def test_audit_builds_a_report_in_a_worker(tmp_path):
+    # the audit is a value with no text I/O: a worker process builds it and
+    # returns it, and the CLI's report renders its fields in order
+    doc = json.loads(_scenario(tmp_path).read_text())
+    scenario = scenario_from_doc({**doc, "checks": ALL_CHECKS})
+    spawn = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=spawn) as pool:
+        report = pool.submit(_audit, scenario.config).result(timeout=120)
+    assert report == _audit(scenario.config)
+    assert report.verdicts == dict.fromkeys(ALL_CHECKS, True)
+    text, code = run_scenario(scenario)
+    assert code == 0
+    assert text.startswith("".join(f"{key}={value}\n" for key, value in report.fields.items()))
+
+
 def test_invalid_replay_fails_conservation_and_fairness(tmp_path, monkeypatch):
     def invalid(*args, **kwargs):
         raise analysis.ChainInvalid(5, "forged for the test")
 
     monkeypatch.setattr(analysis, "replay_chain", invalid)
     doc = json.loads(_scenario(tmp_path).read_text())
-    report, code = run_scenario({**doc, "checks": ALL_CHECKS})
+    report, code = run_scenario(scenario_from_doc({**doc, "checks": ALL_CHECKS}))
     assert code == 1
     lines = report.splitlines()
     start = lines.index("check_schedule=pass") + 1
-    # recorded with three separate replays, before the single replay
+    # the one replay failed: conservation and fairness both fail with its
+    # error, liveness is judged without it, and no Gini line is printed
     assert lines[start:start + 4] == [
         "check_conservation=fail:height 5: forged for the test",
         "fairness_error=height 5: forged for the test",
@@ -507,6 +564,24 @@ def test_invalid_replay_fails_conservation_and_fairness(tmp_path, monkeypatch):
     ]
     assert lines[start + 4] == "stall_allowed=0"
     assert "gini" not in report
+
+
+def test_a_chain_with_no_draws_fails_fairness(tmp_path):
+    # every node is down from tick 0: the chain is its genesis block alone,
+    # which replays, and the fairness window (1, 1) holds no draw
+    crashed = [{"kind": "crash", "node": i} for i in range(15)]
+    doc = json.loads(_scenario(tmp_path, config={"adversaries": crashed}).read_text())
+    report, code = run_scenario(scenario_from_doc({**doc, "checks": ALL_CHECKS}))
+    assert code == 1
+    lines = report.splitlines()
+    assert "committed_head=0" in lines and "gini_final=0.000000" in lines
+    at = lines.index("check_conservation=pass")
+    assert lines[at + 1:at + 5] == [
+        "issued=0",
+        "fairness_error=no selection draws in window (1, 1)",
+        "check_fairness=fail",
+        "check_liveness=fail:head=0",
+    ]
 
 
 @pytest.mark.parametrize("field,value", [

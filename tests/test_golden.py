@@ -15,7 +15,7 @@ import hashlib
 
 import pytest
 
-from portchain.cli import run_scenario
+from portchain.cli import run_scenario, scenario_from_doc
 from portchain.netsim import AdversarySpec, SimConfig, run
 
 from conftest import adversary_config, criterion_9_config
@@ -126,7 +126,7 @@ README_SCENARIO = {
 
 
 def test_readme_scenario_report_pinned():
-    report, code = run_scenario(README_SCENARIO)
+    report, code = run_scenario(scenario_from_doc(README_SCENARIO))
     assert code == 0
     assert "committed_head=200\n" in report
     assert hashlib.sha256(report.encode()).hexdigest() == (
@@ -139,7 +139,7 @@ def test_readme_scenario_report_pinned():
 @pytest.mark.parametrize("seed", [146968, 313267])
 def test_readme_scenario_is_live_on_lock_split_seeds(seed):
     config = {**README_SCENARIO["config"], "seed": seed}
-    report, _ = run_scenario({**README_SCENARIO, "config": config})
+    report, _ = run_scenario(scenario_from_doc({**README_SCENARIO, "config": config}))
     assert "check_liveness=pass" in report
 
 

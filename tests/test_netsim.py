@@ -258,17 +258,20 @@ def test_transcript_digest_deterministic():
 
 def test_config_validation_errors():
     with pytest.raises(SimConfigError):
-        SimConfig(node_count=10, voter_count=3, creator_redundancy=2).validate()
+        SimConfig(node_count=10, voter_count=3, creator_redundancy=2)
     with pytest.raises(SimConfigError):
-        SimConfig(node_count=16, voter_count=0).validate()
+        SimConfig(node_count=16, voter_count=0)
     with pytest.raises(SimConfigError):
-        SimConfig(latency_min=3, latency_max=1).validate()
+        SimConfig(latency_min=3, latency_max=1)
     with pytest.raises(SimConfigError):
-        SimConfig(drop_probability=1.0).validate()
+        SimConfig(drop_probability=1.0)
     with pytest.raises(SimConfigError):
-        SimConfig(run_height=0).validate()
+        SimConfig(run_height=0)
     with pytest.raises(SimConfigError):
-        SimConfig(adversaries=(AdversarySpec(kind="crash"),)).validate()
+        SimConfig(adversaries=(AdversarySpec(kind="crash"),))
+    # a config validates itself when built, so a replaced field is checked too
+    with pytest.raises(SimConfigError):
+        dataclasses.replace(SimConfig(), node_count=5)
     # each of these raised (LedgerError, OverflowError, ZeroDivisionError)
     # during a run, drew genesis taxes outside the configured window, or
     # (the crash) kept a required node down for good
@@ -296,26 +299,26 @@ def test_config_validation_errors():
                           AdversarySpec(kind="vote_disapprove_all", voter_slot=1))),
     ):
         with pytest.raises(SimConfigError):
-            SimConfig(**bad).validate()
+            SimConfig(**bad)
 
 
-# the bounds below are checked by validate alone: none of these configs runs
+# the bounds below are checked when the config is built: none of these configs runs
 
 
 @pytest.mark.parametrize("name", ["run_height", "max_ticks"])
 def test_run_length_is_bounded(name):
-    SimConfig(**{name: 2**20}).validate()
+    SimConfig(**{name: 2**20})
     with pytest.raises(SimConfigError, match=name):
-        SimConfig(**{name: 2**20 + 1}).validate()
+        SimConfig(**{name: 2**20 + 1})
 
 
 def test_a_height_takes_a_tick():
     # with neither a latency nor a proposal delay a whole run could fit in
     # one tick, which no tick bound would end
-    SimConfig(latency_min=0, proposal_delay=1).validate()
-    SimConfig(latency_min=1, proposal_delay=0).validate()
+    SimConfig(latency_min=0, proposal_delay=1)
+    SimConfig(latency_min=1, proposal_delay=0)
     with pytest.raises(SimConfigError, match="latency_min 0"):
-        SimConfig(latency_min=0, proposal_delay=0).validate()
+        SimConfig(latency_min=0, proposal_delay=0)
 
 
 def test_money_supply_is_bounded():
@@ -325,9 +328,9 @@ def test_money_supply_is_bounded():
                    creator_reward=2**32, voter_reward=2**32, reporter_reward=2**32)
     issued = 2**20 * (1 + 3 + 15) * 2**32
     balance = (2**64 - 1 - issued) // 16 - 1
-    SimConfig(genesis_balance=balance, **rewards).validate()
+    SimConfig(genesis_balance=balance, **rewards)
     with pytest.raises(SimConfigError, match="reaches 2\\*\\*64"):
-        SimConfig(genesis_balance=balance + 1, **rewards).validate()
+        SimConfig(genesis_balance=balance + 1, **rewards)
 
 
 @pytest.mark.parametrize("seed", [2**63, 2**64 - 1])
@@ -375,8 +378,7 @@ def test_network_routes_and_draws_per_target(drop_p):
     # the link model alone, with no Node and no run: whom each routing
     # action reaches, and per target one drop draw (none at probability 0)
     # and then one latency draw, the stream of a seeded randint
-    cfg = SimConfig(seed=11, node_count=6, latency_min=1, latency_max=4,
-                    drop_probability=drop_p)
+    cfg = SimConfig(seed=11, latency_min=1, latency_max=4, drop_probability=drop_p)
     addresses = [bytes([a]) * 20 for a in range(6)]
     pushed = []
     net = Network(cfg, addresses, lambda *delivery: pushed.append(delivery))
@@ -660,7 +662,6 @@ def test_a_queue_that_runs_dry_ends_the_run_stalled(crash_tick):
     cfg = SimConfig(seed=1, node_count=16, voter_count=3, run_height=50, txs_per_interval=0,
                     adversaries=tuple(AdversarySpec(kind="crash", node=i, start_tick=crash_tick)
                                       for i in range(16)))
-    cfg.validate()
     t = run(cfg)
     assert t.stalled
     assert t.records[-1][1:3] == (-1, "stall")
