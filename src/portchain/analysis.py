@@ -342,7 +342,9 @@ def schedule_audit(chain, genesis_assignments: dict):
     """Wiring checks on a committed chain: every block's creator and
     certificate voters belong to the assignment recorded two heights
     earlier, and no address serves two consecutive heights.  Returns a
-    list of (height, description) violations."""
+    list of (height, description) violations.  The replay checks most of
+    this again; this is the independent check, which reads no signature
+    and re-derives nothing."""
     violations = []
     for h in range(1, len(chain)):
         blk = chain[h]

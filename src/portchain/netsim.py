@@ -98,6 +98,7 @@ _INT_BOUNDS = {
     "run_height": (1, 2**20),
     # a header encodes its creator_index in one byte
     "creator_redundancy": (1, 256),
+    "voter_count": (1, None),
     # the seed is hashed as 8 unsigned big-endian bytes
     "seed": (0, 2**64 - 1),
     "tx_interval": (1, None),
@@ -175,8 +176,6 @@ class SimConfig:
 
     def validate(self) -> None:
         m = self.voter_count + self.creator_redundancy
-        if self.creator_redundancy < 1 or self.voter_count < 1:
-            raise SimConfigError("need at least one creator and one voter slot")
         # selecting height h+2 excludes two full disjoint service sets plus
         # the m-1 slots already picked, so 3m funded accounts must exist
         if self.node_count < 3 * m:

@@ -7,9 +7,7 @@ weight), then descends the state trie top-down by left-sibling
 cumulative weights until a leaf is reached.  Exclusions are handled by
 zeroing the excluded accounts' weights against a reduced total, so
 proportionality among the remaining candidates is exact and anyone can
-re-run the selection to verify it: every node on an excluded account's
-path records the excluded weight below it, so a slot's descent
-subtracts one number per child.  An account weighs
+re-run the selection to verify it.  An account weighs
 `AccountState.weight`, and the eligible total is what the root weighs
 once exclusions and active blacklist entries weigh zero.
 """
@@ -17,7 +15,7 @@ from __future__ import annotations
 
 from .core import MaintainerAssignment
 from .crypto import Address, Hash, digest
-from .trie import StateTrie, _Branch, _Leaf, _nibbles
+from .trie import StateTrie
 
 
 class NoCandidatesError(RuntimeError):
@@ -32,27 +30,6 @@ def selection_number(block_hash: Hash, maintainer_addr: Address, seq: int, total
     return int.from_bytes(h, "big") % total_weight
 
 
-def _exclude(sums: dict, root, addr: Address) -> None:
-    """Add the weight of addr's leaf, if the trie holds one, to the
-    excluded-weight sum of every node on its path, the leaf included."""
-    path = _nibbles(addr)
-    depth = 0
-    node = root
-    visited = []
-    # only addr's own path can end at a leaf holding addr, so the walk
-    # follows the nibbles without checking branch prefixes
-    while isinstance(node, _Branch):
-        visited.append(node)
-        depth += len(node.prefix)
-        node = node.children.get(path[depth])
-        depth += 1
-    if node is not None and node.addr == addr:
-        visited.append(node)
-        w = node.weight
-        for n in visited:
-            sums[n] = sums.get(n, 0) + w
-
-
 def draw_exclusions(trie: StateTrie, exclusions, current_height: int) -> set:
     """The accounts a draw at current_height gives no weight: the
     exclusions and the accounts blacklisted at that height."""
@@ -64,12 +41,8 @@ def _exclusion_sums(trie: StateTrie, exclusions, current_height: int) -> dict:
     of `draw_exclusions` counts once."""
     sums: dict = {}
     for addr in draw_exclusions(trie, exclusions, current_height):
-        _exclude(sums, trie.root_node, addr)
+        trie.exclude(sums, addr)
     return sums
-
-
-def _eligible(root, sums: dict) -> int:
-    return 0 if root is None else root.weight - sums.get(root, 0)
 
 
 def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _sums=None) -> Address:
@@ -81,27 +54,15 @@ def weighted_descend(trie: StateTrie, h: int, exclusions, current_height: int, _
     `select_assignment` passes the sums it keeps across slots as _sums,
     which then stand for the exclusions and the blacklist."""
     sums = _exclusion_sums(trie, exclusions, current_height) if _sums is None else _sums
-    node = trie.root_node
-    if node is None:
-        raise NoCandidatesError("empty trie")
     # weight adjustments (exclusions and active blacklist) all go through
     # the sums; the cached totals stay height independent
-    reduced = _eligible(node, sums)
+    reduced = trie.eligible_weight(sums)
     if reduced < 1:
-        raise NoCandidatesError("all candidates excluded")
+        empty = next(trie.accounts(), None) is None
+        raise NoCandidatesError("empty trie" if empty else "all candidates excluded")
     if not 0 <= h < reduced:
         raise ValueError(f"selection number {h} outside [0, {reduced})")
-    while not isinstance(node, _Leaf):
-        # children are kept in ascending nibble order, the canonical order
-        for child in node.children.values():
-            w = child.weight - sums.get(child, 0)
-            if h < w:
-                node = child
-                break
-            h -= w
-        else:
-            raise AssertionError("descent exhausted children; weight caches corrupt")
-    return node.addr
+    return trie.descend(h, sums)
 
 
 def select_assignment(
@@ -125,16 +86,15 @@ def select_assignment(
     creator_slots = len(schedule.creators)
     picks: list[Address] = []
     # excluded weight per node, built once; each pick then adds its own path
-    root = trie_after_block.root_node
     sums = _exclusion_sums(trie_after_block, seeds + tuple(extra_exclusions), current_height)
     for k, seed_addr in enumerate(seeds):
-        total = _eligible(root, sums)
+        total = trie_after_block.eligible_weight(sums)
         if total < 1:
             raise NoCandidatesError(f"no eligible weight left for slot {k}")
         h = selection_number(block_hash, seed_addr, k, total)
         chosen = weighted_descend(trie_after_block, h, (), current_height, _sums=sums)
         picks.append(chosen)
-        _exclude(sums, root, chosen)
+        trie_after_block.exclude(sums, chosen)
     return MaintainerAssignment(
         block_height=current_height + 2,
         creators=tuple(picks[:creator_slots]),

@@ -21,6 +21,10 @@ trie keeps a small side map of blacklisted addresses, subtracted at read
 time against the supplied current height (`selection.draw_exclusions`).
 This keeps the caches height independent while blacklisted accounts still
 weigh zero.
+
+The trie owns every walk over its nodes, the selection draw's too: every
+node on an excluded account's path records the excluded weight below it
+(`StateTrie.exclude`), so a slot's descent subtracts one number per child.
 """
 from __future__ import annotations
 
@@ -295,10 +299,45 @@ class StateTrie:
         for leaf in _leaves(self._root):
             yield leaf.addr, leaf.state
 
-    # internal hooks for the selection descent
-    @property
-    def root_node(self):
-        return self._root
+    # the selection draw: `sums` maps a node to the excluded weight below it
+    def exclude(self, sums: dict, addr: Address) -> None:
+        """Add the weight of addr's leaf, if the trie holds one, to the
+        excluded-weight sum of every node on its path, the leaf included."""
+        path = _nibbles(addr)
+        depth = 0
+        node = self._root
+        visited = []
+        # as in _get, only addr's own path can end at a leaf holding addr
+        while isinstance(node, _Branch):
+            visited.append(node)
+            depth += len(node.prefix)
+            node = node.children.get(path[depth])
+            depth += 1
+        if node is not None and node.addr == addr:
+            visited.append(node)
+            w = node.weight
+            for n in visited:
+                sums[n] = sums.get(n, 0) + w
+
+    def eligible_weight(self, sums: dict) -> int:
+        """What the accounts weigh once the weight in sums weighs zero."""
+        return 0 if self._root is None else self._root.weight - sums.get(self._root, 0)
+
+    def descend(self, h: int, sums: dict) -> Address:
+        """The account whose half-open interval of the eligible weight's prefix
+        sum, in canonical order, holds h, for 0 <= h < `eligible_weight(sums)`."""
+        node = self._root
+        while not isinstance(node, _Leaf):
+            # children are kept in ascending nibble order, the canonical order
+            for child in node.children.values():
+                w = child.weight - sums.get(child, 0)
+                if h < w:
+                    node = child
+                    break
+                h -= w
+            else:
+                raise AssertionError("descent exhausted children; weight caches corrupt")
+        return node.addr
 
 
 class WriteSet:

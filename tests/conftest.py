@@ -12,7 +12,7 @@ from portchain.crypto import digest, keypair_from_seed
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
 from portchain.netsim import AdversarySpec, SimConfig, run
-from portchain.selection import _eligible, _exclusion_sums
+from portchain.selection import _exclusion_sums
 from portchain.trie import AccountState, StateTrie
 
 
@@ -98,7 +98,7 @@ def eligible_total_weight(trie, exclusions, current_height) -> int:
     """Total lottery weight of the accounts neither excluded nor
     blacklisted at current_height, read from the trie's cached subtree
     weights as the selection descent reads them."""
-    return _eligible(trie.root_node, _exclusion_sums(trie, exclusions, current_height))
+    return trie.eligible_weight(_exclusion_sums(trie, exclusions, current_height))
 
 
 def flat_oracle(entries, h, exclusions, height):

@@ -90,7 +90,7 @@ def test_criterion_2_descend_oracle_equivalence(capsys):
             exclusions = set(rng.sample(addrs, k))
             height = rng.randint(0, 10)
             sums = _exclusion_sums(trie, exclusions, height)
-            total = trie.root_node.weight - sums.get(trie.root_node, 0)
+            total = trie.eligible_weight(sums)
             if total < 1:
                 continue
             h = rng.randrange(total)

@@ -592,6 +592,8 @@ def test_a_chain_with_no_draws_fails_fairness(tmp_path):
     ("sync_interval", 0),
     ("tx_value_min", -5),
     ("genesis_balance", 2**65),
+    ("voter_count", 0),
+    ("creator_redundancy", 0),
 ])
 def test_out_of_range_config_exits_2(tmp_path, capsys, field, value):
     # each of these used to raise (OverflowError, ZeroDivisionError) or,

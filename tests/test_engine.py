@@ -619,6 +619,38 @@ def test_forged_votes_count_as_bad_messages():
     assert set(node.tallies[target].votes) == {voter, other}
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="junk votes: any key holder's approval of any digest opens a "
+                   "Tally that nothing bounds or drops (ROADMAP item 21)")
+def test_junk_approvals_stay_bounded_and_count_as_bad_messages():
+    # a node outside every genesis voter set approves 1,000 random digests
+    cfg = SimConfig(seed=1, node_count=16)
+    ctx = build_context(cfg)
+    node = Node(0, ctx, BlockExecutor(ctx.engine_cfg))
+    node.handle("wake", None, 0)
+    voters = {v for a in ctx.genesis_assignments.values() for v in a.voters}
+    junk = next(i for i, a in enumerate(ctx.addresses) if a not in voters and i != 0)
+    for k in range(1000):
+        target = digest(b"junk" + k.to_bytes(4, "big"))
+        node.handle("vote", Vote.deferred(ctx.addresses[junk], target, True, ctx.keys[junk]), 1)
+    assert len(node.tallies) <= 4 * cfg.voter_count * cfg.creator_redundancy
+    assert node.counters["bad_messages"] == 1000
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="relayed heights: a block of any height above the head opens a "
+                   "Level, so a relay can make a node hold any number (ROADMAP item 2)")
+def test_relayed_blocks_far_above_the_head_open_no_level():
+    # a relay re-sends one committed block 200 times, each far above the head
+    t = run(SimConfig(seed=1, node_count=16, run_height=3))
+    node = Node(0, t.context, BlockExecutor(t.context.engine_cfg))
+    blk = t.chain[1]
+    for k in range(200):
+        header = dataclasses.replace(blk.header, height=10**6 + k)
+        node.handle("block", dataclasses.replace(blk, header=header), 1)
+    assert all(h <= node.head + 3 for h in node.levels)
+
+
 def test_voter_disapproves_a_child_of_an_invalid_parent():
     ctx = _context()
     built = _block_one(ctx)

@@ -12,6 +12,9 @@ A change that alters a digest on purpose says why in CHANGES.md and
 re-records it.
 """
 import hashlib
+import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,8 @@ from portchain.cli import run_scenario, scenario_from_doc
 from portchain.netsim import AdversarySpec, SimConfig, run
 
 from conftest import adversary_config, criterion_9_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _crash_twice_config(*spans):
@@ -132,6 +137,13 @@ def test_readme_scenario_report_pinned():
     assert hashlib.sha256(report.encode()).hexdigest() == (
         "e0344534237b4461f938326ee251eb350f1505e1e2bb88c7ee8a84148b6e1972"
     )
+
+
+def test_readme_shows_the_pinned_scenario_file():
+    # the report pinned above is that of the scenario file README.md shows
+    blocks = re.findall(r"^```json\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 1
+    assert json.loads(blocks[0]) == README_SCENARIO
 
 
 @pytest.mark.xfail(strict=True, reason="lock-split deadlock: the voters' locked parents "

@@ -83,6 +83,17 @@ def test_descend_matches_flat_oracle_randomized(rnd):
         assert trie.get_account(got).blacklist_until <= height
 
 
+def test_descent_errors_name_their_cause():
+    a = addr_of("A")
+    with pytest.raises(NoCandidatesError, match="^empty trie$"):
+        weighted_descend(StateTrie(), 0, set(), 0)
+    trie = make_trie({a: 2})
+    with pytest.raises(NoCandidatesError, match="^all candidates excluded$"):
+        weighted_descend(trie, 0, {a}, 0)
+    with pytest.raises(ValueError, match=r"^selection number 3 outside \[0, 3\)$"):
+        weighted_descend(trie, 3, set(), 0)
+
+
 def test_selection_number_pinned():
     # frozen vector; the derivation must stay stable across releases
     n = selection_number(b"\xaa" * 32, b"\xbb" * 20, 3, 1000)
@@ -179,7 +190,7 @@ def _reference_widths(trie, exclusions, height):
 
 
 def _reference_descend(trie, h, widths):
-    root = trie.root_node
+    root = trie._root
     if root is None:
         raise NoCandidatesError("empty trie")
     reduced = root.weight - sum(widths.values())
@@ -211,7 +222,7 @@ def _reference_select(trie, block_hash, seeds, height, extra=()):
     widths = _reference_widths(trie, excluded, height)
     picks = []
     for k, (addr, seq) in enumerate(seeds):
-        total = trie.root_node.weight - sum(widths.values()) if trie.root_node else 0
+        total = trie._root.weight - sum(widths.values()) if trie._root else 0
         if total < 1:
             raise NoCandidatesError(f"no eligible weight left for slot {k}")
         h = selection_number(block_hash, addr, seq, total)
@@ -246,7 +257,7 @@ def test_descent_matches_the_pending_split_reference(rnd):
         exclusions.add(addr_of("absent"))
         widths = _reference_widths(trie, exclusions, height)
         total = eligible_total_weight(trie, exclusions, height)
-        assert total == trie.root_node.weight - sum(widths.values())
+        assert total == trie._root.weight - sum(widths.values())
         if total < 1:
             with pytest.raises(NoCandidatesError):
                 weighted_descend(trie, 0, exclusions, height)

@@ -1,7 +1,8 @@
 """`src/portchain` defines nothing that only tests use: every module-level
 function and class, and every method and property of a class, is
 referenced somewhere in the package other than in its own definition.
-A test-only helper belongs in the tests."""
+A test-only helper belongs in the tests.  And no module imports another
+module's private names: what a module keeps private, it alone uses."""
 import ast
 from pathlib import Path
 
@@ -61,3 +62,13 @@ def test_src_defines_nothing_only_tests_use():
     assert sorted(set(definitions) - referenced - set(UNREFERENCED)) == []
     # an allow-listed name that src now uses no longer needs its entry
     assert sorted(referenced & set(UNREFERENCED)) == []
+
+
+def test_no_module_imports_another_modules_private_names():
+    private = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                private += [f"{path.stem}: from {'.' * node.level}{node.module or ''} import {a.name}"
+                            for a in node.names if a.name.startswith("_")]
+    assert private == []

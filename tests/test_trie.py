@@ -189,7 +189,7 @@ def test_batched_update_equals_writes_one_at_a_time(base_writes, writes, height)
     assert batched.root_commitment() == StateTrie().update(final).root_commitment()
     # every branch keeps its children in ascending nibble order
     for t in (batched, one_by_one):
-        for branch in _branches(t.root_node):
+        for branch in _branches(t._root):
             assert list(branch.children) == sorted(branch.children)
     assert eligible_total_weight(batched, (), height) == sum(
         s.weight for s in final.values() if s.blacklist_until <= height
