@@ -273,7 +273,7 @@ def replay_chain(chain, context, visit=None) -> ExecResult:
     # a chain with no blocks has no genesis either
     if not chain or chain[0] != context.genesis_block:
         raise ChainInvalid(0, "genesis does not match the scenario config")
-    executor = BlockExecutor(context.engine_cfg)
+    executor = BlockExecutor(context)
     parent = ExecResult(chain[0], context.genesis_trie)
     for h in range(1, len(chain)):
         blk = chain[h]

@@ -52,7 +52,6 @@ from .crypto import Address, Hash, digest
 # itself signs and verifies through `Vote`
 from .crypto import sign, verify  # noqa: F401
 from .ledger import (
-    LedgerConfig,
     LedgerError,
     TxRejected,
     apply_fraud_verdict,
@@ -95,23 +94,6 @@ def sibling_order(block_hash: Hash) -> tuple:
     """Rank of a block digest among redundant siblings: the largest
     re-hash wins, and a tie goes to the smaller digest."""
     return rehash_value(block_hash), -int.from_bytes(block_hash, "big")
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    voter_count: int
-    max_txs: int
-    ledger: LedgerConfig
-    public_keys: dict  # address -> public key bytes
-    proposal_delay: int
-    sync_interval: int
-    # how long a voter waits for missing sibling candidates at a height
-    # before judging on what arrived
-    vote_patience: int
-
-    @property
-    def quorum(self) -> int:
-        return quorum_threshold(self.voter_count)
 
 
 @dataclass
@@ -170,7 +152,7 @@ def assemble_block(
     the block rather than silently repairing it.  The ledger rules run on
     every call; what follows them comes from `executor.settle`.
     """
-    cfg = executor.cfg
+    cfg, public_keys = executor.context.config, executor.context.public_keys
     creating = txs is None
     height = prev_block.header.height + 1
     # every account write of the block collects in one write set and lands
@@ -182,9 +164,9 @@ def assemble_block(
     # refunds for the previous height's maintainers who completed duty:
     # the linked creator plus every voter whose approval is in the cert
     if prev_block.header.height >= 1:
-        issued += refund_reward(writes, prev_block.header.creator, cfg.ledger.creator_reward)
+        issued += refund_reward(writes, prev_block.header.creator, cfg.creator_reward)
         for voter in prev_block.header.prev_certificate.voters():
-            issued += refund_reward(writes, voter, cfg.ledger.voter_reward)
+            issued += refund_reward(writes, voter, cfg.voter_reward)
 
     if creating:
         chosen = []
@@ -205,7 +187,7 @@ def assemble_block(
                 continue
             # a rejection is raised before any write, so it leaves none
             try:
-                apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
+                apply_transaction(writes, tx, cfg, height, public_keys)
             except TxRejected as exc:
                 rejected.append((tx, str(exc)))
                 continue
@@ -216,14 +198,14 @@ def assemble_block(
             raise BlockInvalid("transaction cap exceeded")
         for tx in txs:
             try:
-                apply_transaction(writes, tx, cfg.ledger, height, cfg.public_keys)
+                apply_transaction(writes, tx, cfg, height, public_keys)
             except TxRejected as exc:
                 raise BlockInvalid(f"invalid transaction: {exc}")
 
     kept = []
     for report in reports:
         try:
-            issued += apply_fraud_verdict(writes, report, height, creator, cfg.ledger)
+            issued += apply_fraud_verdict(writes, report, height, creator, cfg)
         except LedgerError as exc:
             if creating:
                 continue
@@ -301,8 +283,8 @@ class BlockExecutor:
     its post-state.
     """
 
-    def __init__(self, cfg: EngineConfig):
-        self.cfg = cfg
+    def __init__(self, context):
+        self.context = context
         # header height -> digest -> (judged block, result)
         self._memo: dict[int, dict[Hash, tuple[Block, ExecResult]]] = {}
         # header height -> (digest, voters) -> certifies_parent answer
@@ -394,7 +376,7 @@ class BlockExecutor:
         if ok is None:
             cert = hdr.prev_certificate
             ok = cert.target_hash == hdr.prev_hash and commit_rule(
-                cert, voters, self.cfg.public_keys
+                cert, voters, self.context.public_keys
             )
             self._certs.setdefault(hdr.height, {})[key] = ok
         return ok
@@ -491,7 +473,7 @@ class Tally:
 class Node:
     """One consensus participant; fed events, emits actions.  It reads the
     run's context (`netsim.SimContext`) by attribute: its key pair and
-    address at `index`, the engine config and the genesis.
+    address at `index`, the config and its derived values, and the genesis.
 
     Actions: ("broadcast", message) to every other node; ("send",
     node_index, message) to one node; ("multicast", recipients, message)
@@ -526,7 +508,7 @@ class Node:
         self.index = index
         self.keys = context.keys[index]
         self.addr = context.addresses[index]
-        self.cfg = context.engine_cfg
+        self.context = context
         self.executor = executor
 
         genesis_block = context.genesis_block
@@ -600,16 +582,16 @@ class Node:
             # a wake past a missed periodic tick (the node was down) takes
             # over as the periodic one, so the timer restarts on recovery
             if tick >= self._next_sync:
-                if tick - self.last_head_change >= 2 * self.cfg.sync_interval:
+                if tick - self.last_head_change >= 2 * self.context.config.sync_interval:
                     # ask one rotating peer per interval, not everyone, to
                     # bound sync traffic
-                    n = len(self.cfg.public_keys)
+                    n = len(self.context.public_keys)
                     peer = (self.index + 1 + self._sync_attempts) % n
                     if peer == self.index:
                         peer = (peer + 1) % n
                     self._sync_attempts += 1
                     actions.append(("send", peer, ("sync_req", (self.index, self.head))))
-                self._next_sync = tick + self.cfg.sync_interval
+                self._next_sync = tick + self.context.config.sync_interval
                 if self._next_sync not in self._timers:
                     actions.append(("wake", self._next_sync))
             # every timed condition (vote patience, proposal delay) arms a
@@ -675,7 +657,7 @@ class Node:
         tally = self.tallies.get(v.target_hash)
         if tally is not None and tally.height is not None and tally.height < self.head:
             return
-        if not v.signed_by(self.cfg.public_keys.get(v.voter, b"")):
+        if not v.signed_by(self.context.public_keys.get(v.voter, b"")):
             self.counters["bad_messages"] += 1
             return
         if v.approve:
@@ -683,7 +665,7 @@ class Node:
                 tally = self.tallies[v.target_hash] = Tally()
             tally.votes[v.voter] = v
             # a quorum can only form at or past the raw-count threshold
-            if not tally.qualified and len(tally.votes) >= self.cfg.quorum:
+            if not tally.qualified and len(tally.votes) >= self.context.quorum:
                 self._dirty = True
 
     def _sync_payload(self, req_head: int):
@@ -757,7 +739,7 @@ class Node:
         self.equivocations = {
             (h, accused): seen for (h, accused), seen in self.equivocations.items()
             if not offense_punished(self.head_trie.get_account(accused) or EMPTY_ACCOUNT, h,
-                                    self.cfg.ledger)
+                                    self.context.config)
         }
         actions.append(("commit", j, d))
 
@@ -783,7 +765,7 @@ class Node:
             # first approval, which locks this node's parent choice, is
             # made with the same evidence everywhere
             if len(level.by_creator) < len(self._schedule(k).creators):
-                due = level.first_seen + self.cfg.vote_patience
+                due = level.first_seen + self.context.vote_patience
                 if tick < due:
                     self._schedule_timer(due, actions)
                     continue
@@ -792,20 +774,16 @@ class Node:
 
     def _consider_vote(self, k: int, level: Level, d: Hash, actions: list) -> None:
         blk = level.blocks[d]
-        if k == self.head + 1:
-            # judged on the head, a block that links elsewhere is
-            # disapproved by `_resolution_matches`, not deferred for good
-            parent = self.committed[-1]
-        else:
-            parent = self._blocks(k - 1).get(blk.header.prev_hash)
-            if parent is None:
-                return  # defer until the parent candidate arrives
+        # the voters for height k+1 (who judge candidates at k) are the
+        # assignment recorded in the parent block: at k = head+1 the head,
+        # so a block that links elsewhere is disapproved by
+        # `_resolution_matches`, not deferred for good
+        voter_schedule = self._branch_schedule(k + 1, blk)
+        if voter_schedule is None:
+            return  # defer until the parent candidate arrives
         # the decision is made now: membership is fixed once the parent is
         # known, and every path below casts its vote or none
         level.unvoted.discard(d)
-        # the voters for height k+1 (who judge candidates at k) are the
-        # assignment recorded in the parent block
-        voter_schedule = parent.assignment
         if voter_schedule.block_height != k + 1 or self.addr not in voter_schedule.voters:
             return
         # blk and its branch validate down to the head: judged last, as the
@@ -836,7 +814,7 @@ class Node:
     def _is_qualified(self, d: Hash, voters) -> bool:
         tally = self.tallies[d]
         if not tally.qualified:
-            tally.qualified = sum(1 for a in tally.votes if a in voters) >= self.cfg.quorum
+            tally.qualified = sum(1 for a in tally.votes if a in voters) >= self.context.quorum
         return tally.qualified
 
     def _resolution_matches(self, k: int, level: Level, blk: Block) -> bool:
@@ -883,7 +861,7 @@ class Node:
             ci = sched.creators.index(self.addr)
             if level.quorum_tick is None:
                 level.quorum_tick = tick
-            due = level.quorum_tick + self.cfg.proposal_delay
+            due = level.quorum_tick + self.context.proposal_wait
             if tick < due:
                 self._schedule_timer(due, actions)
                 continue

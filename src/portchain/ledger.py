@@ -16,11 +16,11 @@ blacklist term covers each offense up to its start (`offense_punished`).
 
 Each rule reads and writes accounts through a block's `WriteSet`, and
 raises before its first write, so a refused transaction, refund or
-report leaves the block's writes as they were.
+report leaves the block's writes as they were.  The rules read their
+settings from the run's config (`netsim.SimConfig`, passed as `cfg`):
+the tax rate, the three rewards and the blacklist duration.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .core import FraudReport, Transaction
 from .crypto import Address, verify
@@ -36,23 +36,15 @@ class LedgerError(ValueError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerConfig:
-    tax_rate_numerator: int
-    tax_rate_denominator: int
-    creator_reward: int
-    voter_reward: int
-    reporter_reward: int
-    blacklist_duration: int
-
-    def tax_amount(self, value: int) -> int:
-        return value * self.tax_rate_numerator // self.tax_rate_denominator
+def tax_amount(cfg, value: int) -> int:
+    """The tax each party of a transfer of value pays."""
+    return value * cfg.tax_rate_numerator // cfg.tax_rate_denominator
 
 
 def apply_transaction(
     writes: WriteSet,
     tx: Transaction,
-    cfg: LedgerConfig,
+    cfg,
     current_height: int,
     public_keys,
 ) -> None:
@@ -73,7 +65,7 @@ def apply_transaction(
     receiver = writes.get_account(tx.receiver) or EMPTY_ACCOUNT
     if receiver.blacklist_until > current_height:
         raise TxRejected("receiver blacklisted")
-    tax = cfg.tax_amount(tx.value)
+    tax = tax_amount(cfg, tx.value)
     if sender.balance < tx.value + tax:
         raise TxRejected("insufficient balance")
     if tx.sender == tx.receiver:
@@ -104,7 +96,7 @@ def refund_reward(writes: WriteSet, addr: Address, reward: int) -> int:
     return max(0, reward - state.tax)
 
 
-def offense_punished(accused: AccountState, height_of_offense: int, cfg: LedgerConfig) -> bool:
+def offense_punished(accused: AccountState, height_of_offense: int, cfg) -> bool:
     """Whether accused's blacklist term covers an offense at that height:
     a term begun at height p ends at p + blacklist_duration."""
     return accused.blacklist_until >= height_of_offense + cfg.blacklist_duration
@@ -115,7 +107,7 @@ def apply_fraud_verdict(
     report: FraudReport,
     current_height: int,
     creator: Address,
-    cfg: LedgerConfig,
+    cfg,
 ) -> int:
     """Blacklist the accused of a report in the block at current_height and
     reward the reporter.  Returns the issued amount; raises LedgerError unless

@@ -39,8 +39,7 @@ from . import core
 from .adversary import KINDS, ByzantineNode
 from .core import Block, MaintainerAssignment, Transaction, block_digest, encode_chain
 from .crypto import address_from_public, digest, keypair_from_seed, sign
-from .engine import BlockExecutor, EngineConfig, Node, maintainer_records
-from .ledger import LedgerConfig
+from .engine import BlockExecutor, Node, maintainer_records, quorum_threshold
 from .trie import AccountState, StateTrie
 
 
@@ -129,6 +128,12 @@ _INT_BOUNDS = {
 }
 
 
+# the types a field annotation admits, exactly: an int field takes no bool,
+# and a float field also takes an int, as PEP 484 reads the annotation
+_FIELD_TYPES = {"int": (int,), "int | None": (int, type(None)), "float": (int, float),
+                "str": (str,), "tuple": (tuple,)}
+
+
 @dataclass(frozen=True)
 class SimConfig:
     seed: int = 0
@@ -164,17 +169,16 @@ class SimConfig:
         # SimConfig(...) and dataclasses.replace are each checked here, once
         self.validate()
 
-    def ledger(self) -> LedgerConfig:
-        return LedgerConfig(
-            tax_rate_numerator=self.tax_rate_numerator,
-            tax_rate_denominator=self.tax_rate_denominator,
-            creator_reward=self.creator_reward,
-            voter_reward=self.voter_reward,
-            reporter_reward=self.reporter_reward,
-            blacklist_duration=self.blacklist_duration,
-        )
-
     def validate(self) -> None:
+        # types first, so that no bound below compares a value of another type
+        advs = self.adversaries if type(self.adversaries) is tuple else ()
+        for obj in (self, *advs):
+            if obj is not self and not isinstance(obj, AdversarySpec):
+                raise SimConfigError(f"adversaries holds {obj!r}, not an AdversarySpec")
+            for f in dataclasses.fields(obj):
+                value = getattr(obj, f.name)
+                if type(value) not in _FIELD_TYPES[f.type]:
+                    raise SimConfigError(f"{f.name} {value!r} is not {f.type}")
         m = self.voter_count + self.creator_redundancy
         # selecting height h+2 excludes two full disjoint service sets plus
         # the m-1 slots already picked, so 3m funded accounts must exist
@@ -270,12 +274,18 @@ class SimConfig:
 @dataclass
 class SimContext:
     config: SimConfig
-    engine_cfg: EngineConfig
     keys: list
     addresses: list
+    public_keys: dict  # address -> public key bytes
     genesis_block: Block
     genesis_trie: object
     genesis_assignments: dict
+    # derived from config once: the ticks a creator waits after its parent's
+    # quorum (never None, unlike config.proposal_delay), the ticks a voter
+    # waits for missing sibling candidates before judging, and the quorum
+    proposal_wait: int
+    vote_patience: int
+    quorum: int
 
 
 def build_context(config: SimConfig) -> SimContext:
@@ -316,17 +326,10 @@ def build_context(config: SimConfig) -> SimContext:
     delay = (
         2 * config.latency_max + 1 if config.proposal_delay is None else config.proposal_delay
     )
-    engine_cfg = EngineConfig(
-        voter_count=config.voter_count,
-        max_txs=config.max_txs,
-        ledger=config.ledger(),
-        public_keys=public_keys,
-        proposal_delay=delay,
-        sync_interval=config.sync_interval,
-        vote_patience=delay + 2 * config.latency_max + 2,
-    )
-    return SimContext(config=config, engine_cfg=engine_cfg, keys=keys, addresses=addresses,
-                      genesis_block=genesis, genesis_trie=trie, genesis_assignments={1: a1, 2: a2})
+    return SimContext(config=config, keys=keys, addresses=addresses, public_keys=public_keys,
+                      genesis_block=genesis, genesis_trie=trie, genesis_assignments={1: a1, 2: a2},
+                      proposal_wait=delay, vote_patience=delay + 2 * config.latency_max + 2,
+                      quorum=quorum_threshold(config.voter_count))
 
 
 def _short(d: bytes) -> str:
@@ -592,7 +595,7 @@ def run(cfg: SimConfig) -> SimTranscript:
                   if adv.kind != "crash" and adv.voter_slot is None}
     slot_kinds = {adv.voter_slot: adv.kind for adv in cfg.adversaries
                   if adv.voter_slot is not None}
-    executor = BlockExecutor(ctx.engine_cfg)
+    executor = BlockExecutor(ctx)
     nodes = [ByzantineNode(i, ctx, executor, kind=node_kinds.get(i), slot_kinds=slot_kinds)
              if i in node_kinds or slot_kinds else Node(i, ctx, executor) for i in range(n)]
 
@@ -615,6 +618,8 @@ def run(cfg: SimConfig) -> SimTranscript:
     stall_patience = cfg.stall_patience
 
     for tick, events in queue.drain():
+        if faults.done:
+            break
         if tick > cfg.max_ticks:
             stalled = True
             break

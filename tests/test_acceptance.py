@@ -23,7 +23,7 @@ from portchain.analysis import (
     schedule_audit,
 )
 from portchain.analysis import chi_square_critical
-from portchain.ledger import LedgerConfig
+from portchain.ledger import tax_amount
 from portchain.netsim import AdversarySpec, SimConfig, build_context, run
 from portchain.selection import _exclusion_sums, weighted_descend
 from portchain.trie import AccountState, StateTrie
@@ -308,7 +308,7 @@ def test_criterion_10_refund_damping(capsys):
     t = run(cfg)
     assert not t.stalled
     steps = replayed_steps(t.chain, ctx)
-    ledger: LedgerConfig = ctx.engine_cfg.ledger
+    ledger = ctx.config
     taxes_paid = {}
     refunds = {}
     decrements = {}
@@ -342,7 +342,7 @@ def test_criterion_10_refund_damping(capsys):
             # each completed duty strips exactly the reward, clamped at zero
             assert dec == reward or running[addr] == 0
         for tx in step.block.transactions:
-            amount = ledger.tax_amount(tx.value)
+            amount = tax_amount(ledger, tx.value)
             taxes_paid[tx.sender] = taxes_paid.get(tx.sender, 0) + amount
             taxes_paid[tx.receiver] = taxes_paid.get(tx.receiver, 0) + amount
     # cross-check the per-duty fold against the replay's issuance log

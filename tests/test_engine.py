@@ -168,7 +168,7 @@ def _block_one(ctx, timestamp=5, slot=0):
     gdigest = block_digest(ctx.genesis_block.header)
     cert = _certificate(ctx, gdigest, a1.voters)
     return assemble_block(
-        BlockExecutor(ctx.engine_cfg),
+        BlockExecutor(ctx),
         ctx.genesis_block,
         cert,
         a1.creators[slot],
@@ -206,13 +206,13 @@ def test_stale_mempool_entries_are_rejected_before_apply(monkeypatch):
     gdigest = block_digest(ctx.genesis_block.header)
     cert = _certificate(ctx, gdigest, a1.voters)
 
-    def assemble(cfg):
+    def assemble(context):
         return assemble_block(
-            BlockExecutor(cfg), ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (), pre_trie,
+            BlockExecutor(context), ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (), pre_trie,
             mempool=mempool,
         )
 
-    built = assemble(ctx.engine_cfg)
+    built = assemble(ctx)
     assert [t.nonce for t in built.block.transactions] == [6]
     assert [(t.nonce, reason) for t, reason in built.rejected] == [
         (4, "bad nonce"), (5, "bad nonce"), (8, "bad nonce")
@@ -222,7 +222,7 @@ def test_stale_mempool_entries_are_rejected_before_apply(monkeypatch):
     # stale entries still spend the attempt budget: 4 attempts for max_txs 1
     applied.clear()
     mempool.update({(sender, n): tx(n) for n in (1, 2, 3)})
-    built = assemble(dataclasses.replace(ctx.engine_cfg, max_txs=1))
+    built = assemble(dataclasses.replace(ctx, config=dataclasses.replace(ctx.config, max_txs=1)))
     assert built.block.transactions == ()
     assert [t.nonce for t, _ in built.rejected] == [1, 2, 3, 4]
     assert applied == []
@@ -274,7 +274,7 @@ def test_maintainer_record_marks_the_three_serving_schedules(cfg):
 def test_executor_accepts_honest_block():
     ctx = _context()
     built = _block_one(ctx)
-    ex = BlockExecutor(ctx.engine_cfg)
+    ex = BlockExecutor(ctx)
     result = ex.validate(
         built.block, ctx.genesis_block, ctx.genesis_trie, ctx.genesis_assignments[1], ()
     )
@@ -290,7 +290,7 @@ def test_executor_rejects_tampering():
 
     # one executor that has already judged the honest block: a memo entry
     # must not answer for another body under the same header
-    ex = BlockExecutor(ctx.engine_cfg)
+    ex = BlockExecutor(ctx)
     assert ex.validate(good, ctx.genesis_block, ctx.genesis_trie, sched, ()).valid
 
     def check(blk, expect_reason=None):
@@ -367,7 +367,7 @@ def test_executor_rejects_tampering():
     # unsigned transfer
     unsigned = Transaction(sender=ctx.addresses[0], receiver=ctx.addresses[1], value=7,
                            nonce=1, signature=b"")
-    check(dataclasses.replace(good, transactions=(unsigned,) * (ctx.engine_cfg.max_txs + 1)),
+    check(dataclasses.replace(good, transactions=(unsigned,) * (ctx.config.max_txs + 1)),
           "transaction cap exceeded")
     check(dataclasses.replace(good, transactions=(unsigned,)),
           "invalid transaction: bad signature")
@@ -380,14 +380,14 @@ def test_fraud_reports_follow_the_ledger_rule():
     accused = next(a for a in ctx.addresses if a not in a1.members())
     gdigest = block_digest(ctx.genesis_block.header)
     cert = _certificate(ctx, gdigest, a1.voters)
-    duration = ctx.engine_cfg.ledger.blacklist_duration
+    duration = ctx.config.blacklist_duration
 
     def report(offense=1, by=creator, against=accused):
         return FraudReport(reporter=by, accused=against, evidence_hash=digest(b"e"),
                            height_of_offense=offense)
 
     def assemble(reports, pre_trie=ctx.genesis_trie, txs=None):
-        return assemble_block(BlockExecutor(ctx.engine_cfg), ctx.genesis_block, cert, creator, 0, 5,
+        return assemble_block(BlockExecutor(ctx), ctx.genesis_block, cert, creator, 0, 5,
                               a1, (), pre_trie, txs=txs, mempool={}, reports=reports)
 
     # the accused already serves a term that began at height 1
@@ -422,7 +422,7 @@ def test_fraud_reports_follow_the_ledger_rule():
             assemble(twice, txs=())
     # the executor names the fault of a block that re-reports a covered offense
     blk = dataclasses.replace(honest.block, fraud_reports=(good, good))
-    result = BlockExecutor(ctx.engine_cfg).validate(blk, ctx.genesis_block, ctx.genesis_trie, a1, ())
+    result = BlockExecutor(ctx).validate(blk, ctx.genesis_block, ctx.genesis_trie, a1, ())
     assert not result.valid and result.reason == "bad fraud report: offense already punished"
 
 
@@ -441,7 +441,7 @@ def test_executor_memo_answers_only_for_the_validated_body():
     def validate(ex, blk):
         return ex.validate(blk, ctx.genesis_block, ctx.genesis_trie, sched, ())
 
-    ex = BlockExecutor(ctx.engine_cfg)
+    ex = BlockExecutor(ctx)
     first = validate(ex, good)
     assert first.valid
     r = validate(ex, forged)
@@ -451,7 +451,7 @@ def test_executor_memo_answers_only_for_the_validated_body():
     assert validate(ex, good) is first
     assert validate(ex, dataclasses.replace(good)) is first
     # the other order: the forged body is judged first
-    ex = BlockExecutor(ctx.engine_cfg)
+    ex = BlockExecutor(ctx)
     assert validate(ex, forged).reason == "assignment mismatch"
     assert validate(ex, good).valid
     assert validate(ex, forged).reason == "assignment mismatch"
@@ -471,7 +471,7 @@ def test_rejected_transaction_leaves_no_write():
 
     def assemble(mempool):
         return assemble_block(
-            BlockExecutor(ctx.engine_cfg), ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (),
+            BlockExecutor(ctx), ctx.genesis_block, cert, a1.creators[0], 0, 5, a1, (),
             ctx.genesis_trie, mempool=mempool,
         )
 
@@ -509,7 +509,7 @@ def _sync_requests(actions):
 def _node_of(ctx, addr):
     """A fresh honest node holding addr's key, at genesis."""
     i = ctx.addresses.index(addr)
-    return Node(i, ctx, BlockExecutor(ctx.engine_cfg))
+    return Node(i, ctx, BlockExecutor(ctx))
 
 
 def _bystander(ctx):
@@ -523,7 +523,7 @@ def _bystander(ctx):
 def test_node_keeps_one_periodic_sync_wake():
     ctx = _context()
     node = _bystander(ctx)
-    si = ctx.engine_cfg.sync_interval
+    si = ctx.config.sync_interval
     assert _wake_ticks(node.handle("wake", None, 0)) == [si]
     # a timer wake between periodic ticks must not arm a second periodic wake
     assert _wake_ticks(node.handle("wake", None, 7)) == []
@@ -556,7 +556,7 @@ def test_idle_periodic_wake_skips_the_progress_pass(monkeypatch):
     ctx = _context()
     node = _bystander(ctx)
     passes = _spy_passes(monkeypatch, node)
-    si = ctx.engine_cfg.sync_interval
+    si = ctx.config.sync_interval
     node.handle("wake", None, 0)  # a fresh node runs its first pass
     assert passes == [0]
     # nothing arrived and no timer is due: only the periodic wake re-arms
@@ -575,7 +575,7 @@ def _votes(actions):
 
 def test_vote_wait_counts_distinct_creators():
     ctx = _context()
-    patience = ctx.engine_cfg.vote_patience
+    patience = ctx.vote_patience
     # two candidates from one creator fill no second sibling slot: the
     # voter waits out its patience before judging either
     node = _voter_at_height_one(ctx)
@@ -626,7 +626,7 @@ def test_junk_approvals_stay_bounded_and_count_as_bad_messages():
     # a node outside every genesis voter set approves 1,000 random digests
     cfg = SimConfig(seed=1, node_count=16)
     ctx = build_context(cfg)
-    node = Node(0, ctx, BlockExecutor(ctx.engine_cfg))
+    node = Node(0, ctx, BlockExecutor(ctx))
     node.handle("wake", None, 0)
     voters = {v for a in ctx.genesis_assignments.values() for v in a.voters}
     junk = next(i for i, a in enumerate(ctx.addresses) if a not in voters and i != 0)
@@ -643,7 +643,7 @@ def test_junk_approvals_stay_bounded_and_count_as_bad_messages():
 def test_relayed_blocks_far_above_the_head_open_no_level():
     # a relay re-sends one committed block 200 times, each far above the head
     t = run(SimConfig(seed=1, node_count=16, run_height=3))
-    node = Node(0, t.context, BlockExecutor(t.context.engine_cfg))
+    node = Node(0, t.context, BlockExecutor(t.context))
     blk = t.chain[1]
     for k in range(200):
         header = dataclasses.replace(blk.header, height=10**6 + k)
@@ -663,7 +663,7 @@ def test_voter_disapproves_a_child_of_an_invalid_parent():
         pd = block_digest(parent.header)
         # a height-2 child assembled on the parent's claimed post-state
         child = assemble_block(
-            BlockExecutor(ctx.engine_cfg), parent, _certificate(ctx, pd, a2.voters), a2.creators[0],
+            BlockExecutor(ctx), parent, _certificate(ctx, pd, a2.voters), a2.creators[0],
             0, 6, a2, a1.members(), built.post_trie, txs=(),
         ).block
         # candidates at height 2 are judged by the voters the parent records
@@ -671,7 +671,7 @@ def test_voter_disapproves_a_child_of_an_invalid_parent():
         node.handle("block", parent, 1)
         node.handle("block", child, 2)
         # one creator of two arrived: the vote waits out the patience timer
-        actions = node.handle("wake", None, 2 + ctx.engine_cfg.vote_patience)
+        actions = node.handle("wake", None, 2 + ctx.vote_patience)
         [vote] = [v for v in _votes(actions) if v.target_hash == block_digest(child.header)]
         assert vote.approve == approve
 
@@ -682,7 +682,7 @@ _SMALL_RUN = SimConfig(seed=11, node_count=18, voter_count=3, creator_redundancy
 
 def test_vote_on_a_head_plus_two_candidate_waits_for_its_parent():
     chain, ctx = run(_SMALL_RUN).chain, build_context(_SMALL_RUN)
-    patience = ctx.engine_cfg.vote_patience
+    patience = ctx.vote_patience
     # candidates at height 2 are judged by the voters block 1 records
     node = _node_of(ctx, chain[1].assignment.voters[0])
     d2 = block_digest(chain[2].header)
@@ -714,13 +714,13 @@ def test_timer_missed_while_down_runs_the_pass_on_the_next_wake(monkeypatch):
     ctx = _context()
     node = _voter_at_height_one(ctx)
     passes = _spy_passes(monkeypatch, node)
-    si = ctx.engine_cfg.sync_interval
+    si = ctx.config.sync_interval
     node.handle("wake", None, 0)
     # one of two redundant candidates arrives: the voter waits out its
     # vote patience before judging
     blk = _block_one(ctx).block
     actions = node.handle("block", blk, 2)
-    due = 2 + ctx.engine_cfg.vote_patience
+    due = 2 + ctx.vote_patience
     assert due < si and _wake_ticks(actions) == [due] and _votes(actions) == []
     # the wake at `due` is lost (the node was down); the periodic wake
     # finds the timer overdue, runs the pass and casts the vote
@@ -757,7 +757,7 @@ def _creator_at_height_one(ctx, kind=None, equivocations=(), txs=()):
     the actions of its proposal."""
     a1 = ctx.genesis_assignments[1]
     i = ctx.addresses.index(a1.creators[0])
-    args = (i, ctx, BlockExecutor(ctx.engine_cfg))
+    args = (i, ctx, BlockExecutor(ctx))
     node = ByzantineNode(*args, kind=kind, slot_kinds={}) if kind else Node(*args)
     node.equivocations.update(equivocations)
     for tx in txs:
@@ -766,7 +766,7 @@ def _creator_at_height_one(ctx, kind=None, equivocations=(), txs=()):
     key_of = dict(zip(ctx.addresses, ctx.keys))
     for v in a1.voters:
         node.handle("vote", Vote(v, gdigest, True, sign(key_of[v], vote_signing_bytes(gdigest, True))), 1)
-    return node, node.handle("wake", None, 1 + ctx.engine_cfg.proposal_delay)
+    return node, node.handle("wake", None, 1 + ctx.proposal_wait)
 
 
 def _broadcast_blocks(actions):
@@ -854,7 +854,7 @@ def test_equivocation_twin_copies_the_proposal(monkeypatch):
     assert calls == [1]
     assert block.transactions == (tx,) and len(block.fraud_reports) == 1
     reference = assemble_block(
-        BlockExecutor(ctx.engine_cfg), ctx.genesis_block, block.header.prev_certificate,
+        BlockExecutor(ctx), ctx.genesis_block, block.header.prev_certificate,
         a1.creators[0], 0, block.header.timestamp + 1, a1, (), ctx.genesis_trie,
         txs=block.transactions, reports=block.fraud_reports,
     ).block
@@ -1054,7 +1054,7 @@ def test_sibling_bodies_are_settled_once(monkeypatch):
     ctx = _context()
     a1 = ctx.genesis_assignments[1]
     cert = _certificate(ctx, block_digest(ctx.genesis_block.header), a1.voters)
-    executor = BlockExecutor(ctx.engine_cfg)
+    executor = BlockExecutor(ctx)
     selected = _spy_select(monkeypatch)
 
     def sibling(slot, ex=executor):
@@ -1068,7 +1068,7 @@ def test_sibling_bodies_are_settled_once(monkeypatch):
     assert second.post_trie is first.post_trie
     assert second.block.assignment == first.block.assignment
     # its block is the one an executor of its own makes
-    assert second.block == sibling(1, BlockExecutor(ctx.engine_cfg)).block
+    assert second.block == sibling(1, BlockExecutor(ctx)).block
     assert selected == [1, 1]
     # the memo forgets its heights with the others
     executor.forget_below(2)
@@ -1123,7 +1123,7 @@ def test_a_held_block_runs_only_a_pass_already_due(monkeypatch):
     node, actions = _creator_at_height_one(ctx)
     [blk] = _broadcast_blocks(actions)
     passes = _spy_passes(monkeypatch, node)
-    tick = 2 + ctx.engine_cfg.proposal_delay
+    tick = 2 + ctx.proposal_wait
     # the proposal left a pass due, and the echo of its block runs it
     node.handle("block", blk, tick)
     assert passes == [tick]
@@ -1142,12 +1142,12 @@ def test_record_runs_the_validation_header_checks():
         (ctx.genesis_block, a2, "creator not assigned to slot"),
         (wrong_parent, a1, "backward link mismatch"),
     ]:
-        recorded = BlockExecutor(ctx.engine_cfg).record(built, prev_block, schedule)
-        fresh = BlockExecutor(ctx.engine_cfg).validate(
+        recorded = BlockExecutor(ctx).record(built, prev_block, schedule)
+        fresh = BlockExecutor(ctx).validate(
             built.block, prev_block, ctx.genesis_trie, schedule, ()
         )
         assert (recorded.valid, recorded.reason) == (fresh.valid, fresh.reason) == (False, reason)
-    ex = BlockExecutor(ctx.engine_cfg)
+    ex = BlockExecutor(ctx)
     assert ex.record(built, ctx.genesis_block, a1).valid
     # the memo now answers for the block
     assert ex.validate(built.block, ctx.genesis_block, ctx.genesis_trie, a1, ()).post_trie is built.post_trie
@@ -1189,7 +1189,7 @@ def test_recorded_assembly_equals_fresh_validation(monkeypatch):
     ctx = build_context(cfg)
     assert recorded
     for blk, prev_block, pre_trie, schedule, clear_members, result in recorded:
-        fresh = BlockExecutor(ctx.engine_cfg).validate(blk, prev_block, pre_trie, schedule, clear_members)
+        fresh = BlockExecutor(ctx).validate(blk, prev_block, pre_trie, schedule, clear_members)
         assert fresh.valid and result.valid
         assert result.post_trie.root_commitment() == fresh.post_trie.root_commitment()
         assert result.issued == fresh.issued

@@ -19,7 +19,7 @@ from portchain.trie import AccountState, StateTrie, WriteSet
 
 from conftest import addr_of, eligible_total_weight, make_keys
 
-CFG = SimConfig().ledger()
+CFG = SimConfig()
 
 
 def _setup(n=2, balance=100_000):

@@ -184,7 +184,7 @@ def test_committed_signatures_verify_natively(cfg):
     # `crypto.verify` answers a signature this process made from its memo,
     # so every committed vote and transaction is checked here by OpenSSL
     t = run(cfg)
-    public_keys = build_context(cfg).engine_cfg.public_keys
+    public_keys = build_context(cfg).public_keys
     votes = [(v.voter, v) for blk in t.chain for v in blk.header.prev_certificate.votes]
     txs = [(tx.sender, tx) for blk in t.chain for tx in blk.transactions]
     assert votes and txs
@@ -311,6 +311,22 @@ def test_config_validation_errors():
     ):
         with pytest.raises(SimConfigError):
             SimConfig(**bad)
+    # a field of another type than its annotation's raised TypeError or
+    # AttributeError during the run, or (the bool) ran as height 1
+    for name, value in (
+        ("node_count", 16.0),
+        ("seed", 1.5),
+        ("run_height", True),
+        ("drop_probability", "0.1"),
+        ("proposal_delay", 2.0),
+        ("adversaries", [AdversarySpec(kind="crash", node=1)]),
+        ("adversaries", ({"kind": "crash", "node": 1},)),
+    ):
+        with pytest.raises(SimConfigError, match=name):
+            SimConfig(**{name: value})
+    with pytest.raises(SimConfigError, match="node"):
+        SimConfig(adversaries=(AdversarySpec(kind="crash", node=1.0),))
+    SimConfig(drop_probability=0)
 
 
 # the bounds below are checked when the config is built: none of these configs runs
@@ -663,6 +679,18 @@ def test_no_stall_while_a_recovery_is_pending():
     after = min(tick for tick in commit_ticks if tick >= 400)
     # the outage left a gap in the commits longer than the patience
     assert before + cfg.stall_patience < 400 <= after
+
+
+def test_a_run_completed_on_the_last_tick_is_not_stalled():
+    # the last commit this run needs is at tick 30, and the run ends at
+    # the first event of tick 31; a tick bound of 30 leaves it as it was
+    bounded = SimConfig(seed=30, node_count=11, voter_count=1, creator_redundancy=2, run_height=4,
+                        latency_min=1, latency_max=1, txs_per_interval=0, max_ticks=30)
+    t = run(bounded)
+    free = run(dataclasses.replace(bounded, max_ticks=2**20))
+    assert not t.stalled and not free.stalled
+    assert max(tick for tick, _, kind, *_ in t.records if kind == "commit") == bounded.max_ticks
+    assert (t.records, t.heads, t.ticks) == (free.records, free.heads, free.ticks)
 
 
 @pytest.mark.parametrize("crash_tick", [0, 60])
