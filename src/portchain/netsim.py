@@ -172,13 +172,13 @@ class SimConfig:
     def validate(self) -> None:
         # types first, so that no bound below compares a value of another type
         advs = self.adversaries if type(self.adversaries) is tuple else ()
-        for obj in (self, *advs):
+        for where, obj in (("", self), *((f"adversaries[{i}].", a) for i, a in enumerate(advs))):
             if obj is not self and not isinstance(obj, AdversarySpec):
                 raise SimConfigError(f"adversaries holds {obj!r}, not an AdversarySpec")
             for f in dataclasses.fields(obj):
                 value = getattr(obj, f.name)
                 if type(value) not in _FIELD_TYPES[f.type]:
-                    raise SimConfigError(f"{f.name} {value!r} is not {f.type}")
+                    raise SimConfigError(f"{where}{f.name} {value!r} is not {f.type}")
         m = self.voter_count + self.creator_redundancy
         # selecting height h+2 excludes two full disjoint service sets plus
         # the m-1 slots already picked, so 3m funded accounts must exist
@@ -188,9 +188,11 @@ class SimConfig:
                 f"exclusion with {m} maintainer slots (need >= {3 * m})"
             )
         if self.latency_min < 0 or self.latency_max < self.latency_min:
-            raise SimConfigError("bad latency window")
+            raise SimConfigError(f"latency_min {self.latency_min} and latency_max "
+                                 f"{self.latency_max} are not 0 <= latency_min <= latency_max")
+        # written so that NaN fails too
         if not 0.0 <= self.drop_probability < 1.0:
-            raise SimConfigError("drop_probability out of range")
+            raise SimConfigError(f"drop_probability {self.drop_probability} outside [0, 1)")
         for name, (lo, hi) in _INT_BOUNDS.items():
             value = getattr(self, name)
             if value is not None and (value < lo or (hi is not None and value > hi)):

@@ -19,7 +19,6 @@ from portchain.analysis import KNOWN_CHECKS, chi_square_critical
 from portchain.cli import (
     DEFAULT_CHECKS,
     ScenarioError,
-    check_scenario,
     main,
     run_scenario,
     scenario_from_doc,
@@ -33,7 +32,7 @@ from portchain.core import (
 )
 from portchain.crypto import ADDRESS_SIZE, HASH_SIZE
 from portchain.adversary import KINDS
-from portchain.netsim import SimConfig
+from portchain.netsim import AdversarySpec, SimConfig, SimConfigError
 
 from conftest import pad_nested_blob
 from test_analysis import foreign_genesis_chain
@@ -617,7 +616,7 @@ def test_out_of_range_config_exits_2(tmp_path, capsys, field, value):
     # build_context, and a run with the float in its config digest
     ({"node_count": 16.0, "run_height": 3}, "node_count"),
     ({"run_height": 3.0}, "run_height"),
-    # refused by SimConfig.validate before, by check_scenario now
+    # refused by the SimConfig that scenario_from_doc builds
     ({"drop_probability": math.nan}, "drop_probability"),
     # a run whose own replay refused it, exit 1
     ({"max_txs": -1}, "max_txs"),
@@ -650,8 +649,8 @@ def test_hostile_config_exits_2(tmp_path, capsys, config, named):
     assert "Traceback" not in err
 
 
-# The jsonschema document that checked scenario files before check_scenario
-# replaced it, kept as the reference the checker must agree with.
+# The jsonschema document that checked scenario files before scenario_from_doc
+# took over, kept as the reference scenario_from_doc must agree with.
 _OLD_ADVERSARY_SCHEMA = {
     "type": "object",
     "properties": {
@@ -697,9 +696,9 @@ _OLD_SCENARIO_SCHEMA = {
 
 def _tightened(doc) -> bool:
     """True if a document the old schema accepts has one of the values
-    check_scenario rejects on purpose: an integral float such as 16.0
+    scenario_from_doc rejects on purpose: an integral float such as 16.0
     where an integer belongs (the old "integer" type took it), a NaN
-    drop_probability (which passed the old range and then failed
+    drop_probability (which passes the old range and fails
     SimConfig.validate), or a "fairness_window" key (the window is now
     fixed, so the key is unknown)."""
     config = doc["config"]
@@ -770,7 +769,16 @@ _scenarios = _mostly(_objects({
 }, required=("config",)))
 
 
-def test_check_scenario_agrees_with_the_old_schema():
+def _refusal(build):
+    """None if build() returns, else the text of the SimConfigError it raises."""
+    try:
+        build()
+    except SimConfigError as exc:
+        return str(exc)
+    return None
+
+
+def test_scenario_files_agree_with_the_old_schema():
     jsonschema = pytest.importorskip("jsonschema")
     # the validator class jsonschema.validate picks for this schema
     old_accepts = jsonschema.validators.validator_for(_OLD_SCENARIO_SCHEMA)(
@@ -785,13 +793,17 @@ def test_check_scenario_agrees_with_the_old_schema():
     @example({"config": {"adversaries": [{"kind": "crash", "start_tick": -1}]}})
     @example({"config": {}, "fairness_window": [1, 2.0]})
     def agree(doc):
-        try:
-            check_scenario(doc)
-            accepted = True
-        except ScenarioError:
-            accepted = False
-        old = old_accepts(doc)
-        assert accepted == (old and not _tightened(doc))
+        if not old_accepts(doc) or _tightened(doc):
+            with pytest.raises((ScenarioError, SimConfigError)):
+                scenario_from_doc(doc)
+            return
+        # the old schema took every value's type, so a SimConfig built
+        # straight from the values must judge the file as scenario_from_doc
+        # does; a ScenarioError here fails the test
+        rest = dict(doc["config"])
+        advs = tuple(AdversarySpec(**a) for a in rest.pop("adversaries", []))
+        assert (_refusal(lambda: scenario_from_doc(doc))
+                == _refusal(lambda: SimConfig(adversaries=advs, **rest)))
 
     agree()
 

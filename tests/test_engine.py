@@ -710,6 +710,21 @@ def test_commit_waits_for_the_ancestors_of_a_head_plus_three_block(held):
     assert commits(node.handle("block", chain[held], 9)) == [(1, block_digest(chain[1].header))]
 
 
+def test_commit_waits_for_a_head_plus_three_block_whose_certificate_holds():
+    chain, ctx = run(_SMALL_RUN).chain, build_context(_SMALL_RUN)
+    node = _bystander(ctx)
+    # a copy of block 3 whose certificate on block 2 is one vote short of quorum
+    cert = chain[3].header.prev_certificate
+    short = dataclasses.replace(cert, votes=cert.votes[:ctx.quorum - 1])
+    forged = dataclasses.replace(chain[3], header=dataclasses.replace(chain[3].header,
+                                                                      prev_certificate=short))
+    for tick, blk in enumerate([chain[1], chain[2], forged], 1):
+        assert [a for a in node.handle("block", blk, tick) if a[0] == "commit"] == []
+    assert node.head == 0
+    commits = [a[1:] for a in node.handle("block", chain[3], 9) if a[0] == "commit"]
+    assert commits == [(1, block_digest(chain[1].header))]
+
+
 def test_timer_missed_while_down_runs_the_pass_on_the_next_wake(monkeypatch):
     ctx = _context()
     node = _voter_at_height_one(ctx)

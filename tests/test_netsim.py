@@ -276,6 +276,11 @@ def test_config_validation_errors():
         SimConfig(latency_min=3, latency_max=1)
     with pytest.raises(SimConfigError):
         SimConfig(drop_probability=1.0)
+    # a range refusal states the value it refused
+    with pytest.raises(SimConfigError, match=r"drop_probability 1\.5 outside \[0, 1\)"):
+        SimConfig(drop_probability=1.5)
+    with pytest.raises(SimConfigError, match="latency_min -1 and latency_max 3"):
+        SimConfig(latency_min=-1)
     with pytest.raises(SimConfigError):
         SimConfig(run_height=0)
     with pytest.raises(SimConfigError):
@@ -324,7 +329,7 @@ def test_config_validation_errors():
     ):
         with pytest.raises(SimConfigError, match=name):
             SimConfig(**{name: value})
-    with pytest.raises(SimConfigError, match="node"):
+    with pytest.raises(SimConfigError, match=r"adversaries\[0\]\.node"):
         SimConfig(adversaries=(AdversarySpec(kind="crash", node=1.0),))
     SimConfig(drop_probability=0)
 
